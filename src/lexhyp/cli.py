@@ -61,7 +61,7 @@ def _parse_vertex_pair(text: str) -> tuple[int, int]:
 def _cmd_delta(args) -> int:
     g = parse_gspec(args.gspec)
     cfg = DeltaConfig(geodesic_cap=args.cap, cycle_only=not args.no_cycle_only,
-                      grid_factor=args.grid, parallel=args.parallel)
+                      grid_factor=args.grid)
     res = delta_exact(g, cfg)
     if args.json:
         print(json.dumps(res.to_json_dict(), sort_keys=True))
@@ -171,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--grid", type=int, choices=(4, 8), default=4)
     d.add_argument("--cap", type=int, default=1_000_000)
     d.add_argument("--no-cycle-only", action="store_true")
-    d.add_argument("--parallel", action="store_true")
     d.set_defaults(fn=_cmd_delta)
 
     di = sub.add_parser("dist", help="closed-form lexicographic distance")

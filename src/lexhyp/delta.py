@@ -10,29 +10,36 @@ value that is not a multiple of 1/4, and the sharp constant is a multiple of
 stability check in the verification suite guards the implementation, not the
 argument.
 
+One metric primitive serves every geodesic-free bound: a per-source
+bottleneck table W_a (`farthest_geodesic_table`), where W_a[p, c] is the
+farthest p can be from some a-c geodesic.  Built once per J-point source that
+the sweep touches and kept on its J(G) columns, it gives the exact value of a
+role (side a-b, third corner c) as the max over p in I(a, b) of
+min(W_a[p, c], W_b[p, c]), and the farthest bigon point on a-b as the max of
+W_a[p, b] over the same interval.
+
 Two sweeps cooperate:
 
 * a value sweep that processes corner triples in decreasing order of the
-  half-longest-side bound, pruning with corner bounds and closing each
-  surviving triple with interval lower bounds and bottleneck ("farthest
-  geodesic") profiles — no geodesic enumeration at all;
-* a witness sweep that walks triples in lexicographic corner order and
-  enumerates geodesic side combinations (restricted to cycle triangles by
-  default) until one attains the value.
+  half-longest-side bound, pruning with corner bounds and closing all
+  surviving third corners of a side with one gather from the tables — no
+  geodesic enumeration at all;
+* a witness sweep that walks triples in lexicographic corner order, skips
+  those the tables show cannot attain the value, and enumerates geodesic
+  side combinations (restricted to cycle triangles by default) until one
+  attains it.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from threading import Lock
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import GeodesicCapError, ValidationError
-from .geodesics import enumerate_paths, farthest_geodesic_profile, geodesic_count, interval
+from .geodesics import enumerate_paths, farthest_geodesic_table, interval
 from .graph import Graph
 from .qdist import QDist
 from .subdivision import DEFAULT_GRID_CAP, SubdividedGraph, subdivide
@@ -40,12 +47,19 @@ from .subdivision import DEFAULT_GRID_CAP, SubdividedGraph, subdivide
 
 @dataclass(frozen=True)
 class DeltaConfig:
-    """Knobs for the exact sweep; defaults match the library contract."""
+    """Knobs for the exact sweep; defaults match the library contract.
+
+    `geodesic_cap` bounds the geodesics enumerated for one pair by the
+    witness sweep (the value sweep enumerates none: it reads per-source
+    bottleneck tables); `cycle_only` restricts the witness to cycle
+    triangles; `grid_factor` is the subdivision (4, or 8 for the stability
+    check); `grid_cap` bounds the grid's point count, and with it the size of
+    every table (points x J-points per source).
+    """
 
     geodesic_cap: int = 1_000_000
     cycle_only: bool = True
     grid_factor: int = 4
-    parallel: bool = False
     grid_cap: int = DEFAULT_GRID_CAP
 
     def __post_init__(self):
@@ -110,7 +124,8 @@ def _is_cycle_triangle(fs0: frozenset, fs1: frozenset, fs2: frozenset,
 
 
 class _Sweep:
-    """Shared state for one graph: grid, hop matrix, per-pair caches."""
+    """Shared state for one graph: grid, hop matrix, per-source tables and
+    per-pair caches."""
 
     def __init__(self, s: SubdividedGraph, cfg: DeltaConfig):
         self.s = s
@@ -119,36 +134,29 @@ class _Sweep:
         self.j = np.asarray(s.j_set, dtype=np.int64)
         self.nj = len(self.j)
         self.jD = self.D[np.ix_(self.j, self.j)]
+        self.jpos = np.full(s.grid_n, -1, dtype=np.int64)
+        self.jpos[self.j] = np.arange(self.nj)
         self.nbrs = s._neighbors
+        self._tables: dict[int, np.ndarray] = {}
         self._ivals: dict[tuple[int, int], np.ndarray] = {}
-        self._profiles: dict[tuple[int, int], np.ndarray] = {}
         self._geos: dict[tuple[int, int], tuple] = {}
         self._ceilings: dict[tuple[int, int], np.ndarray] = {}
         self.stats = DeltaStats()
-        self._lock = Lock()
 
-    # -- per-pair caches (grid-id keys, smaller id first) -------------------
+    # -- caches (grid-id keys, smaller id first for pairs) -------------------
 
-    def ival(self, a: int, b: int) -> np.ndarray:
-        key = (a, b)
-        got = self._ivals.get(key)
+    def table(self, a: int) -> np.ndarray:
+        """W_a on the J(G) columns: [p, jpos[c]] is the farthest p can be from
+        some a-c geodesic."""
+        got = self._tables.get(a)
         if got is None:
-            with self._lock:
-                got = self._ivals.get(key)
-                if got is None:
-                    got = interval(self.D, a, b)
-                    self._ivals[key] = got
+            got = self._tables[a] = farthest_geodesic_table(self.nbrs, self.D, a)[:, self.j]
         return got
 
-    def profile(self, a: int, b: int) -> np.ndarray:
-        key = (a, b)
-        got = self._profiles.get(key)
+    def ival(self, a: int, b: int) -> np.ndarray:
+        got = self._ivals.get((a, b))
         if got is None:
-            with self._lock:
-                got = self._profiles.get(key)
-                if got is None:
-                    got = farthest_geodesic_profile(self.nbrs, self.D, a, b)
-                    self._profiles[key] = got
+            got = self._ivals[(a, b)] = interval(self.D, a, b)
         return got
 
     def corner_ceiling(self, a: int, b: int) -> np.ndarray:
@@ -160,15 +168,11 @@ class _Sweep:
         contain the corners, and widening p's range to the full grid only
         raises the max), and that quantity vectorizes over c.
         """
-        key = (a, b)
-        got = self._ceilings.get(key)
+        got = self._ceilings.get((a, b))
         if got is None:
-            with self._lock:
-                got = self._ceilings.get(key)
-                if got is None:
-                    near = np.minimum(self.D[:, a], self.D[:, b])
-                    got = np.minimum(near[:, None], self.D[:, self.j]).max(axis=0)
-                    self._ceilings[key] = got
+            near = np.minimum(self.D[:, a], self.D[:, b])
+            got = np.minimum(near[:, None], self.D[:, self.j]).max(axis=0)
+            self._ceilings[(a, b)] = got
         return got
 
     def geos(self, a: int, b: int):
@@ -184,28 +188,32 @@ class _Sweep:
             self._geos[key] = got
         return got
 
+    def levels(self):
+        """(length, J-index pairs) for every J-pair length, longest first."""
+        iu = np.triu_indices(self.nj, 1)
+        dvals = self.jD[iu]
+        for d in np.unique(dvals)[::-1].tolist():
+            mask = dvals == d
+            yield d, zip(iu[0][mask].tolist(), iu[1][mask].tolist())
+
     # -- per-triple machinery ------------------------------------------------
 
-    def role_exact(self, side: tuple[int, int], o1: tuple[int, int],
-                   o2: tuple[int, int]) -> int:
-        """Largest thinness any side-geodesic choice can realize for this role."""
-        i1 = self.ival(*side)
-        p1 = self.profile(*o1)[i1]
-        p2 = self.profile(*o2)[i1]
-        return int(np.minimum(p1, p2).max())
+    def role_exact(self, a: int, b: int, cs) -> int:
+        """Largest thinness any geodesic choice realizes on side a-b (a < b)
+        of the triangles with third corners `cs` (J indices)."""
+        rows = np.ix_(self.ival(a, b), cs)
+        return int(np.minimum(self.table(a)[rows], self.table(b)[rows]).max())
 
     def triple_can_reach(self, x: int, y: int, z: int, target: int) -> bool:
-        """Whether some geodesic combination of this triple attains `target`."""
+        """Whether some geodesic combination of this triple (x < y < z)
+        attains `target`."""
         corners = (x, y, z)
-        roles = (((x, y), (y, z), (x, z)),
-                 ((x, z), (x, y), (y, z)),
-                 ((y, z), (x, y), (x, z)))
-        for side, o1, o2 in roles:
-            i1 = self.ival(*side)
+        for a, b, c in ((x, y, z), (x, z, y), (y, z, x)):
+            i1 = self.ival(a, b)
             rb = int(self.D[np.ix_(i1, corners)].min(axis=1).max())
             if rb < target:
                 continue
-            if self.role_exact(side, o1, o2) >= target:
+            if self.role_exact(a, b, [self.jpos[c]]) >= target:
                 return True
         return False
 
@@ -218,26 +226,18 @@ class _Sweep:
         (side, third corner) combination: sides are processed in decreasing
         length (a side of length d contributes at most d/2), third corners are
         filtered by the vectorized corner ceiling, and survivors get their
-        exact role value from the bottleneck profiles in one batched min/max.
+        exact role value from the bottleneck tables in one batched min/max.
         """
-        nj = self.nj
-        if nj < 3:
+        if self.nj < 3:
             return 0
-        iu = np.triu_indices(nj, 1)
-        dvals = self.jD[iu]
         cur = 0
-        for d in np.unique(dvals)[::-1].tolist():
+        for d, pairs in self.levels():
             if d // 2 <= cur:
                 break
-            mask = dvals == d
-            pairs = list(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
-            if self.cfg.parallel and len(pairs) > 8:
-                cur = self._level_parallel(pairs, cur)
-            else:
-                for ii, jj in pairs:
-                    cur = self._process_side(ii, jj, cur)
-                    if d // 2 <= cur:
-                        break
+            for ii, jj in pairs:
+                cur = self._process_side(ii, jj, cur)
+                if d // 2 <= cur:
+                    break
         return cur
 
     def _process_side(self, ii: int, jj: int, cur: int) -> int:
@@ -249,36 +249,7 @@ class _Sweep:
         if cs.size == 0:
             return cur
         self.stats.triples_examined += int(cs.size)
-        iv = self.ival(a, b)
-        pa = np.empty((cs.size, iv.size), dtype=self.D.dtype)
-        pb = np.empty_like(pa)
-        for row, cc in enumerate(cs.tolist()):
-            c = int(self.j[cc])
-            pa[row] = self.profile(min(a, c), max(a, c))[iv]
-            pb[row] = self.profile(min(b, c), max(b, c))[iv]
-        val = int(np.minimum(pa, pb).max())
-        return max(cur, val)
-
-    def _level_parallel(self, pairs, cur: int) -> int:
-        """One level with a frozen pruning threshold, split across threads.
-
-        The reduction is a plain max, so the result does not depend on the
-        schedule; pruning against the level-start snapshot keeps the examined
-        set deterministic as well.
-        """
-        snapshot = cur
-        chunks = [pairs[i::8] for i in range(8)]
-
-        def work(chunk):
-            local = snapshot
-            for ii, jj in chunk:
-                local = self._process_side(ii, jj, local)
-            return local
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for got in pool.map(work, chunks):
-                cur = max(cur, got)
-        return cur
+        return max(cur, self.role_exact(a, b, cs))
 
     # -- witness sweep ---------------------------------------------------------
 
@@ -432,22 +403,15 @@ def delta_bigon_lower_bound(g: Graph, cfg: Optional[DeltaConfig] = None) -> QDis
     cfg = cfg or DeltaConfig()
     s = subdivide(g, cfg.grid_factor, cfg.grid_cap)
     sweep = _Sweep(s, cfg)
-    nj = sweep.nj
-    if nj < 2:
-        return QDist(0)
-    iu = np.triu_indices(nj, 1)
-    dvals = sweep.jD[iu]
     cur = 0
-    for d in np.unique(dvals)[::-1].tolist():
+    for d, pairs in sweep.levels():
         if d // 2 <= cur:
             break
-        for ii, jj in zip(iu[0][dvals == d].tolist(), iu[1][dvals == d].tolist()):
+        for ii, jj in pairs:
+            # a pair with one geodesic has that geodesic as its interval,
+            # so its points score 0 here and cannot raise the bound
             a, b = int(sweep.j[ii]), int(sweep.j[jj])
-            if geodesic_count(sweep.nbrs, sweep.D, a, b) < 2:
-                continue
-            val = int(sweep.profile(a, b)[sweep.ival(a, b)].max())
-            if val > cur:
-                cur = val
+            cur = max(cur, int(sweep.table(a)[sweep.ival(a, b), jj].max()))
     return QDist((4 * cur) // s.k)
 
 

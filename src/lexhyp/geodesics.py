@@ -4,10 +4,15 @@ All functions work on a neighbor table plus a precomputed hop matrix, so the
 same code serves vertex-level graphs and S_k grids.  Geodesics between two
 points form a DAG (the union of all shortest paths); enumeration backtracks
 over that DAG in deterministic lexicographic order.
+
+The farthest-geodesic question ("how far from p can an a-b geodesic stay?")
+is answered for every target b at once by one (max, min) table per source a,
+a bottleneck-paths DP over the BFS DAG of a.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -21,36 +26,19 @@ def interval(hops: np.ndarray, a: int, b: int) -> np.ndarray:
     return np.flatnonzero(hops[a] + hops[b] == hops[a, b])
 
 
-def _topo_interval(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
-                   a: int, b: int) -> tuple[np.ndarray, list[list[int]]]:
-    """Interval vertices in topological order from a, with predecessor lists."""
-    nodes = interval(hops, a, b)
-    order = nodes[np.lexsort((nodes, hops[a][nodes]))]
-    pos = {int(q): i for i, q in enumerate(order)}
-    da, db = hops[a], hops[b]
-    preds: list[list[int]] = []
-    for q in order:
-        q = int(q)
-        ps = [w for w in neighbors[q]
-              if w in pos and da[w] == da[q] - 1 and db[w] == db[q] + 1]
-        preds.append(ps)
-    return order, preds
-
-
 def geodesic_count(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
                    a: int, b: int) -> int:
     """Number of distinct geodesics from a to b (exact, arbitrary precision)."""
     if a == b:
         return 1
-    order, preds = _topo_interval(neighbors, hops, a, b)
-    pos = {int(q): i for i, q in enumerate(order)}
-    count = [0] * len(order)
-    count[pos[a]] = 1
-    for i, q in enumerate(order):
-        if int(q) == a:
-            continue
-        count[i] = sum(count[pos[w]] for w in preds[i])
-    return count[pos[b]]
+    da, db = hops[a], hops[b]
+    nodes = interval(hops, a, b)
+    count = {a: 1}
+    for q in nodes[np.argsort(da[nodes], kind="stable")][1:].tolist():
+        # a neighbor one step closer to a and one farther from b is on the interval
+        count[q] = sum(count[w] for w in neighbors[q]
+                       if da[w] == da[q] - 1 and db[w] == db[q] + 1)
+    return count[b]
 
 
 def enumerate_paths(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
@@ -93,26 +81,46 @@ def enumerate_geodesics(s: SubdividedGraph, a: int, b: int,
     return enumerate_paths(s._neighbors, hops, a, b, cap)
 
 
+def farthest_geodesic_table(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
+                            a: int) -> np.ndarray:
+    """W[p, q]: the largest distance from p to any single a-q geodesic.
+
+    d(p, geodesic) is the minimum of hops[p, v] over the path's vertices, so
+    W[:, q] is a maximin (bottleneck) path value over the geodesic DAG from a.
+    Every a-q geodesic ends with an edge from a BFS predecessor w of q, so
+
+        W[:, a] = hops[:, a],  W[:, q] = min(hops[:, q], max over w of W[:, w]),
+
+    evaluated one BFS layer at a time with `np.maximum.reduceat`.  Entries
+    are stored in the narrowest signed dtype holding the point count; every
+    hop count is below it, so the narrowing is exact.
+    """
+    n = hops.shape[0]
+    da = hops[a]
+    deg = [len(ns) for ns in neighbors]
+    dst = np.repeat(np.arange(n), deg)
+    src = np.fromiter(chain.from_iterable(neighbors), dtype=np.int64, count=len(dst))
+    keep = da[src] == da[dst] - 1
+    src, dst = src[keep], dst[keep]
+    order = np.argsort(da[dst], kind="stable")  # by layer, then by q
+    src, dst = src[order], dst[order]
+    head = np.flatnonzero(np.diff(dst, prepend=-1))  # first edge into each q
+    cut = np.searchsorted(da[dst[head]], np.arange(1, int(da.max()) + 2))
+    # t[q] is column q of W; hops is symmetric, so row q starts as hops[:, q]
+    t = hops.astype(np.min_scalar_type(-n))
+    for lo, hi in zip(cut[:-1].tolist(), cut[1:].tolist()):
+        e0 = head[lo]
+        e1 = head[hi] if hi < head.size else src.size
+        qs = dst[head[lo:hi]]
+        best = np.maximum.reduceat(t[src[e0:e1]], head[lo:hi] - e0, axis=0)
+        t[qs] = np.minimum(t[qs], best)
+    return t.T
+
+
 def farthest_geodesic_profile(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
                               a: int, b: int) -> np.ndarray:
     """For every vertex p: the largest distance from p to any single a-b geodesic.
 
-    d(p, geodesic) is the minimum of hops[p, q] over the path's vertices, so
-    this is a maximin (bottleneck) path value over the geodesic DAG, computed
-    by one vectorized pass in topological order.
+    Column b of `farthest_geodesic_table` from source a.
     """
-    if a == b:
-        return hops[:, a].copy()
-    order, preds = _topo_interval(neighbors, hops, a, b)
-    pos = {int(q): i for i, q in enumerate(order)}
-    w = np.empty((hops.shape[0], len(order)), dtype=hops.dtype)
-    w[:, pos[a]] = hops[:, a]
-    for i, q in enumerate(order):
-        q = int(q)
-        if q == a:
-            continue
-        best = w[:, pos[preds[i][0]]]
-        for p2 in preds[i][1:]:
-            best = np.maximum(best, w[:, pos[p2]])
-        w[:, i] = np.minimum(hops[:, q], best)
-    return w[:, pos[b]].copy()
+    return farthest_geodesic_table(neighbors, hops, a)[:, b].astype(hops.dtype)

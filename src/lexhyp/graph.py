@@ -41,7 +41,7 @@ def _bfs_apsp(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
 class Graph:
     """Simple undirected graph with unit-length edges and vertices 0..n-1."""
 
-    __slots__ = ("vertex_count", "edges", "labels", "_neighbors", "_dist")
+    __slots__ = ("vertex_count", "edges", "labels", "_edge_keys", "_neighbors", "_dist")
 
     def __init__(
         self,
@@ -52,7 +52,6 @@ class Graph:
     ):
         if not isinstance(vertex_count, int) or vertex_count < 1:
             raise ValidationError(f"vertex_count must be a positive integer, got {vertex_count!r}")
-        norm = []
         seen = set()
         for u, v in edges:
             u, v = int(u), int(v)
@@ -64,9 +63,9 @@ class Graph:
             if key in seen:
                 raise ValidationError(f"duplicate edge ({key[0]},{key[1]})")
             seen.add(key)
-            norm.append(key)
         self.vertex_count = vertex_count
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+        self._edge_keys = frozenset(seen)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != vertex_count:
@@ -99,12 +98,7 @@ class Graph:
         return tuple(sorted(len(a) for a in self._neighbors))
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = (u, v) if u < v else (v, u)
-        return (a, b) in self._edge_set()
-
-    def _edge_set(self) -> frozenset:
-        # edges is sorted and small; build on the fly (cheap relative to callers)
-        return frozenset(self.edges)
+        return ((u, v) if u < v else (v, u)) in self._edge_keys
 
     def is_connected(self) -> bool:
         seen = {0}
@@ -262,15 +256,8 @@ def is_isometric_embedding(h: Graph, g: Graph, mapping: Mapping[int, int] | Sequ
             raise ValidationError("mapping must cover every vertex of h")
     if len(set(img)) != len(img):
         raise ValidationError("mapping is not injective")
-    g_edges = set(g.edges)
     for u, v in h.edges:
-        a, b = img[u], img[v]
-        if (min(a, b), max(a, b)) not in g_edges:
+        if not g.has_edge(img[u], img[v]):
             raise ValidationError(f"edge ({u},{v}) of h has no image edge in g")
-    dh = h.vertex_distances()
-    dg = g.vertex_distances()
-    for u in range(h.vertex_count):
-        for v in range(u + 1, h.vertex_count):
-            if dh[u, v] != dg[img[u], img[v]]:
-                return False
-    return True
+    # UNREACHABLE entries of a disconnected h never equal a distance in g
+    return np.array_equal(h.vertex_distances(), g.vertex_distances()[np.ix_(img, img)])

@@ -200,70 +200,56 @@ def _j_points_of_copy(p: ProductGraph, s, g2, x0: int):
     return pts
 
 
-@_register("geodesic_copy_5_2")
-def _check_geodesic_copy(corpus: Corpus, ctx: SuiteContext):
-    instances, failures = 0, []
+def _copy_pairs(corpus: Corpus, ctx: SuiteContext):
+    """Every pair of J(G2) points lifted into one G2-copy of G1 o G2.
+
+    Yields (pair tag, x0, key1, key2, d2, dprod): the copy's G1 coordinate,
+    the two points' keys, and their hop distances on the S_4 grids of G2
+    and of the product.
+    """
     for g1, g2 in corpus.pairs:
         if g1.is_trivial():
             continue
         p = ctx.lex(g1, g2)
-        if p.graph.vertex_count + 3 * p.graph.m > 2000:
+        if p.graph.vertex_count + 3 * p.graph.m > 2000 or not g2.m:
             continue
         s = subdivide(p.graph, 4)
         hops = s.metrics().hops
-        s2 = subdivide(g2, 4) if g2.m else None
-        h2 = s2.metrics().hops if s2 else None
+        s2 = subdivide(g2, 4)
+        h2 = s2.metrics().hops
+        pair = _pair_tag(g1, g2)
         for x0 in range(g1.vertex_count):
             pts = _j_points_of_copy(p, s, g2, x0)
-            if s2 is None:
-                continue
             keys = sorted(pts, key=str)
             for i, k1 in enumerate(keys):
                 for k2 in keys[i + 1:]:
                     a2 = k1[1] if k1[0] == "v" else s2.midpoint(k1[1])
                     b2 = k2[1] if k2[0] == "v" else s2.midpoint(k2[1])
-                    d2 = int(h2[a2, b2])
-                    dprod = int(hops[pts[k1], pts[k2]])
-                    both_mid = k1[0] == "m" and k2[0] == "m"
-                    if d2 <= 10 or (both_mid and d2 == 12):
-                        instances += 1
-                        if dprod != d2:
-                            _fail(failures, {"pair": _pair_tag(g1, g2), "x0": x0,
-                                             "y1": k1, "y2": k2},
-                                  f"{d2}/4", f"{dprod}/4")
+                    yield pair, x0, k1, k2, int(h2[a2, b2]), int(hops[pts[k1], pts[k2]])
+
+
+@_register("geodesic_copy_5_2")
+def _check_geodesic_copy(corpus: Corpus, ctx: SuiteContext):
+    instances, failures = 0, []
+    for pair, x0, k1, k2, d2, dprod in _copy_pairs(corpus, ctx):
+        both_mid = k1[0] == "m" and k2[0] == "m"
+        if d2 <= 10 or (both_mid and d2 == 12):
+            instances += 1
+            if dprod != d2:
+                _fail(failures, {"pair": pair, "x0": x0, "y1": k1, "y2": k2},
+                      f"{d2}/4", f"{dprod}/4")
     return instances, failures
 
 
 @_register("geodesic_copy_gt3")
 def _check_geodesic_copy_far(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
-    for g1, g2 in corpus.pairs:
-        if g1.is_trivial():
-            continue
-        p = ctx.lex(g1, g2)
-        if p.graph.vertex_count + 3 * p.graph.m > 2000:
-            continue
-        s = subdivide(p.graph, 4)
-        hops = s.metrics().hops
-        s2 = subdivide(g2, 4) if g2.m else None
-        if s2 is None:
-            continue
-        h2 = s2.metrics().hops
-        for x0 in range(g1.vertex_count):
-            pts = _j_points_of_copy(p, s, g2, x0)
-            keys = sorted(pts, key=str)
-            for i, k1 in enumerate(keys):
-                for k2 in keys[i + 1:]:
-                    a2 = k1[1] if k1[0] == "v" else s2.midpoint(k1[1])
-                    b2 = k2[1] if k2[0] == "v" else s2.midpoint(k2[1])
-                    d2 = int(h2[a2, b2])
-                    if d2 > 12:
-                        instances += 1
-                        dprod = int(hops[pts[k1], pts[k2]])
-                        if not dprod < d2:
-                            _fail(failures, {"pair": _pair_tag(g1, g2), "x0": x0,
-                                             "y1": k1, "y2": k2},
-                                  f"< {d2}/4", f"{dprod}/4")
+    for pair, x0, k1, k2, d2, dprod in _copy_pairs(corpus, ctx):
+        if d2 > 12:
+            instances += 1
+            if not dprod < d2:
+                _fail(failures, {"pair": pair, "x0": x0, "y1": k1, "y2": k2},
+                      f"< {d2}/4", f"{dprod}/4")
     return instances, failures
 
 

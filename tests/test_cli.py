@@ -39,6 +39,34 @@ def test_delta_byte_identical(capsys):
     assert out1 == out2
 
 
+# `delta --json` output pinned across versions: value, witness and counters.
+PINNED_DELTA_JSON = {
+    "lex(path:4,cycle:6)": (
+        '{"grid_factor": 4, "quarters": 6, '
+        '"stats": {"geodesics_enumerated": 73, "triples_examined": 16633}, "value": "3/2", '
+        '"witness": {"corners": [0, 1, 18], "is_cycle": true, "sides": ['
+        '[0, 24, 25, 26, 1], '
+        '[1, 51, 52, 53, 6, 156, 157, 158, 12, 282, 283, 284, 18], '
+        '[18, 305, 304, 303, 13, 182, 181, 180, 7, 35, 34, 33, 0]], '
+        '"witness_point": 157, "witness_side": 1}}'),
+    "lex(cycle:10,path:3)": (
+        '{"grid_factor": 4, "quarters": 10, '
+        '"stats": {"geodesics_enumerated": 325, "triples_examined": 10861}, "value": "5/2", '
+        '"witness": {"corners": [0, 1, 15], "is_cycle": true, "sides": ['
+        '[0, 30, 31, 32, 1], '
+        '[1, 54, 55, 56, 3, 93, 94, 95, 6, 126, 127, 128, 9, 159, 160, 161, 12, 192, 193, 194, 15], '
+        '[15, 225, 226, 227, 18, 258, 259, 260, 21, 291, 292, 293, 24, 324, 325, 326, 27, 44, 43, 42, 0]], '
+        '"witness_point": 127, "witness_side": 1}}'),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_DELTA_JSON))
+def test_delta_json_pinned(capsys, spec):
+    code, out, _ = run_cli(capsys, "delta", spec, "--json")
+    assert code == 0
+    assert out == PINNED_DELTA_JSON[spec] + "\n"
+
+
 def test_delta_of_composed_product(capsys):
     code, out, _ = run_cli(capsys, "delta", "lex(path:4,path:2)")
     assert code == 0
@@ -134,6 +162,8 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "delta", "cycle:2")
     assert code == 1
     code, _, err = run_cli(capsys, "delta", "0 1 2")
+    assert code == 1
+    code, _, err = run_cli(capsys, "delta", "cycle:5", "--parallel")
     assert code == 1
 
 

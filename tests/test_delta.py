@@ -88,14 +88,6 @@ def test_cycle_only_modes_agree():
             delta_exact(g, DeltaConfig(cycle_only=False)).value
 
 
-def test_parallel_matches_sequential():
-    g = product(cycle_graph(5), path_graph(2)).graph
-    seq = delta_exact(g, DeltaConfig(parallel=False))
-    par = delta_exact(g, DeltaConfig(parallel=True))
-    assert seq.value == par.value
-    assert seq.witness == par.witness
-
-
 def test_cap_error_attaches_partial_lower_bound():
     with pytest.raises(GeodesicCapError) as err:
         delta_exact(cycle_graph(6), DeltaConfig(geodesic_cap=1))

@@ -1,10 +1,13 @@
-"""Geodesic enumeration: counts, order, caps, bottleneck profiles."""
+"""Geodesic enumeration: counts, order, caps, bottleneck tables and profiles."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from lexhyp import GeodesicCapError, complete_graph, cycle_graph, enumerate_geodesics, path_graph, subdivide
-from lexhyp.geodesics import enumerate_paths, farthest_geodesic_profile, geodesic_count, interval
+from lexhyp import (GeodesicCapError, Graph, complete_graph, cycle_graph, enumerate_geodesics,
+                    path_graph, product, subdivide)
+from lexhyp.geodesics import (enumerate_paths, farthest_geodesic_profile, farthest_geodesic_table,
+                              geodesic_count, interval)
 
 
 def test_c4_opposite_vertices_two_geodesics():
@@ -63,13 +66,36 @@ def test_interval_is_union_of_geodesics():
     assert iv == union
 
 
-def test_farthest_geodesic_profile_against_enumeration():
-    s = subdivide(cycle_graph(5), 4)
+@st.composite
+def connected_graphs(draw, max_n: int = 6) -> Graph:
+    """A random spanning tree on 2..max_n vertices plus any set of extra edges."""
+    n = draw(st.integers(2, max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    return Graph(n, tree + extra)
+
+
+def _farthest_by_enumeration(nbrs, hops, a: int, q: int) -> np.ndarray:
+    """For every p: max over a-q geodesics of min distance from p to the path."""
+    paths = np.asarray(enumerate_paths(nbrs, hops, a, q, cap=100_000))
+    return hops[:, paths].min(axis=2).max(axis=1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(g=connected_graphs(), k=st.sampled_from((4, 8)))
+@example(g=cycle_graph(5), k=4)
+@example(g=product(path_graph(3), path_graph(2)).graph, k=4)
+@example(g=product(path_graph(3), path_graph(2)).graph, k=8)
+def test_farthest_geodesic_profile_against_enumeration(g, k):
+    # every column of the table from every J-point source, on the S_k grid of g
+    s = subdivide(g, k)
     hops = s.metrics().hops
     nbrs = [s.neighbors(v) for v in range(s.grid_n)]
-    for a, b in [(0, 2), (1, 3), (0, 1)]:
-        prof = farthest_geodesic_profile(nbrs, hops, a, b)
-        paths = [np.asarray(p) for p in enumerate_paths(nbrs, hops, a, b, cap=1000)]
-        for p in range(s.grid_n):
-            want = max(int(hops[p, path].min()) for path in paths)
-            assert prof[p] == want
+    for a in s.j_set:
+        table = farthest_geodesic_table(nbrs, hops, a)
+        assert table.shape == hops.shape
+        for q in range(s.grid_n):
+            assert np.array_equal(table[:, q], _farthest_by_enumeration(nbrs, hops, a, q)), (a, q)
+        for b in s.j_set:
+            assert np.array_equal(farthest_geodesic_profile(nbrs, hops, a, b), table[:, b])

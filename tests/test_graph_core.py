@@ -18,6 +18,9 @@ def test_parse_edge_list():
     g = parse_graph("0 1\n1 2")
     assert (g.vertex_count, g.m) == (3, 2)
     assert g == path_graph(3)
+    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+    assert g.has_edge(1, 2) and g.has_edge(2, 1)
+    assert not g.has_edge(0, 2) and not g.has_edge(2, 0)
 
 
 def test_parse_comments_and_blanks():
