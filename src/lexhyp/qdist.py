@@ -52,6 +52,10 @@ class QDist:
             return str(f.numerator)
         return f"{f.numerator}/{f.denominator}"
 
+    def __format__(self, spec: str) -> str:
+        """Format specs apply to the rendered fraction, e.g. f"{q:>4}"."""
+        return format(str(self), spec)
+
     def __repr__(self) -> str:
         return f"QDist({self.quarters})"
 

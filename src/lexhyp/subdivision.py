@@ -4,6 +4,9 @@
 original vertices keep their ids, and each edge gains k-1 equally spaced
 points.  Hop counts on the S_k grid are k times the metric distance, so every
 quarter-integer quantity of interest is an exact integer here.
+
+The grid metric is never searched for: it follows in closed form from the
+base graph's vertex distances (`all_pairs_distances`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SizeCapError, ValidationError
-from .graph import Graph, _bfs_apsp
+from .graph import UNREACHABLE, Graph
 from .qdist import QDist
 
 SUBDIVISION_FACTORS = (2, 4, 8)
@@ -116,18 +119,48 @@ class GraphMetrics:
 
 
 def all_pairs_distances(s: SubdividedGraph) -> GraphMetrics:
-    """BFS from every grid vertex; diameters over vertices and over J(G)."""
-    edges = []
-    for v in range(s.grid_n):
-        for w in s.neighbors(v):
-            if v < w:
-                edges.append((v, w))
-    hops = _bfs_apsp(s.grid_n, edges)
+    """Exact grid hop matrix from the base graph's vertex distances D.
+
+    Every grid point p has two (endpoint, offset) pairs: (v, 0) twice for a
+    vertex v, and (u, i), (w, k-i) for the i-th interior point of edge uw.
+    An interior point meets the rest of the grid only through its edge's two
+    endpoints, and a grid path between two vertices is a chain of whole
+    subdivided edges, k hops each.  So for points on different edges
+
+        hops[p, q] = min over the four endpoint choices of s_p + k*D[e_p, e_q] + t_q,
+
+    while two points i and j of the same edge are |i - j| apart: leaving the
+    edge costs at least min(i + j, 2k - i - j) >= |i - j|.  The minimum is
+    taken in two stages, first to every vertex (`to_vertex`, grid points by
+    base vertices), then to every point, all in int32.  Pairs whose
+    endpoints lie in different components of the base graph stay
+    UNREACHABLE.  Diameters are taken over vertices and over J(G).
+    """
+    g, k = s.base, s.k
+    n, m = g.vertex_count, g.m
+    unreachable = np.int32(2 ** 30)  # above any hop count, far below int32 overflow
+    d = g.vertex_distances()
+    kd = np.where(d == UNREACHABLE, unreachable, k * d).astype(np.int32)
+    ends = np.asarray(g.edges, dtype=np.intp).reshape(m, 2)
+    off = np.arange(1, k, dtype=np.int32)
+    e1 = np.concatenate([np.arange(n), np.repeat(ends[:, 0], k - 1)])
+    e2 = np.concatenate([np.arange(n), np.repeat(ends[:, 1], k - 1)])
+    s1 = np.concatenate([np.zeros(n, np.int32), np.tile(off, m)])
+    s2 = np.concatenate([np.zeros(n, np.int32), np.tile(k - off, m)])
+    to_vertex = np.minimum(kd[e1] + s1[:, None], kd[e2] + s2[:, None])
+    hops = to_vertex[:, e1]
+    hops += s1
+    via = to_vertex[:, e2]
+    via += s2
+    np.minimum(hops, via, out=hops)
+    block = n + (k - 1) * np.arange(m)[:, None, None]
+    i = np.arange(k - 1)
+    hops[block + i[:, None], block + i[None, :]] = np.abs(i[:, None] - i[None, :])
+    hops[hops >= unreachable] = UNREACHABLE
     hops.setflags(write=False)
-    n = s.base.vertex_count
-    diam_v = QDist.from_hops(int(hops[:n, :n].max()), s.k)
+    diam_v = QDist.from_hops(int(hops[:n, :n].max()), k)
     j = np.asarray(s.j_set)
-    diam_g = QDist.from_hops(int(hops[np.ix_(j, j)].max()), s.k)
+    diam_g = QDist.from_hops(int(hops[np.ix_(j, j)].max()), k)
     return GraphMetrics(grid=s, hops=hops, diam_v=diam_v, diam_g=diam_g)
 
 

@@ -1,11 +1,14 @@
 """Corpus generation determinism and the verification suite."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from lexhyp import (CHECKS, CorpusSpec, LexhypError, ValidationError, cycle_graph,
-                    generate_corpus, random_tree, run_suite)
+from lexhyp import (CARTESIAN, CHECKS, LEXICOGRAPHIC, Corpus, CorpusSpec, LexhypError,
+                    ValidationError, cycle_graph, generate_corpus, path_graph, product,
+                    random_tree, run_suite)
+from lexhyp.suite import SuiteContext
 
 EXPECTED_CHECK_IDS = {
     "dist_formula", "edge_containment", "copy_isometry", "neighborhood_3_2",
@@ -88,3 +91,46 @@ def test_full_suite_small_corpus_passes():
     # every check did some work or legitimately found no applicable instances
     for r in report.results.values():
         assert r.instances >= 0
+
+
+def _projection_on_p5_p3(kind: str):
+    g1, g2 = path_graph(5), path_graph(3)
+    corpus = Corpus(spec=CorpusSpec(), graphs=(g1, g2), pairs=((g1, g2),))
+    ctx = SuiteContext(product_cap=24)
+    # the suite reads the product through ctx.lex; plant one labelled lexicographic
+    ctx._products[(g1, g2)] = replace(product(g1, g2, kind), kind=LEXICOGRAPHIC)
+    return CHECKS["projection_geodesic"](corpus, ctx)
+
+
+def test_projection_geodesic_passes_on_the_lex_product():
+    instances, failures = _projection_on_p5_p3(LEXICOGRAPHIC)
+    assert instances > 0 and failures == []
+
+
+def test_projection_geodesic_fails_on_cartesian_product():
+    # Cartesian geodesics between far points step inside one G1-copy
+    instances, failures = _projection_on_p5_p3(CARTESIAN)
+    assert instances > 0 and failures
+    assert all(set(f["inputs"]) == {"pair", "a", "b"} for f in failures)
+    assert any("intra-copy DAG edges=0" not in f["actual"] for f in failures)
+
+
+def test_projection_geodesic_default_corpus():
+    result = run_suite(generate_corpus(CorpusSpec()), ["projection_geodesic"]).results
+    assert (result["projection_geodesic"].status, result["projection_geodesic"].instances) \
+        == ("pass", 325_001)
+
+
+def test_geodesic_copy_checks_alone_and_together(monkeypatch):
+    import lexhyp.suite as suite
+    corpus = generate_corpus(CorpusSpec())
+    ids = ["geodesic_copy_5_2", "geodesic_copy_gt3"]
+    passes = []
+    real = suite._copy_pairs
+    monkeypatch.setattr(suite, "_copy_pairs", lambda *a: passes.append(1) or real(*a))
+    both = run_suite(corpus, ids).to_json_dict()
+    assert len(passes) == 1  # one subdivide-and-APSP pass serves both checks
+    for cid in ids:
+        alone = run_suite(corpus, [cid]).to_json_dict()[cid]
+        assert {**alone, "millis": 0} == {**both[cid], "millis": 0}
+        assert alone["status"] == "pass" and alone["instances"] > 0

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from lexhyp import (Graph, ParseError, QDist, SizeCapError, ValidationError,
                     all_pairs_distances, cycle_graph, complete_graph, diam_g, diam_v,
                     induced_subgraph, is_isometric_embedding, parse_graph, path_graph,
-                    star_graph, subdivide, trivial_graph)
+                    product, star_graph, subdivide, trivial_graph)
+from lexhyp.graph import UNREACHABLE
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,52 @@ def test_subdivide_c5_distance_scaling():
     m = all_pairs_distances(s)
     assert m.hops[1, 3] == 8
     assert m.distance(1, 3) == QDist.from_edges(2)
+
+
+@st.composite
+def connected_graphs(draw, max_n: int = 8) -> Graph:
+    """A random spanning tree on 1..max_n vertices plus any set of extra edges."""
+    n = draw(st.integers(1, max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    return Graph(n, tree + extra)
+
+
+def _grid_bfs_hops(s) -> np.ndarray:
+    """Oracle: networkx BFS from every point over the grid's own edges."""
+    nx = pytest.importorskip("networkx")
+    grid = nx.Graph()
+    grid.add_nodes_from(range(s.grid_n))
+    grid.add_edges_from((v, w) for v in range(s.grid_n) for w in s.neighbors(v))
+    out = np.full((s.grid_n, s.grid_n), UNREACHABLE, dtype=np.int32)
+    for p, row in nx.all_pairs_shortest_path_length(grid):
+        for q, d in row.items():
+            out[p, q] = d
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=connected_graphs(), k=st.sampled_from((2, 4, 8)))
+def test_grid_metric_matches_bfs_on_grid_edges(g, k):
+    hops = all_pairs_distances(subdivide(g, k)).hops
+    assert hops.dtype == np.int32
+    assert np.array_equal(hops, _grid_bfs_hops(subdivide(g, k)))
+
+
+@pytest.mark.parametrize("k", (2, 4, 8))
+def test_grid_metric_matches_bfs_on_product_and_disconnected(k):
+    lex = product(path_graph(3), cycle_graph(4)).graph
+    split = induced_subgraph(cycle_graph(8), [0, 1, 3, 4, 6])  # components {0,1}, {3,4}, {6}
+    for g in (lex, split):
+        s = subdivide(g, k)
+        assert np.array_equal(all_pairs_distances(s).hops, _grid_bfs_hops(s))
+    s = subdivide(split, k)
+    hops = all_pairs_distances(s).hops
+    assert hops[0, 2] == UNREACHABLE  # vertices 0 and 3 of C8
+    assert hops[s.midpoint((0, 1)), s.midpoint((2, 3))] == UNREACHABLE
+    assert hops[s.midpoint((2, 3)), 4] == UNREACHABLE  # to the isolated vertex 6 of C8
+    assert (np.diag(hops) == 0).all()
 
 
 def test_grid_size_and_jset_counts():

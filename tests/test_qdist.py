@@ -36,3 +36,10 @@ def test_ordering_and_arithmetic():
         QDist(2) - QDist(4)
     with pytest.raises(ValueError):
         QDist(-1)
+
+
+def test_format_spec_applies_to_rendering():
+    assert f"{QDist(6):>4}" == " 3/2"
+    assert f"{QDist(4):<3}|" == "1  |"
+    assert f"{QDist(5)}" == "5/4"
+    assert format(QDist(8), "") == str(QDist(8))
