@@ -3,7 +3,7 @@ lexicographic products: constants with witnesses, closed-form product
 distances, the forbidden-family classifier for tree products, and a
 verification suite for every computable claim."""
 
-from .catalog import FCatalog, FWitness, build_catalog, canonical_form, get_catalog, in_family_F, is_isomorphic
+from .catalog import FCatalog, FWitness, build_catalog, get_catalog, in_family_F, is_isomorphic
 from .corpus import Corpus, CorpusSpec, generate_corpus, random_connected, random_tree
 from .delta import (DeltaConfig, DeltaResult, DeltaStats, GeodesicTriangle,
                     delta_bigon_lower_bound, delta_exact, has_tight_short_triangle, thinness)
@@ -26,7 +26,7 @@ __all__ = [
     "GeodesicTriangle", "Graph", "GraphMetrics", "LEXICOGRAPHIC", "LexhypError",
     "ParseError", "ProductGraph", "QDist", "STRONG", "SizeCapError", "SubdividedGraph",
     "SuiteReport", "TreeLexCase", "ValidationError", "all_pairs_distances",
-    "bound_check", "build_catalog", "canonical_form", "complete_graph", "cycle_graph",
+    "bound_check", "build_catalog", "complete_graph", "cycle_graph",
     "delta_bigon_lower_bound", "delta_exact", "diam_g", "diam_v", "enumerate_geodesics",
     "generate_corpus", "get_catalog", "has_tight_short_triangle", "in_family_F",
     "induced_subgraph", "is_isometric_embedding", "is_isomorphic", "lex_distance",

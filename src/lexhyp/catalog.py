@@ -4,6 +4,9 @@ A graph belongs to the family when some vertex subset induces a graph
 isomorphic to a catalog member.  Members are cycles of length 6 to 9 with a
 chord subset drawn from one fixed chord pool per variant; the raw catalog has
 4 + 16 + 16 + 16 + 16 = 68 entries before isomorphism deduplication.
+
+Deduplication and membership share one search, `_find_induced`: between two
+graphs of the same order an induced embedding is an isomorphism.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from .errors import SizeCapError, ValidationError
 from .graph import Graph, cycle_graph
 
 # (variant tag, cycle length, chord pool in 1-based cycle naming)
@@ -27,73 +29,15 @@ FAMILY_CHORD_POOLS = (
 
 
 # ---------------------------------------------------------------------------
-# Canonical forms for small graphs
+# Isomorphism
 # ---------------------------------------------------------------------------
 
-_CANON_NODE_CAP = 500_000
-
-
-def _vertex_invariants(g: Graph) -> list:
-    dist = g.vertex_distances()
-    inv = []
-    for v in range(g.vertex_count):
-        row = tuple(sorted(int(x) for x in dist[v]))
-        inv.append((g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbors(v))), row))
-    ranks = {val: i for i, val in enumerate(sorted(set(inv)))}
-    return [ranks[val] for val in inv]
-
-
-def canonical_form(g: Graph) -> tuple:
-    """Canonical signature: equal for two graphs iff they are isomorphic.
-
-    Branch-and-bound over vertex orderings maximizing the adjacency bit
-    string position by position (ties explored exhaustively), with
-    isomorphism-invariant vertex ranks folded into the comparison key.
-    Intended for small graphs; the search node count is capped.
-    """
-    n = g.vertex_count
-    if n == 1:
-        return (1,)
-    full = n * (n - 1) // 2
-    if g.m == full or g.m == 0:
-        return (n, g.m)
-    adj = [set(g.neighbors(v)) for v in range(n)]
-    inv = _vertex_invariants(g)
-    best: Optional[tuple] = None
-    nodes = 0
-
-    def rec(seq: list, prefix: tuple):
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > _CANON_NODE_CAP:
-            raise SizeCapError("canonical form search exceeded its node cap")
-        if len(seq) == n:
-            if best is None or prefix > best:
-                best = prefix
-            return
-        used = set(seq)
-        keyed = []
-        for v in range(n):
-            if v in used:
-                continue
-            row = 0
-            for i, u in enumerate(seq):
-                if v in adj[u]:
-                    row |= 1 << i
-            keyed.append(((row, inv[v]), v))
-        top = max(k for k, _ in keyed)
-        for k, v in keyed:
-            if k == top:
-                rec(seq + [v], prefix + (k,))
-
-    rec([], ())
-    return (n,) + best
-
-
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Isomorphism test: an invariant screen (order, size, degrees), then an
+    induced embedding search between the two equal-size graphs."""
     if (g1.vertex_count, g1.m, g1.degree_multiset()) != (g2.vertex_count, g2.m, g2.degree_multiset()):
         return False
-    return canonical_form(g1) == canonical_form(g2)
+    return _find_induced(g1, g2) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +66,8 @@ def _chorded_cycle(n: int, chords) -> Graph:
 
 def build_catalog(dedup: bool = True) -> FCatalog:
     """Enumerate every chord subset per variant (the empty subset included);
-    with `dedup`, keep one representative per isomorphism class, tagged by
-    the first variant that produced it."""
+    with `dedup`, keep the first member of each isomorphism class, tagged by
+    the variant that produced it."""
     members, tags, chords = [], [], []
     for tag, n, pool in FAMILY_CHORD_POOLS:
         for r in range(len(pool) + 1):
@@ -133,12 +77,9 @@ def build_catalog(dedup: bool = True) -> FCatalog:
                 chords.append(subset)
     if not dedup:
         return FCatalog(tuple(members), tuple(tags), tuple(chords), False)
-    seen: dict[tuple, int] = {}
-    keep = []
+    keep: list[int] = []
     for i, g in enumerate(members):
-        key = canonical_form(g)
-        if key not in seen:
-            seen[key] = i
+        if not any(is_isomorphic(g, members[r]) for r in keep):
             keep.append(i)
     return FCatalog(
         tuple(members[i] for i in keep),

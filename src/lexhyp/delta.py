@@ -18,16 +18,20 @@ role (side a-b, third corner c) as the max over p in I(a, b) of
 min(W_a[p, c], W_b[p, c]), and the farthest bigon point on a-b as the max of
 W_a[p, b] over the same interval.
 
-Two sweeps cooperate:
+The value sweep processes corner triples in decreasing order of the
+half-longest-side bound, pruning with corner bounds and closing all surviving
+third corners of a side with one gather from the tables — no geodesic
+enumeration at all.
 
-* a value sweep that processes corner triples in decreasing order of the
-  half-longest-side bound, pruning with corner bounds and closing all
-  surviving third corners of a side with one gather from the tables — no
-  geodesic enumeration at all;
-* a witness sweep that walks triples in lexicographic corner order, skips
-  those the tables show cannot attain the value, and enumerates geodesic
-  side combinations (restricted to cycle triangles by default) until one
-  attains it.
+Everything that needs explicit triangles shares one triangle search: a
+walker over corner triples in lexicographic J order, filtered per corner
+pair by a vectorized third-corner mask (`_Sweep.triples`); a walker over the
+geodesic side choices of one triple, in lexicographic order and optionally
+restricted to cycle triangles (`_Sweep.combos`); and one kernel giving every
+side point's distance to the other two sides (`_side_distances`).  The
+witness search walks them until a triangle attains the value, the
+short-triangle predicate until a vertex sits exactly 3/2 from the other
+sides, and `thinness` applies the kernel to a given triangle.
 """
 
 from __future__ import annotations
@@ -118,9 +122,11 @@ class DeltaResult:
         }
 
 
-def _is_cycle_triangle(fs0: frozenset, fs1: frozenset, fs2: frozenset,
-                       x: int, y: int, z: int) -> bool:
-    return (fs0 & fs1 == {y}) and (fs1 & fs2 == {z}) and (fs2 & fs0 == {x})
+def _side_distances(D: np.ndarray, sides) -> list[np.ndarray]:
+    """For each of three sides (point arrays), every point's hop distance to
+    the union of the other two sides; thinness is the max over all three."""
+    return [D[np.ix_(sides[i], np.concatenate([sides[(i + 1) % 3], sides[(i + 2) % 3]]))]
+            .min(axis=1) for i in range(3)]
 
 
 class _Sweep:
@@ -176,14 +182,13 @@ class _Sweep:
         return got
 
     def geos(self, a: int, b: int):
-        """(paths, arrays, frozensets) for the pair, enumerated a -> b."""
+        """(arrays, frozensets) of the pair's geodesics, enumerated a -> b."""
         key = (a, b)
         got = self._geos.get(key)
         if got is None:
             paths = enumerate_paths(self.nbrs, self.D, a, b, self.cfg.geodesic_cap)
             self.stats.geodesics_enumerated += len(paths)
-            got = (paths,
-                   [np.asarray(p, dtype=np.int64) for p in paths],
+            got = ([np.asarray(p, dtype=np.int64) for p in paths],
                    [frozenset(p) for p in paths])
             self._geos[key] = got
         return got
@@ -195,6 +200,37 @@ class _Sweep:
         for d in np.unique(dvals)[::-1].tolist():
             mask = dvals == d
             yield d, zip(iu[0][mask].tolist(), iu[1][mask].tolist())
+
+    # -- triangle walkers ------------------------------------------------------
+
+    def longest_side(self, ii: int, jj: int) -> np.ndarray:
+        """Longest side of every corner triple (ii, jj, kk) with kk > jj."""
+        return np.maximum(np.maximum(self.jD[ii, jj + 1:], self.jD[jj, jj + 1:]),
+                          self.jD[ii, jj])
+
+    def triples(self, keep):
+        """Corner triples (x, y, z) in lexicographic J order; `keep(ii, jj)`
+        masks the third corners kk > jj to visit."""
+        for ii in range(self.nj):
+            for jj in range(ii + 1, self.nj):
+                for kk in (jj + 1 + np.flatnonzero(keep(ii, jj))).tolist():
+                    yield int(self.j[ii]), int(self.j[jj]), int(self.j[kk])
+
+    def combos(self, x: int, y: int, z: int, cycle_only: bool):
+        """Each (x->y, y->z, x->z) geodesic choice in lexicographic order, as
+        (sides, is_cycle, side distances); with cycle_only, cycle triangles
+        only (sides pairwise meeting only at their shared corner)."""
+        arr_xy, fs_xy = self.geos(x, y)
+        arr_yz, fs_yz = self.geos(y, z)
+        arr_xz, fs_xz = self.geos(x, z)
+        for a0, f0 in zip(arr_xy, fs_xy):
+            for a1, f1 in zip(arr_yz, fs_yz):
+                for a2, f2 in zip(arr_xz, fs_xz):
+                    is_cycle = f0 & f1 == {y} and f1 & f2 == {z} and f2 & f0 == {x}
+                    if cycle_only and not is_cycle:
+                        continue
+                    sides = (a0, a1, a2)
+                    yield sides, is_cycle, _side_distances(self.D, sides)
 
     # -- per-triple machinery ------------------------------------------------
 
@@ -253,109 +289,43 @@ class _Sweep:
 
     # -- witness sweep ---------------------------------------------------------
 
-    def combo_thinness(self, arrs) -> tuple[int, int, int]:
-        """(max thinness, first attaining side, first attaining position)."""
-        per_side = []
-        for i in range(3):
-            union = np.concatenate([arrs[(i + 1) % 3], arrs[(i + 2) % 3]])
-            per_side.append(self.D[np.ix_(arrs[i], union)].min(axis=1))
-        total = max(int(v.max()) for v in per_side)
-        for i, vals in enumerate(per_side):
-            hit = np.flatnonzero(vals == total)
-            if hit.size:
-                return total, i, int(hit[0])
-        raise AssertionError("unreachable")
-
-    def _triangle_from(self, x: int, y: int, z: int, s0, s1r, s2r,
-                       fs0, fs1, fs2) -> GeodesicTriangle:
-        side0 = tuple(int(v) for v in s0)
-        side1 = tuple(int(v) for v in s1r)
-        side2 = tuple(int(v) for v in reversed(s2r))
-        return GeodesicTriangle(
-            corners=(x, y, z),
-            sides=(side0, side1, side2),
-            is_cycle=_is_cycle_triangle(fs0, fs1, fs2, x, y, z),
-        )
-
     def witness_search(self, target: int, cycle_only: bool):
         """First triangle attaining `target`, in lexicographic corner order.
 
-        Returns (triangle, side, position, point) or None.  With cycle_only,
-        non-cycle combinations are skipped; a cycle witness always exists for
-        a correctly computed positive target because extremal triangles can
-        be chosen to be cycles.
+        Returns (triangle, side, point) or None.  Triples whose longest side
+        is below 2 * target, or that the corner ceiling or the tables show
+        cannot attain it, are skipped.  With cycle_only, non-cycle
+        combinations are skipped; a cycle witness always exists for a
+        correctly computed positive target because extremal triangles can be
+        chosen to be cycles.
         """
-        nj = self.nj
-        need = 2 * target
-        for ii in range(nj):
-            row_i = self.jD[ii]
-            for jj in range(ii + 1, nj):
-                d_ij = int(row_i[jj])
-                tail = np.maximum(np.maximum(row_i[jj + 1:], self.jD[jj, jj + 1:]), d_ij)
-                hits = np.flatnonzero(tail >= need)
-                if hits.size and target > 0:
-                    x, y = int(self.j[ii]), int(self.j[jj])
-                    ceil = self.corner_ceiling(x, y)[jj + 1:]
-                    hits = hits[ceil[hits] >= target]
-                for off in hits.tolist():
-                    kk = jj + 1 + off
-                    x, y, z = int(self.j[ii]), int(self.j[jj]), int(self.j[kk])
-                    got = self._witness_in_triple(x, y, z, target, cycle_only)
-                    if got is not None:
-                        return got
-        return None
+        def keep(ii: int, jj: int) -> np.ndarray:
+            hit = self.longest_side(ii, jj) >= 2 * target
+            if target > 0 and hit.any():
+                hit &= self.corner_ceiling(int(self.j[ii]), int(self.j[jj]))[jj + 1:] >= target
+            return hit
 
-    def _tight_vertex_point_in_triple(self, x: int, y: int, z: int, target: int,
-                                      n_base: int) -> bool:
-        """Whether a cycle combination of this triple has a side point that is
-        an original vertex at distance exactly `target` from the other sides."""
-        if not self.triple_can_reach(x, y, z, target):
-            return False
-        _, arr_xy, fs_xy = self.geos(x, y)
-        _, arr_yz, fs_yz = self.geos(y, z)
-        _, arr_xz, fs_xz = self.geos(x, z)
-        for a0, f0 in zip(arr_xy, fs_xy):
-            for a1, f1 in zip(arr_yz, fs_yz):
-                for a2, f2 in zip(arr_xz, fs_xz):
-                    if not _is_cycle_triangle(f0, f1, f2, x, y, z):
-                        continue
-                    arrs = (a0, a1, a2)
-                    for i in range(3):
-                        union = np.concatenate([arrs[(i + 1) % 3], arrs[(i + 2) % 3]])
-                        vals = self.D[np.ix_(arrs[i], union)].min(axis=1)
-                        hit = (vals == target) & (arrs[i] < n_base)
-                        if hit.any():
-                            return True
-        return False
-
-    def _witness_in_triple(self, x: int, y: int, z: int, target: int,
-                           cycle_only: bool):
-        if target > 0 and not self.triple_can_reach(x, y, z, target):
-            return None
-        self.stats.triples_examined += 1
-        _, arr_xy, fs_xy = self.geos(x, y)
-        _, arr_yz, fs_yz = self.geos(y, z)
-        _, arr_xz, fs_xz = self.geos(x, z)
-        for a0, f0 in zip(arr_xy, fs_xy):
-            for a1, f1 in zip(arr_yz, fs_yz):
-                for a2, f2 in zip(arr_xz, fs_xz):
-                    if cycle_only and not _is_cycle_triangle(f0, f1, f2, x, y, z):
-                        continue
-                    val, side, pos = self.combo_thinness((a0, a1, a2))
-                    if val == target:
-                        tri = self._triangle_from(x, y, z, a0, a1, a2, f0, f1, f2)
-                        point = int((a0, a1, a2)[side][pos])
-                        if side == 2:
-                            pos = len(a2) - 1 - pos  # side 2 is stored z -> x
-                        return tri, side, pos, point
+        for x, y, z in self.triples(keep):
+            if target > 0 and not self.triple_can_reach(x, y, z, target):
+                continue
+            self.stats.triples_examined += 1
+            for sides, is_cycle, dists in self.combos(x, y, z, cycle_only):
+                if max(int(v.max()) for v in dists) != target:
+                    continue
+                side = next(i for i, v in enumerate(dists) if v.max() == target)
+                point = int(sides[side][dists[side].argmax()])
+                tri = GeodesicTriangle(
+                    corners=(x, y, z),
+                    sides=(tuple(sides[0].tolist()), tuple(sides[1].tolist()),
+                           tuple(sides[2][::-1].tolist())),  # stored z -> x
+                    is_cycle=is_cycle)
+                return tri, side, point
         return None
 
 
 def _degenerate_result(s: SubdividedGraph, stats: DeltaStats) -> DeltaResult:
     p = int(s.j_set[0])
-    tri = GeodesicTriangle(corners=(p, p, p), sides=((p,), (p,), (p,)),
-                           is_cycle=_is_cycle_triangle(frozenset((p,)), frozenset((p,)),
-                                                       frozenset((p,)), p, p, p))
+    tri = GeodesicTriangle(corners=(p, p, p), sides=((p,), (p,), (p,)), is_cycle=True)
     return DeltaResult(value=QDist(0), witness=tri, witness_point=p,
                        witness_side=0, stats=stats, grid=s)
 
@@ -388,7 +358,7 @@ def delta_exact(g: Graph, cfg: Optional[DeltaConfig] = None) -> DeltaResult:
         raise AssertionError(
             f"no {'cycle ' if cycle_only else ''}triangle attains {value}; "
             "this contradicts the extremal-triangle reduction — please report")
-    tri, side, pos, point = got
+    tri, side, point = got
     sweep.stats.wall_time_s = time.perf_counter() - t0
     return DeltaResult(value=value, witness=tri, witness_point=point,
                        witness_side=side, stats=sweep.stats, grid=s)
@@ -432,17 +402,9 @@ def thinness(s: SubdividedGraph, t: GeodesicTriangle) -> tuple[QDist, int]:
         for u, v in zip(side, side[1:]):
             if v not in s.neighbors(u):
                 raise ValidationError("side is not a grid path")
-    arrs = [np.asarray(side, dtype=np.int64) for side in t.sides]
-    best = -1
-    best_point = t.corners[0]
-    for i in range(3):
-        union = np.concatenate([arrs[(i + 1) % 3], arrs[(i + 2) % 3]])
-        vals = D[np.ix_(arrs[i], union)].min(axis=1)
-        pos = int(vals.argmax())
-        if int(vals[pos]) > best:
-            best = int(vals[pos])
-            best_point = int(arrs[i][pos])
-    return QDist.from_hops(best, s.k), best_point
+    dists = _side_distances(D, [np.asarray(side, dtype=np.int64) for side in t.sides])
+    i = max(range(3), key=lambda i: dists[i].max())  # first side attaining the max
+    return QDist.from_hops(int(dists[i].max()), s.k), int(t.sides[i][dists[i].argmax()])
 
 
 def has_tight_short_triangle(g: Graph, cfg: Optional[DeltaConfig] = None) -> bool:
@@ -460,22 +422,12 @@ def has_tight_short_triangle(g: Graph, cfg: Optional[DeltaConfig] = None) -> boo
     s = subdivide(g, 4, cfg.grid_cap)
     sweep = _Sweep(s, cfg)
     target = 6  # 3/2 in quarter hops
-    limit = 12  # sides of length <= 3
+    limit = 12  # sides of length <= 3, the longest exactly 3
     n_base = g.vertex_count
-    nj = sweep.nj
-    for ii in range(nj):
-        row_i = sweep.jD[ii]
-        for jj in range(ii + 1, nj):
-            if row_i[jj] > limit:
-                continue
-            d_ij = int(row_i[jj])
-            tail_i = row_i[jj + 1:]
-            tail_j = sweep.jD[jj, jj + 1:]
-            hi = np.maximum(np.maximum(tail_i, tail_j), d_ij)
-            ok = (tail_i <= limit) & (tail_j <= limit) & (hi == limit)
-            for off in np.flatnonzero(ok).tolist():
-                kk = jj + 1 + off
-                x, y, z = int(sweep.j[ii]), int(sweep.j[jj]), int(sweep.j[kk])
-                if sweep._tight_vertex_point_in_triple(x, y, z, target, n_base):
-                    return True
+    for x, y, z in sweep.triples(lambda ii, jj: sweep.longest_side(ii, jj) == limit):
+        if not sweep.triple_can_reach(x, y, z, target):
+            continue
+        for sides, _, dists in sweep.combos(x, y, z, cycle_only=True):
+            if any(((d == target) & (side < n_base)).any() for side, d in zip(sides, dists)):
+                return True
     return False

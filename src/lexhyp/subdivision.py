@@ -25,14 +25,14 @@ DEFAULT_GRID_CAP = 4096
 
 
 class SubdividedGraph:
-    """The S_k subdivision of a base graph, with origin tracking and J(G).
+    """The S_k subdivision of a base graph, with its edge points and J(G).
 
     Grid ids: 0..n-1 are the original vertices; interior points of edge i
     (edges in sorted order) occupy n + i*(k-1) .. n + (i+1)*(k-1) - 1,
     ordered from the smaller endpoint to the larger one.
     """
 
-    __slots__ = ("base", "k", "grid_n", "origin", "j_set", "edge_points",
+    __slots__ = ("base", "k", "grid_n", "j_set", "edge_points",
                  "_neighbors", "_metrics")
 
     def __init__(self, base: Graph, k: int, cap: int):
@@ -45,7 +45,6 @@ class SubdividedGraph:
         self.base = base
         self.k = k
         self.grid_n = grid_n
-        origin = [("v", v) for v in range(n)]
         edge_points = {}
         nbrs = [[] for _ in range(grid_n)]
 
@@ -54,17 +53,12 @@ class SubdividedGraph:
             nbrs[b].append(a)
 
         next_id = n
-        for ei, (u, v) in enumerate(base.edges):
-            chain = [u]
-            for off in range(1, k):
-                origin.append(("e", ei, off))
-                chain.append(next_id)
-                next_id += 1
-            chain.append(v)
+        for u, v in base.edges:
+            chain = [u, *range(next_id, next_id + k - 1), v]
+            next_id += k - 1
             for a, b in zip(chain, chain[1:]):
                 link(a, b)
             edge_points[(u, v)] = tuple(chain)
-        self.origin = tuple(origin)
         self.edge_points = edge_points
         self._neighbors = tuple(tuple(sorted(a)) for a in nbrs)
         half = k // 2

@@ -1,12 +1,12 @@
-"""Forbidden-family catalog: counts, dedup, canonical forms, membership."""
+"""Forbidden-family catalog: counts, dedup, isomorphism, membership."""
 
 from itertools import combinations
 
 import pytest
 
-from lexhyp import (Graph, build_catalog, canonical_form, complete_graph, cycle_graph,
-                    get_catalog, in_family_F, induced_subgraph, path_graph, star_graph)
-from lexhyp.catalog import FAMILY_CHORD_POOLS, _find_induced, is_isomorphic
+from lexhyp import (Graph, build_catalog, complete_graph, cycle_graph, get_catalog,
+                    in_family_F, induced_subgraph, is_isomorphic, path_graph, star_graph)
+from lexhyp.catalog import FAMILY_CHORD_POOLS
 
 RAW_COUNT = 68
 # one-time exhaustive isomorphism pass over the 68 raw members (see the
@@ -44,10 +44,16 @@ def test_members_span_their_cycle():
 
 
 def _iso_oracle(g1: Graph, g2: Graph) -> bool:
-    """Independent isomorphism test: induced embedding search at full size."""
-    if (g1.vertex_count, g1.m) != (g2.vertex_count, g2.m):
-        return False
-    return _find_induced(g1, g2) is not None
+    """Independent isomorphism test: networkx VF2."""
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g: Graph):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.vertex_count))
+        h.add_edges_from(g.edges)
+        return h
+
+    return nx.is_isomorphic(to_nx(g1), to_nx(g2))
 
 
 def test_dedup_golden_constant_against_pairwise_oracle():
@@ -60,29 +66,31 @@ def test_dedup_golden_constant_against_pairwise_oracle():
     cat = build_catalog(dedup=True)
     assert len(cat) == DEDUP_GOLDEN
     assert cat.deduplicated
+    assert cat.members == tuple(reps)  # the first member of each class
 
 
 def test_dedup_members_pairwise_non_isomorphic():
     cat = get_catalog()
     for i, g1 in enumerate(cat.members):
         for g2 in cat.members[i + 1:]:
+            assert not _iso_oracle(g1, g2)
             assert not is_isomorphic(g1, g2)
 
 
-def test_canonical_form_agrees_with_oracle_on_members():
+def test_is_isomorphic_agrees_with_oracle_on_members():
     raw = build_catalog(dedup=False)
     members = raw.members
     for i in range(len(members)):
         for jj in range(i + 1, len(members)):
-            same_canon = canonical_form(members[i]) == canonical_form(members[jj])
-            assert same_canon == _iso_oracle(members[i], members[jj])
+            assert is_isomorphic(members[i], members[jj]) == _iso_oracle(members[i], members[jj])
 
 
-def test_canonical_form_basics():
-    assert canonical_form(cycle_graph(6)) == canonical_form(
-        Graph(6, [(5, 0), (0, 3), (3, 1), (1, 4), (4, 2), (2, 5)]))  # relabeled C6
-    assert canonical_form(path_graph(4)) != canonical_form(star_graph(3))
-    assert canonical_form(complete_graph(5)) == canonical_form(complete_graph(5))
+def test_is_isomorphic_basics():
+    c6 = Graph(6, [(5, 0), (0, 3), (3, 1), (1, 4), (4, 2), (2, 5)])  # relabeled C6
+    for g1, g2, want in ((cycle_graph(6), c6, True),
+                         (path_graph(4), star_graph(3), False),
+                         (complete_graph(5), complete_graph(5), True)):
+        assert is_isomorphic(g1, g2) == _iso_oracle(g1, g2) == want
 
 
 def test_family_tag_keeps_first_listed_family():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lexhyp import (DeltaConfig, GeodesicCapError, GeodesicTriangle, Graph, QDist,
                     complete_graph, cycle_graph, delta_bigon_lower_bound, delta_exact,
-                    diam_g, has_tight_short_triangle, induced_subgraph,
+                    diam_g, get_catalog, has_tight_short_triangle, in_family_F, induced_subgraph,
                     is_isometric_embedding, path_graph, product, star_graph, subdivide,
                     thinness, trivial_graph)
 from lexhyp.geodesics import enumerate_paths
@@ -86,6 +86,27 @@ def test_cycle_only_modes_agree():
               product(cycle_graph(4), path_graph(2)).graph):
         assert delta_exact(g, DeltaConfig(cycle_only=True)).value == \
             delta_exact(g, DeltaConfig(cycle_only=False)).value
+
+
+def test_witness_non_cycle_branch_pinned():
+    # the unrestricted witness of this graph is not a cycle triangle, so the
+    # two modes return different witnesses
+    g = Graph(5, [(0, 1), (1, 2), (1, 4), (2, 3), (2, 4)])
+    cyc = delta_exact(g, DeltaConfig(cycle_only=True)).to_json_dict()
+    assert cyc == {
+        "grid_factor": 4, "quarters": 3, "value": "3/4",
+        "stats": {"geodesics_enumerated": 30, "triples_examined": 109},
+        "witness": {"corners": [1, 2, 12], "is_cycle": True,
+                    "sides": [[1, 8, 9, 10, 2], [2, 17, 18, 19, 4, 13, 12], [12, 11, 1]],
+                    "witness_point": 19, "witness_side": 1}}
+    free = delta_exact(g, DeltaConfig(cycle_only=False)).to_json_dict()
+    assert free == {
+        "grid_factor": 4, "quarters": 3, "value": "3/4",
+        "stats": {"geodesics_enumerated": 5, "triples_examined": 97},
+        "witness": {"corners": [0, 1, 18], "is_cycle": False,
+                    "sides": [[0, 5, 6, 7, 1], [1, 8, 9, 10, 2, 17, 18],
+                              [18, 19, 4, 13, 12, 11, 1, 7, 6, 5, 0]],
+                    "witness_point": 10, "witness_side": 1}}
 
 
 def test_cap_error_attaches_partial_lower_bound():
@@ -227,3 +248,21 @@ def test_tight_short_triangle_examples():
     g = Graph(6, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 5), (2, 4), (3, 5), (4, 5)])
     assert delta_exact(g).value == QDist(6)
     assert not has_tight_short_triangle(g)
+
+
+def test_tight_short_triangle_on_catalog_members():
+    # the short-triangle lemma: a tight short triangle exists exactly when
+    # the graph induces a family member
+    for member in get_catalog().members:
+        n = member.vertex_count
+        pendant = Graph(n + 1, list(member.edges) + [(0, n)])
+        for g in (member, pendant):
+            assert in_family_F(g)[0]
+            assert has_tight_short_triangle(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 8))
+def test_tight_short_triangle_matches_family(seed, n):
+    g = _random_connected(seed, n)
+    assert has_tight_short_triangle(g) == in_family_F(g)[0]
