@@ -13,15 +13,16 @@ argument.
 One metric primitive serves every geodesic-free bound: a per-source
 bottleneck table W_a (`farthest_geodesic_table`), where W_a[p, c] is the
 farthest p can be from some a-c geodesic.  Built once per J-point source that
-the sweep touches and kept on its J(G) columns, it gives the exact value of a
-role (side a-b, third corner c) as the max over p in I(a, b) of
-min(W_a[p, c], W_b[p, c]), and the farthest bigon point on a-b as the max of
-W_a[p, b] over the same interval.
+the sweep touches and kept C-contiguous on its J(G) columns, it gives the
+exact value of a role (side a-b, third corner c) as the max over p in I(a, b)
+of min(W_a[p, c], W_b[p, c]), and the farthest bigon point on a-b as the max
+of W_a[p, b] over the same interval.
 
-The value sweep processes corner triples in decreasing order of the
-half-longest-side bound, pruning with corner bounds and closing all surviving
-third corners of a side with one gather from the tables — no geodesic
-enumeration at all.
+The value sweep processes sides in decreasing length, pruning third corners
+with the corner ceiling.  A side is closed by two contiguous row gathers,
+W_a[I(a, b)] and W_b[I(a, b)]: their elementwise min, maxed over the
+interval, is the role value for every third corner at once
+(`_Sweep.side_values`) — no geodesic enumeration at all.
 
 Everything that needs explicit triangles shares one triangle search: a
 walker over corner triples in lexicographic J order, filtered per corner
@@ -43,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GeodesicCapError, ValidationError
-from .geodesics import enumerate_paths, farthest_geodesic_table, interval
+from .geodesics import enumerate_paths, farthest_geodesic_table, interval, table_dtype
 from .graph import Graph
 from .qdist import QDist
 from .subdivision import DEFAULT_GRID_CAP, SubdividedGraph, subdivide
@@ -88,9 +89,14 @@ class GeodesicTriangle:
 
 @dataclass
 class DeltaStats:
+    """Counters of one engine run.  Only the first two enter `to_json_dict`;
+    `table_bytes` is the memory held by the `tables_built` per-source tables."""
+
     triples_examined: int = 0
     geodesics_enumerated: int = 0
     wall_time_s: float = 0.0
+    tables_built: int = 0
+    table_bytes: int = 0
 
 
 @dataclass
@@ -142,6 +148,7 @@ class _Sweep:
         self.jD = self.D[np.ix_(self.j, self.j)]
         self.jpos = np.full(s.grid_n, -1, dtype=np.int64)
         self.jpos[self.j] = np.arange(self.nj)
+        self.jcols = self.D[:, self.j].astype(table_dtype(s.grid_n))  # for corner_ceiling
         self.nbrs = s._neighbors
         self._tables: dict[int, np.ndarray] = {}
         self._ivals: dict[tuple[int, int], np.ndarray] = {}
@@ -156,7 +163,10 @@ class _Sweep:
         some a-c geodesic."""
         got = self._tables.get(a)
         if got is None:
-            got = self._tables[a] = farthest_geodesic_table(self.nbrs, self.D, a)[:, self.j]
+            got = np.ascontiguousarray(farthest_geodesic_table(self.nbrs, self.D, a)[:, self.j])
+            self._tables[a] = got
+            self.stats.tables_built += 1
+            self.stats.table_bytes += got.nbytes
         return got
 
     def ival(self, a: int, b: int) -> np.ndarray:
@@ -176,8 +186,8 @@ class _Sweep:
         """
         got = self._ceilings.get((a, b))
         if got is None:
-            near = np.minimum(self.D[:, a], self.D[:, b])
-            got = np.minimum(near[:, None], self.D[:, self.j]).max(axis=0)
+            near = np.minimum(self.jcols[:, self.jpos[a]], self.jcols[:, self.jpos[b]])
+            got = np.minimum(near[:, None], self.jcols).max(axis=0)
             self._ceilings[(a, b)] = got
         return got
 
@@ -234,24 +244,17 @@ class _Sweep:
 
     # -- per-triple machinery ------------------------------------------------
 
-    def role_exact(self, a: int, b: int, cs) -> int:
-        """Largest thinness any geodesic choice realizes on side a-b (a < b)
-        of the triangles with third corners `cs` (J indices)."""
-        rows = np.ix_(self.ival(a, b), cs)
-        return int(np.minimum(self.table(a)[rows], self.table(b)[rows]).max())
+    def side_values(self, a: int, b: int) -> np.ndarray:
+        """For every third corner c (as a J index): the largest thinness any
+        geodesic choice of triangle (a, b, c) realizes on side a-b (a < b)."""
+        iv = self.ival(a, b)
+        return np.minimum(self.table(a)[iv], self.table(b)[iv]).max(axis=0)
 
     def triple_can_reach(self, x: int, y: int, z: int, target: int) -> bool:
         """Whether some geodesic combination of this triple (x < y < z)
         attains `target`."""
-        corners = (x, y, z)
-        for a, b, c in ((x, y, z), (x, z, y), (y, z, x)):
-            i1 = self.ival(a, b)
-            rb = int(self.D[np.ix_(i1, corners)].min(axis=1).max())
-            if rb < target:
-                continue
-            if self.role_exact(a, b, [self.jpos[c]]) >= target:
-                return True
-        return False
+        return any(self.side_values(a, b)[self.jpos[c]] >= target
+                   for a, b, c in ((x, y, z), (x, z, y), (y, z, x)))
 
     # -- value sweep ---------------------------------------------------------
 
@@ -285,7 +288,7 @@ class _Sweep:
         if cs.size == 0:
             return cur
         self.stats.triples_examined += int(cs.size)
-        return max(cur, self.role_exact(a, b, cs))
+        return max(cur, int(self.side_values(a, b)[cs].max()))
 
     # -- witness sweep ---------------------------------------------------------
 

@@ -81,6 +81,11 @@ def enumerate_geodesics(s: SubdividedGraph, a: int, b: int,
     return enumerate_paths(s._neighbors, hops, a, b, cap)
 
 
+def table_dtype(n: int) -> np.dtype:
+    """Narrowest signed dtype that holds every hop count of an n-point grid."""
+    return np.min_scalar_type(-n)
+
+
 def farthest_geodesic_table(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
                             a: int) -> np.ndarray:
     """W[p, q]: the largest distance from p to any single a-q geodesic.
@@ -91,9 +96,11 @@ def farthest_geodesic_table(neighbors: Sequence[Sequence[int]], hops: np.ndarray
 
         W[:, a] = hops[:, a],  W[:, q] = min(hops[:, q], max over w of W[:, w]),
 
-    evaluated one BFS layer at a time with `np.maximum.reduceat`.  Entries
-    are stored in the narrowest signed dtype holding the point count; every
-    hop count is below it, so the narrowing is exact.
+    evaluated one BFS layer at a time: the layer's columns start from each
+    q's first predecessor and fold in its r-th one with `np.maximum` for
+    r = 1, 2, ... while some q of the layer has more than r (most grid
+    points have one).  Entries are stored in `table_dtype` of the point
+    count; every hop count is below it, so the narrowing is exact.
     """
     n = hops.shape[0]
     da = hops[a]
@@ -105,14 +112,18 @@ def farthest_geodesic_table(neighbors: Sequence[Sequence[int]], hops: np.ndarray
     order = np.argsort(da[dst], kind="stable")  # by layer, then by q
     src, dst = src[order], dst[order]
     head = np.flatnonzero(np.diff(dst, prepend=-1))  # first edge into each q
+    indeg = np.diff(head, append=src.size)
     cut = np.searchsorted(da[dst[head]], np.arange(1, int(da.max()) + 2))
     # t[q] is column q of W; hops is symmetric, so row q starts as hops[:, q]
-    t = hops.astype(np.min_scalar_type(-n))
+    t = hops.astype(table_dtype(n))
     for lo, hi in zip(cut[:-1].tolist(), cut[1:].tolist()):
-        e0 = head[lo]
-        e1 = head[hi] if hi < head.size else src.size
-        qs = dst[head[lo:hi]]
-        best = np.maximum.reduceat(t[src[e0:e1]], head[lo:hi] - e0, axis=0)
+        first = head[lo:hi]
+        best = t[src[first]]
+        deg_q = indeg[lo:hi]
+        for r in range(1, int(deg_q.max())):
+            more = np.flatnonzero(deg_q > r)
+            best[more] = np.maximum(best[more], t[src[first[more] + r]])
+        qs = dst[first]
         t[qs] = np.minimum(t[qs], best)
     return t.T
 

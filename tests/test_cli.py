@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, output stability, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from lexhyp.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +171,21 @@ def test_parse_error_exit_code(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "delta", "cycle:5", "--parallel")
     assert code == 1
+
+
+def _run_module(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "lexhyp", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_lexhyp_matches_main(capsys):
+    proc = _run_module("delta", "cycle:5", "--json")
+    _, out, _ = run_cli(capsys, "delta", "cycle:5", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out
+    assert _run_module("delta", "cycle:2").returncode == 1
 
 
 def test_cap_exit_code(capsys):

@@ -1,17 +1,19 @@
 """Exact hyperbolicity engine: pinned values, witnesses, bigons, stability."""
 
+import itertools
 import json
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexhyp import (DeltaConfig, GeodesicCapError, GeodesicTriangle, Graph, QDist,
                     complete_graph, cycle_graph, delta_bigon_lower_bound, delta_exact,
                     diam_g, get_catalog, has_tight_short_triangle, in_family_F, induced_subgraph,
                     is_isometric_embedding, path_graph, product, star_graph, subdivide,
                     thinness, trivial_graph)
+from lexhyp.delta import _Sweep
 from lexhyp.geodesics import enumerate_paths
 from lexhyp.subdivision import all_pairs_distances
 
@@ -107,6 +109,18 @@ def test_witness_non_cycle_branch_pinned():
                     "sides": [[0, 5, 6, 7, 1], [1, 8, 9, 10, 2, 17, 18],
                               [18, 19, 4, 13, 12, 11, 1, 7, 6, 5, 0]],
                     "witness_point": 10, "witness_side": 1}}
+
+
+def test_table_counters():
+    # the sweep of delta_exact, run by hand so its tables can be inspected
+    g = product(path_graph(4), cycle_graph(6)).graph
+    sweep = _Sweep(subdivide(g, 4), DeltaConfig())
+    sweep.witness_search(sweep.value_sweep(), cycle_only=True)
+    stats = sweep.stats
+    assert stats.tables_built == len(sweep._tables) > 0
+    assert stats.table_bytes == sum(t.nbytes for t in sweep._tables.values()) > 0
+    got = delta_exact(g).stats
+    assert (got.tables_built, got.table_bytes) == (stats.tables_built, stats.table_bytes)
 
 
 def test_cap_error_attaches_partial_lower_bound():
@@ -266,3 +280,69 @@ def test_tight_short_triangle_on_catalog_members():
 def test_tight_short_triangle_matches_family(seed, n):
     g = _random_connected(seed, n)
     assert has_tight_short_triangle(g) == in_family_F(g)[0]
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: geodesic enumeration, no tables, ceilings or pruning
+# ---------------------------------------------------------------------------
+
+def _geodesic_arrays(s):
+    hops = s.metrics().hops
+    nbrs = [s.neighbors(v) for v in range(s.grid_n)]
+    cache = {}
+
+    def geos(a, b):
+        if (a, b) not in cache:
+            cache[(a, b)] = [np.asarray(p) for p in enumerate_paths(nbrs, hops, a, b, cap=100_000)]
+        return cache[(a, b)]
+    return hops, geos
+
+
+def _delta_by_enumeration(g: Graph) -> int:
+    """Max thinness in quarters over every J(G) corner triple and every
+    geodesic choice of its three sides."""
+    s = subdivide(g, 4)
+    hops, geos = _geodesic_arrays(s)
+    best = 0
+    for x, y, z in itertools.combinations(s.j_set, 3):
+        for tri in itertools.product(geos(x, y), geos(y, z), geos(x, z)):
+            for i in range(3):
+                others = np.concatenate([tri[(i + 1) % 3], tri[(i + 2) % 3]])
+                best = max(best, int(hops[np.ix_(tri[i], others)].min(axis=1).max()))
+    return best
+
+
+def _connected_graphs(max_n: int):
+    return st.builds(_random_connected, st.integers(0, 10_000), st.integers(2, max_n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_connected_graphs(6))
+@example(g=complete_graph(6))
+@example(g=cycle_graph(6))
+@example(g=product(path_graph(2), path_graph(3)).graph)
+def test_delta_against_enumeration(g):
+    assert delta_exact(g).value.quarters == _delta_by_enumeration(g)
+
+
+@settings(max_examples=10, deadline=None)
+@given(g=_connected_graphs(5), k=st.sampled_from((4, 8)))
+@example(g=cycle_graph(5), k=8)
+@example(g=product(path_graph(3), path_graph(2)).graph, k=4)
+def test_side_values_against_enumeration(g, k):
+    # entry c of side_values(a, b): the largest thinness on side a-b over
+    # every geodesic choice of triangle (a, b, c)
+    s = subdivide(g, k)
+    hops, geos = _geodesic_arrays(s)
+    sweep = _Sweep(s, DeltaConfig(grid_factor=k))
+    for a, b in itertools.combinations(s.j_set, 2):
+        got = sweep.side_values(a, b)
+        for c in s.j_set:
+            if c in (a, b):
+                continue
+            best = 0
+            for g_ac, g_bc in itertools.product(geos(min(a, c), max(a, c)),
+                                                geos(min(b, c), max(b, c))):
+                far = hops[:, np.concatenate([g_ac, g_bc])].min(axis=1)
+                best = max(best, max(int(far[g_ab].max()) for g_ab in geos(a, b)))
+            assert got[sweep.jpos[c]] == best, (a, b, c)

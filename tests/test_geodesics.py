@@ -76,6 +76,14 @@ def connected_graphs(draw, max_n: int = 6) -> Graph:
     return Graph(n, tree + extra)
 
 
+# K_{2,4}: vertex 0 is reached from vertex 1 through all four vertices of the
+# other side, so its grid point has four DAG predecessors.  Joining a new
+# vertex to 2, 3 and 4 puts it near the first three routes only, so the table
+# entry at it depends on the fourth predecessor.
+K24 = Graph(6, [(u, v) for u in (0, 1) for v in (2, 3, 4, 5)])
+K24_NEAR_THREE = Graph(7, [(u, v) for u in (0, 1) for v in (2, 3, 4, 5)] + [(2, 6), (3, 6), (4, 6)])
+
+
 def _farthest_by_enumeration(nbrs, hops, a: int, q: int) -> np.ndarray:
     """For every p: max over a-q geodesics of min distance from p to the path."""
     paths = np.asarray(enumerate_paths(nbrs, hops, a, q, cap=100_000))
@@ -87,11 +95,17 @@ def _farthest_by_enumeration(nbrs, hops, a: int, q: int) -> np.ndarray:
 @example(g=cycle_graph(5), k=4)
 @example(g=product(path_graph(3), path_graph(2)).graph, k=4)
 @example(g=product(path_graph(3), path_graph(2)).graph, k=8)
+@example(g=K24, k=4)
+@example(g=K24_NEAR_THREE, k=4)
 def test_farthest_geodesic_profile_against_enumeration(g, k):
     # every column of the table from every J-point source, on the S_k grid of g
     s = subdivide(g, k)
     hops = s.metrics().hops
     nbrs = [s.neighbors(v) for v in range(s.grid_n)]
+    if g in (K24, K24_NEAR_THREE):
+        # the DP folds past the second predecessor
+        assert max(sum(hops[a, w] == hops[a, q] - 1 for w in nbrs[q])
+                   for a in s.j_set for q in range(s.grid_n)) >= 3
     for a in s.j_set:
         table = farthest_geodesic_table(nbrs, hops, a)
         assert table.shape == hops.shape
