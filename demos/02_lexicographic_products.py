@@ -6,8 +6,10 @@ adjacent.  Distances collapse to a closed form: first-factor distance when
 the copies differ, min(2, second-factor distance) inside one copy.
 """
 
-from lexhyp import (CARTESIAN, LEXICOGRAPHIC, STRONG, QDist, complete_graph, cycle_graph,
-                    delta_exact, is_isometric_embedding, lex_distance, path_graph,
+import numpy as np
+
+from lexhyp import (CARTESIAN, STRONG, complete_graph, cycle_graph, delta_exact,
+                    is_isometric_embedding, lex_distance, lex_distance_matrix, path_graph,
                     product, project)
 
 # Small products collapse to familiar graphs.
@@ -26,12 +28,10 @@ print("\nd((u0,w0),(u0,w3)) =", lex_distance(g1, g2, (0, 0), (0, 3)), "(capped a
 print("d((u0,w0),(u2,w3)) =", lex_distance(g1, g2, (0, 0), (2, 3)), "(first-factor distance)")
 
 # The suite re-verifies this formula against BFS on every corpus pair; here
-# is the comparison spelled out for one product.
+# is the comparison spelled out for one product.  `lex_distance_matrix` is
+# the closed form at every pair of product ids u*n2 + v at once.
 p = product(g1, g2)
-dist = p.graph.vertex_distances()
-agree = all(
-    lex_distance(g1, g2, p.coords(x), p.coords(y)) == QDist.from_edges(int(dist[x, y]))
-    for x in range(p.graph.vertex_count) for y in range(p.graph.vertex_count))
+agree = np.array_equal(lex_distance_matrix(g1, g2), p.graph.vertex_distances())
 print("closed form == BFS on all pairs:", agree)
 
 # Cartesian and strong products of the same factors sit inside the

@@ -12,7 +12,7 @@ from .geodesics import enumerate_geodesics
 from .graph import (Graph, complete_graph, cycle_graph, induced_subgraph,
                     is_isometric_embedding, parse_graph, path_graph, star_graph, trivial_graph)
 from .products import (CARTESIAN, LEXICOGRAPHIC, STRONG, ProductGraph, lex_distance,
-                       product, project)
+                       lex_distance_matrix, product, project)
 from .qdist import QDist
 from .subdivision import GraphMetrics, SubdividedGraph, all_pairs_distances, diam_g, diam_v, subdivide
 from .suite import CHECKS, SuiteReport, run_suite
@@ -30,7 +30,7 @@ __all__ = [
     "delta_bigon_lower_bound", "delta_exact", "diam_g", "diam_v", "enumerate_geodesics",
     "generate_corpus", "get_catalog", "has_tight_short_triangle", "in_family_F",
     "induced_subgraph", "is_isometric_embedding", "is_isomorphic", "lex_distance",
-    "parse_graph", "path_graph", "product", "project", "random_connected",
-    "random_tree", "run_suite", "star_graph", "subdivide", "thinness",
+    "lex_distance_matrix", "parse_graph", "path_graph", "product", "project",
+    "random_connected", "random_tree", "run_suite", "star_graph", "subdivide", "thinness",
     "tree_lex_delta", "trivial_graph",
 ]

@@ -163,7 +163,7 @@ class _Sweep:
         some a-c geodesic."""
         got = self._tables.get(a)
         if got is None:
-            got = np.ascontiguousarray(farthest_geodesic_table(self.nbrs, self.D, a)[:, self.j])
+            got = np.ascontiguousarray(farthest_geodesic_table(self.D, self.s.arcs(), a)[:, self.j])
             self._tables[a] = got
             self.stats.tables_built += 1
             self.stats.table_bytes += got.nbytes
@@ -203,13 +203,21 @@ class _Sweep:
             self._geos[key] = got
         return got
 
-    def levels(self):
-        """(length, J-index pairs) for every J-pair length, longest first."""
+    def longest_first(self, side) -> int:
+        """Fold `cur = side(ii, jj, cur)` over the J-pairs, longest first, from
+        cur = 0 until no pair left can raise it: every quantity swept here
+        (a role value or a bigon thinness) is at most half its side's length.
+        """
+        cur = 0
         iu = np.triu_indices(self.nj, 1)
         dvals = self.jD[iu]
         for d in np.unique(dvals)[::-1].tolist():
             mask = dvals == d
-            yield d, zip(iu[0][mask].tolist(), iu[1][mask].tolist())
+            for ii, jj in zip(iu[0][mask].tolist(), iu[1][mask].tolist()):
+                if d // 2 <= cur:
+                    return cur
+                cur = side(ii, jj, cur)
+        return cur
 
     # -- triangle walkers ------------------------------------------------------
 
@@ -267,17 +275,7 @@ class _Sweep:
         filtered by the vectorized corner ceiling, and survivors get their
         exact role value from the bottleneck tables in one batched min/max.
         """
-        if self.nj < 3:
-            return 0
-        cur = 0
-        for d, pairs in self.levels():
-            if d // 2 <= cur:
-                break
-            for ii, jj in pairs:
-                cur = self._process_side(ii, jj, cur)
-                if d // 2 <= cur:
-                    break
-        return cur
+        return self.longest_first(self._process_side) if self.nj >= 3 else 0
 
     def _process_side(self, ii: int, jj: int, cur: int) -> int:
         """Fold all roles distinguished at side (ii, jj) into the running max."""
@@ -376,16 +374,14 @@ def delta_bigon_lower_bound(g: Graph, cfg: Optional[DeltaConfig] = None) -> QDis
     cfg = cfg or DeltaConfig()
     s = subdivide(g, cfg.grid_factor, cfg.grid_cap)
     sweep = _Sweep(s, cfg)
-    cur = 0
-    for d, pairs in sweep.levels():
-        if d // 2 <= cur:
-            break
-        for ii, jj in pairs:
-            # a pair with one geodesic has that geodesic as its interval,
-            # so its points score 0 here and cannot raise the bound
-            a, b = int(sweep.j[ii]), int(sweep.j[jj])
-            cur = max(cur, int(sweep.table(a)[sweep.ival(a, b), jj].max()))
-    return QDist((4 * cur) // s.k)
+
+    def bigon(ii: int, jj: int, cur: int) -> int:
+        # a pair with one geodesic has that geodesic as its interval, so its
+        # points score 0 here and cannot raise the bound
+        a, b = int(sweep.j[ii]), int(sweep.j[jj])
+        return max(cur, int(sweep.table(a)[sweep.ival(a, b), jj].max()))
+
+    return QDist((4 * sweep.longest_first(bigon)) // s.k)
 
 
 def thinness(s: SubdividedGraph, t: GeodesicTriangle) -> tuple[QDist, int]:

@@ -1,9 +1,10 @@
 """Shortest-path structure on unit graphs and subdivision grids.
 
-All functions work on a neighbor table plus a precomputed hop matrix, so the
-same code serves vertex-level graphs and S_k grids.  Geodesics between two
-points form a DAG (the union of all shortest paths); enumeration backtracks
-over that DAG in deterministic lexicographic order.
+All functions work on a neighbor table (or its `neighbor_arcs`) plus a
+precomputed hop matrix, so the same code serves vertex-level graphs and S_k
+grids.  Geodesics between two points form a DAG (the union of all shortest
+paths); enumeration backtracks over that DAG in deterministic lexicographic
+order.
 
 The farthest-geodesic question ("how far from p can an a-b geodesic stay?")
 is answered for every target b at once by one (max, min) table per source a,
@@ -12,12 +13,12 @@ a bottleneck-paths DP over the BFS DAG of a.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .errors import GeodesicCapError
+from .graph import neighbor_arcs
 from .subdivision import SubdividedGraph
 
 
@@ -86,8 +87,7 @@ def table_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(-n)
 
 
-def farthest_geodesic_table(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
-                            a: int) -> np.ndarray:
+def farthest_geodesic_table(hops: np.ndarray, arcs: np.ndarray, a: int) -> np.ndarray:
     """W[p, q]: the largest distance from p to any single a-q geodesic.
 
     d(p, geodesic) is the minimum of hops[p, v] over the path's vertices, so
@@ -100,13 +100,13 @@ def farthest_geodesic_table(neighbors: Sequence[Sequence[int]], hops: np.ndarray
     q's first predecessor and fold in its r-th one with `np.maximum` for
     r = 1, 2, ... while some q of the layer has more than r (most grid
     points have one).  Entries are stored in `table_dtype` of the point
-    count; every hop count is below it, so the narrowing is exact.
+    count; every hop count is below it, so the narrowing is exact.  `arcs`
+    are the graph's (tail, head) rows grouped by head (`neighbor_arcs`,
+    cached per grid as `SubdividedGraph.arcs`).
     """
     n = hops.shape[0]
     da = hops[a]
-    deg = [len(ns) for ns in neighbors]
-    dst = np.repeat(np.arange(n), deg)
-    src = np.fromiter(chain.from_iterable(neighbors), dtype=np.int64, count=len(dst))
+    src, dst = arcs.T
     keep = da[src] == da[dst] - 1
     src, dst = src[keep], dst[keep]
     order = np.argsort(da[dst], kind="stable")  # by layer, then by q
@@ -134,4 +134,4 @@ def farthest_geodesic_profile(neighbors: Sequence[Sequence[int]], hops: np.ndarr
 
     Column b of `farthest_geodesic_table` from source a.
     """
-    return farthest_geodesic_table(neighbors, hops, a)[:, b].astype(hops.dtype)
+    return farthest_geodesic_table(hops, neighbor_arcs(neighbors), a)[:, b].astype(hops.dtype)

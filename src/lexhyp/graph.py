@@ -8,6 +8,7 @@ duplicate edges, vertices 0..n-1, connected.  The one sanctioned exception is
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -36,6 +37,14 @@ def _bfs_apsp(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
     finite = np.isfinite(dist)
     out[finite] = dist[finite].astype(np.int32)
     return out
+
+
+def neighbor_arcs(neighbors: Sequence[Sequence[int]]) -> np.ndarray:
+    """(tail, head) rows for both directions of every edge, sorted by head, then tail."""
+    deg = [len(ns) for ns in neighbors]
+    head = np.repeat(np.arange(len(neighbors)), deg)
+    tail = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp, count=head.size)
+    return np.stack([tail, head], axis=1)
 
 
 class Graph:
@@ -90,6 +99,10 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
+
+    def arcs(self) -> np.ndarray:
+        """Both directions of every edge, as `neighbor_arcs` rows."""
+        return neighbor_arcs(self._neighbors)
 
     def degree(self, v: int) -> int:
         return len(self._neighbors[v])

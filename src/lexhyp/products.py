@@ -1,17 +1,27 @@
-"""Lexicographic, Cartesian and strong graph products.
+"""Lexicographic, Cartesian and strong graph products, in closed form.
 
-The lexicographic product G1 o G2 joins (u1,v1) and (u2,v2) when [u1,u2] is
-an edge of G1, or u1 = u2 and [v1,v2] is an edge of G2.  Its vertex metric
-has a closed form in terms of the factor metrics (`lex_distance`), which the
-verification suite checks against breadth-first search on the product.
+Vertex (u, v) has id u*n2 + v, the index order of Kronecker products, so the
+products are the standard adjacency identities (Hammack, Imrich and
+Klavzar, *Handbook of Product Graphs*), with I the identity and J all-ones:
+
+    lexicographic  A(G1 o G2)  = A1 (x) J + I (x) A2
+    Cartesian      A(G1 [] G2) = A1 (x) I + I (x) A2
+    strong         A(G1 x G2)  = A(G1 [] G2) + A1 (x) A2
+
+Index arrays of nonzero entries stand in for the matrices, so memory grows
+with the edge count.  For non-trivial G1 the metric of G1 o G2 is d1(u, u')
+across copies and min(2, d2(v, v')) inside one copy, where a pair unreachable
+in G2 counts as infinitely far, so 2 (via a neighboring copy).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SizeCapError, ValidationError
-from .graph import Graph
+from .graph import UNREACHABLE, Graph
 from .qdist import QDist
 
 LEXICOGRAPHIC = "lexicographic"
@@ -44,6 +54,11 @@ class ProductGraph:
         return divmod(vid, n2)
 
 
+def _kron(x: np.ndarray, y: np.ndarray, ny: int) -> np.ndarray:
+    """Nonzero (row, col) pairs of X (x) Y from those of X and the ny x ny Y."""
+    return (x[:, None, :] * ny + y[None, :, :]).reshape(-1, 2)
+
+
 def product(g1: Graph, g2: Graph, kind: str = LEXICOGRAPHIC,
             cap: int = DEFAULT_PRODUCT_CAP) -> ProductGraph:
     """Materialize the full adjacency of the chosen product of g1 and g2."""
@@ -52,57 +67,40 @@ def product(g1: Graph, g2: Graph, kind: str = LEXICOGRAPHIC,
     n1, n2 = g1.vertex_count, g2.vertex_count
     if n1 * n2 > cap:
         raise SizeCapError(f"product needs {n1 * n2} vertices, cap is {cap}")
-
-    def vid(u, v):
-        return u * n2 + v
-
-    edges = []
-    if kind == LEXICOGRAPHIC:
-        for u1, u2 in g1.edges:
-            for v1 in range(n2):
-                for v2 in range(n2):
-                    edges.append((vid(u1, v1), vid(u2, v2)))
-        for u in range(n1):
-            for v1, v2 in g2.edges:
-                edges.append((vid(u, v1), vid(u, v2)))
-    elif kind == CARTESIAN:
-        for u1, u2 in g1.edges:
-            for v in range(n2):
-                edges.append((vid(u1, v), vid(u2, v)))
-        for u in range(n1):
-            for v1, v2 in g2.edges:
-                edges.append((vid(u, v1), vid(u, v2)))
-    else:  # strong = cartesian plus both-coordinate steps
-        for u1, u2 in g1.edges:
-            for v in range(n2):
-                edges.append((vid(u1, v), vid(u2, v)))
-            for v1, v2 in g2.edges:
-                edges.append((vid(u1, v1), vid(u2, v2)))
-                edges.append((vid(u1, v2), vid(u2, v1)))
-        for u in range(n1):
-            for v1, v2 in g2.edges:
-                edges.append((vid(u, v1), vid(u, v2)))
-    graph = Graph(n1 * n2, edges)
+    diag1, diag2 = (np.repeat(np.arange(n), 2).reshape(n, 2) for n in (n1, n2))
+    if kind != LEXICOGRAPHIC:
+        block = diag2 if kind == CARTESIAN else np.concatenate([diag2, g2.arcs()])  # I, I + A2
+    else:  # J, left empty when G1 has no edge to expand it (n2 * n2 entries)
+        block = np.argwhere(np.ones((n2, n2) if g1.m else (0, 0), dtype=bool))
+    adj = np.concatenate([_kron(g1.arcs(), block, n2), _kron(diag1, g2.arcs(), n2)])
+    graph = Graph(n1 * n2, adj[adj[:, 0] < adj[:, 1]].tolist())
     return ProductGraph(graph=graph, factor1=g1, factor2=g2, kind=kind)
 
 
-def lex_distance(g1: Graph, g2: Graph, a: tuple[int, int], b: tuple[int, int]) -> QDist:
-    """Closed-form vertex distance in g1 o g2, computed from factor metrics only.
-
-    Requires non-trivial g1; for trivial g1 the product is isomorphic to g2
-    and the caller must use g2's own metric.
-    """
+def _lex_hops(g1: Graph, g2: Graph, u, v, u2, v2) -> np.ndarray:
+    """The closed form at (u, v), (u2, v2), elementwise over index arrays."""
     if g1.is_trivial():
         raise ValidationError("closed-form lex distance needs a non-trivial first factor")
-    u, v = a
-    u2, v2 = b
+    d2 = g2.vertex_distances()[v, v2]
+    within = np.where((d2 == UNREACHABLE) | (d2 > 2), 2, d2)
+    return np.where(u == u2, within, g1.vertex_distances()[u, u2])
+
+
+def lex_distance_matrix(g1: Graph, g2: Graph) -> np.ndarray:
+    """Closed-form hop matrix of g1 o g2 by product vertex id: D1 expanded by
+    n2 x n2 blocks, min(2, D2) on each copy's diagonal block (non-trivial g1)."""
+    u, v = np.divmod(np.arange(g1.vertex_count * g2.vertex_count), g2.vertex_count)
+    return _lex_hops(g1, g2, u[:, None], v[:, None], u[None, :], v[None, :])
+
+
+def lex_distance(g1: Graph, g2: Graph, a: tuple[int, int], b: tuple[int, int]) -> QDist:
+    """Closed-form vertex distance in g1 o g2 from factor metrics only.  Needs
+    non-trivial g1: for trivial g1 the product is g2, with g2's own metric."""
+    (u, v), (u2, v2) = a, b
     for (x, y, g) in ((u, u2, g1), (v, v2, g2)):
         if not (0 <= x < g.vertex_count and 0 <= y < g.vertex_count):
             raise ValidationError(f"vertex pair {(x, y)} outside factor range")
-    if u == u2:
-        d2 = int(g2.vertex_distances()[v, v2])
-        return QDist.from_edges(min(2, d2))
-    return QDist.from_edges(int(g1.vertex_distances()[u, u2]))
+    return QDist.from_edges(int(_lex_hops(g1, g2, u, v, u2, v2)))
 
 
 def project(p: ProductGraph, vid: int) -> int:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SizeCapError, ValidationError
-from .graph import UNREACHABLE, Graph
+from .graph import UNREACHABLE, Graph, neighbor_arcs
 from .qdist import QDist
 
 SUBDIVISION_FACTORS = (2, 4, 8)
@@ -33,7 +33,7 @@ class SubdividedGraph:
     """
 
     __slots__ = ("base", "k", "grid_n", "j_set", "edge_points",
-                 "_neighbors", "_metrics")
+                 "_neighbors", "_metrics", "_arcs")
 
     def __init__(self, base: Graph, k: int, cap: int):
         if k not in SUBDIVISION_FACTORS:
@@ -65,6 +65,7 @@ class SubdividedGraph:
         j = list(range(n)) + [pts[half] for pts in edge_points.values()]
         self.j_set = tuple(sorted(j))
         self._metrics: Optional[GraphMetrics] = None
+        self._arcs: Optional[np.ndarray] = None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
@@ -80,6 +81,12 @@ class SubdividedGraph:
 
     def midpoint(self, edge: tuple[int, int]) -> int:
         return self.point_on_edge(edge, self.k // 2)
+
+    def arcs(self) -> np.ndarray:
+        """Both directions of every grid edge (`neighbor_arcs`), built once."""
+        if self._arcs is None:
+            self._arcs = neighbor_arcs(self._neighbors)
+        return self._arcs
 
     def metrics(self) -> "GraphMetrics":
         if self._metrics is None:

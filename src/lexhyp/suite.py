@@ -10,19 +10,20 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .catalog import get_catalog, in_family_F
-from .corpus import Corpus, CorpusSpec, generate_corpus
+from .corpus import Corpus
 from .delta import DeltaConfig, delta_bigon_lower_bound, delta_exact, has_tight_short_triangle, thinness
 from .errors import LexhypError
 from .geodesics import geodesic_count
 from .graph import Graph, complete_graph, cycle_graph, induced_subgraph, is_isometric_embedding, path_graph
-from .products import LEXICOGRAPHIC, ProductGraph, lex_distance, product
-from .qdist import FIVE_FOURTHS, ONE, THREE_HALVES, QDist
+from .products import LEXICOGRAPHIC, ProductGraph, lex_distance_matrix, product
+from .qdist import ONE, THREE_HALVES, QDist
 from .subdivision import diam_g, diam_v, subdivide
 from .treeformula import bound_check, tree_lex_delta
 
@@ -111,6 +112,21 @@ def _pair_tag(g1: Graph, g2: Graph) -> str:
     return f"G1(n={g1.vertex_count},m={g1.m}) o G2(n={g2.vertex_count},m={g2.m})"
 
 
+def _lex_pairs(pairs):
+    """Pairs with a non-trivial G1: for trivial G1 the product is G2 itself."""
+    return ((g1, g2) for g1, g2 in pairs if not g1.is_trivial())
+
+
+def _small_pairs(pairs):
+    """Pairs whose product has at most 400 vertices (checks over vertex pairs)."""
+    return ((g1, g2) for g1, g2 in pairs if g1.vertex_count * g2.vertex_count <= 400)
+
+
+def _fits_s4(g: Graph) -> bool:
+    """Whether the S_4 grid of g (n + 3m points) has at most 2000 points."""
+    return g.vertex_count + 3 * g.m <= 2000
+
+
 # ---------------------------------------------------------------------------
 # Product structure checks
 # ---------------------------------------------------------------------------
@@ -118,21 +134,14 @@ def _pair_tag(g1: Graph, g2: Graph) -> str:
 @_register("dist_formula")
 def _check_dist_formula(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
-    for g1, g2 in corpus.pairs:
-        if g1.is_trivial() or g1.vertex_count * g2.vertex_count > 400:
-            continue
+    for g1, g2 in _lex_pairs(_small_pairs(corpus.pairs)):
         p = ctx.lex(g1, g2)
-        dist = p.graph.vertex_distances()
-        n = p.graph.vertex_count
-        for a in range(n):
-            ua, va = p.coords(a)
-            for b in range(a + 1, n):
-                ub, vb = p.coords(b)
-                closed = lex_distance(g1, g2, (ua, va), (ub, vb))
-                bfs = QDist.from_edges(int(dist[a, b]))
-                if closed != bfs:
-                    _fail(failures, {"pair": _pair_tag(g1, g2), "a": (ua, va), "b": (ub, vb)},
-                          bfs, closed)
+        bfs, closed = p.graph.vertex_distances(), lex_distance_matrix(g1, g2)
+        bad = np.argwhere(bfs != closed)
+        if bad.size:  # name the first mismatching pair; entries are hop counts
+            a, b = bad[0].tolist()
+            _fail(failures, {"pair": _pair_tag(g1, g2), "a": p.coords(a), "b": p.coords(b)},
+                  int(bfs[a, b]), int(closed[a, b]))
         instances += 1
     return instances, failures
 
@@ -140,9 +149,7 @@ def _check_dist_formula(corpus: Corpus, ctx: SuiteContext):
 @_register("edge_containment")
 def _check_edge_containment(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
-    for g1, g2 in corpus.pairs:
-        if g1.vertex_count * g2.vertex_count > 400:
-            continue
+    for g1, g2 in _small_pairs(corpus.pairs):
         cart = set(product(g1, g2, "cartesian").graph.edges)
         strong = set(product(g1, g2, "strong").graph.edges)
         lex = set(ctx.lex(g1, g2).graph.edges)
@@ -157,9 +164,7 @@ def _check_edge_containment(corpus: Corpus, ctx: SuiteContext):
 @_register("copy_isometry")
 def _check_copy_isometry(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
-    for g1, g2 in corpus.pairs:
-        if g1.vertex_count * g2.vertex_count > 400:
-            continue
+    for g1, g2 in _small_pairs(corpus.pairs):
         p = ctx.lex(g1, g2)
         for w in range(g2.vertex_count):
             emb = [p.vertex_id(u, w) for u in range(g1.vertex_count)]
@@ -173,14 +178,11 @@ def _check_copy_isometry(corpus: Corpus, ctx: SuiteContext):
 @_register("neighborhood_3_2")
 def _check_neighborhood(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
-    for g1, g2 in corpus.pairs:
-        if g1.is_trivial():
-            continue
+    for g1, g2 in _lex_pairs(corpus.pairs):
         p = ctx.lex(g1, g2)
-        g = p.graph
-        if g.vertex_count + 3 * g.m > 2000:
+        if not _fits_s4(p.graph):
             continue
-        s = subdivide(g, 4)
+        s = subdivide(p.graph, 4)
         hops = s.metrics().hops
         copy_edges = set(g1.edges)
         for w in range(g2.vertex_count):
@@ -214,11 +216,9 @@ def _copy_pairs(corpus: Corpus, ctx: SuiteContext):
     the two points' keys, and their hop distances on the S_4 grids of G2
     and of the product.
     """
-    for g1, g2 in corpus.pairs:
-        if g1.is_trivial():
-            continue
+    for g1, g2 in _lex_pairs(corpus.pairs):
         p = ctx.lex(g1, g2)
-        if p.graph.vertex_count + 3 * p.graph.m > 2000 or not g2.m:
+        if not _fits_s4(p.graph) or not g2.m:
             continue
         s = subdivide(p.graph, 4)
         hops = s.metrics().hops
@@ -276,17 +276,13 @@ def _check_projection(corpus: Corpus, ctx: SuiteContext):
     length has at least 5 vertices.
     """
     instances, failures = 0, []
-    for g1, g2 in corpus.pairs:
-        if g1.is_trivial() or g1.vertex_count * g2.vertex_count > 400:
-            continue
+    for g1, g2 in _lex_pairs(_small_pairs(corpus.pairs)):
         p = ctx.lex(g1, g2)
         g = p.graph
         dist = g.vertex_distances()
         d1 = g1.vertex_distances()
-        first = np.array([p.coords(v)[0] for v in range(g.vertex_count)])
-        ends = np.asarray(g.edges)
-        src = np.concatenate([ends[:, 0], ends[:, 1]])
-        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        first = np.arange(g.vertex_count) // g2.vertex_count
+        src, dst = g.arcs().T
         far = np.argwhere(dist > 3)
         nbrs = [g.neighbors(v) for v in range(g.vertex_count)]
         for a, b in far[: 40].tolist():
@@ -363,9 +359,7 @@ def _check_isometric_subproduct(corpus: Corpus, ctx: SuiteContext):
 
 def _bound_entries(corpus: Corpus, ctx: SuiteContext, names: tuple[str, ...]):
     instances, failures = 0, []
-    for g1, g2 in ctx.delta_pairs(corpus):
-        if g1.is_trivial():
-            continue
+    for g1, g2 in _lex_pairs(ctx.delta_pairs(corpus)):
         report = bound_check(g1, g2, ctx.delta(ctx.lex(g1, g2).graph), ctx.delta(g1))
         hit = [e for e in report.entries if e.name in names]
         for e in hit:
@@ -376,29 +370,15 @@ def _bound_entries(corpus: Corpus, ctx: SuiteContext, names: tuple[str, ...]):
     return instances, failures
 
 
-@_register("sandwich_bounds")
-def _check_sandwich(corpus, ctx):
-    return _bound_entries(corpus, ctx, ("sandwich_lower", "sandwich_upper"))
-
-
-@_register("lower_bound_1")
-def _check_lb1(corpus, ctx):
-    return _bound_entries(corpus, ctx, ("both_nontrivial_ge_1",))
-
-
-@_register("lower_bound_5_4_diamV2")
-def _check_lb54v(corpus, ctx):
-    return _bound_entries(corpus, ctx, ("diam_v_g1_2_ge_5_4",))
-
-
-@_register("lower_bound_3_2_diamV3")
-def _check_lb32(corpus, ctx):
-    return _bound_entries(corpus, ctx, ("diam_v_g1_ge_3_ge_3_2",))
-
-
-@_register("lower_bound_5_4_diamG2")
-def _check_lb54g2(corpus, ctx):
-    return _bound_entries(corpus, ctx, ("diam_g2_gt_2_ge_5_4",))
+_BOUND_CHECKS = {  # check id -> the `bound_check` entries it reads
+    "sandwich_bounds": ("sandwich_lower", "sandwich_upper"),
+    "lower_bound_1": ("both_nontrivial_ge_1",),
+    "lower_bound_5_4_diamV2": ("diam_v_g1_2_ge_5_4",),
+    "lower_bound_3_2_diamV3": ("diam_v_g1_ge_3_ge_3_2",),
+    "lower_bound_5_4_diamG2": ("diam_g2_gt_2_ge_5_4",),
+}
+for _cid, _names in _BOUND_CHECKS.items():
+    _register(_cid)(partial(_bound_entries, names=_names))
 
 
 @_register("upper_bound_tightness")
@@ -406,8 +386,8 @@ def _check_tightness(corpus: Corpus, ctx: SuiteContext):
     # contrapositive: a non-tree first factor keeps the product strictly
     # below delta(G1) + 3/2
     instances, failures = 0, []
-    for g1, g2 in ctx.delta_pairs(corpus):
-        if g1.is_trivial() or g1.is_tree():
+    for g1, g2 in _lex_pairs(ctx.delta_pairs(corpus)):
+        if g1.is_tree():
             continue
         dprod = ctx.delta(ctx.lex(g1, g2).graph)
         dg1 = ctx.delta(g1)
@@ -553,28 +533,23 @@ def _check_monotonicity(corpus: Corpus, ctx: SuiteContext):
 # Fixed-value examples
 # ---------------------------------------------------------------------------
 
-@_register("examples_Pn_P2")
-def _check_pn_p2(corpus: Corpus, ctx: SuiteContext):
-    table = {2: QDist(4), 3: QDist(5), 4: QDist(6), 5: QDist(6)}
+def _p2_examples(corpus: Corpus, ctx: SuiteContext, spec: tuple):
+    family, make, table = spec
     instances, failures = 0, []
     for n, want in table.items():
-        got = ctx.delta(product(path_graph(n), path_graph(2), LEXICOGRAPHIC).graph)
+        got = ctx.delta(ctx.lex(make(n), path_graph(2)).graph)
         instances += 1
         if got != want:
-            _fail(failures, {"product": f"path:{n} o path:2"}, want, got)
+            _fail(failures, {"product": f"{family}:{n} o path:2"}, want, got)
     return instances, failures
 
 
-@_register("examples_Cn_P2")
-def _check_cn_p2(corpus: Corpus, ctx: SuiteContext):
-    table = {3: QDist(4), 4: QDist(5), 5: QDist(5), 6: QDist(6)}
-    instances, failures = 0, []
-    for n, want in table.items():
-        got = ctx.delta(product(cycle_graph(n), path_graph(2), LEXICOGRAPHIC).graph)
-        instances += 1
-        if got != want:
-            _fail(failures, {"product": f"cycle:{n} o path:2"}, want, got)
-    return instances, failures
+_P2_EXAMPLES = {  # check id -> G1 family, its generator, delta(G1(n) o P2) by n
+    "examples_Pn_P2": ("path", path_graph, {2: QDist(4), 3: QDist(5), 4: QDist(6), 5: QDist(6)}),
+    "examples_Cn_P2": ("cycle", cycle_graph, {3: QDist(4), 4: QDist(5), 5: QDist(5), 6: QDist(6)}),
+}
+for _cid, _spec in _P2_EXAMPLES.items():
+    _register(_cid)(partial(_p2_examples, spec=_spec))
 
 
 @_register("example_complete")
@@ -615,8 +590,8 @@ def _check_tree_oracle(corpus: Corpus, ctx: SuiteContext):
 def _check_f_char(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
     TWO = QDist.from_edges(2)
-    for g1, g2 in ctx.delta_pairs(corpus):
-        if not g1.is_tree() or g1.is_trivial() or g2.is_trivial():
+    for g1, g2 in _lex_pairs(ctx.delta_pairs(corpus)):
+        if not g1.is_tree() or g2.is_trivial():
             continue
         d1 = diam_v(g1)
         if not ONE <= d1 <= TWO:
@@ -634,7 +609,7 @@ def _check_f_char(corpus: Corpus, ctx: SuiteContext):
 def _check_f_triangle(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
     for g in corpus.graphs:
-        if g.vertex_count + 3 * g.m > 2000:
+        if not _fits_s4(g):
             continue
         member, _ = in_family_F(g, ctx.catalog)
         triangle = has_tight_short_triangle(g)

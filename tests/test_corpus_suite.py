@@ -93,26 +93,39 @@ def test_full_suite_small_corpus_passes():
         assert r.instances >= 0
 
 
-def _projection_on_p5_p3(kind: str):
+def _planted_p5_p3(check_id: str, kind: str):
     g1, g2 = path_graph(5), path_graph(3)
     corpus = Corpus(spec=CorpusSpec(), graphs=(g1, g2), pairs=((g1, g2),))
     ctx = SuiteContext(product_cap=24)
     # the suite reads the product through ctx.lex; plant one labelled lexicographic
     ctx._products[(g1, g2)] = replace(product(g1, g2, kind), kind=LEXICOGRAPHIC)
-    return CHECKS["projection_geodesic"](corpus, ctx)
+    return CHECKS[check_id](corpus, ctx)
 
 
 def test_projection_geodesic_passes_on_the_lex_product():
-    instances, failures = _projection_on_p5_p3(LEXICOGRAPHIC)
+    instances, failures = _planted_p5_p3("projection_geodesic", LEXICOGRAPHIC)
     assert instances > 0 and failures == []
 
 
 def test_projection_geodesic_fails_on_cartesian_product():
     # Cartesian geodesics between far points step inside one G1-copy
-    instances, failures = _projection_on_p5_p3(CARTESIAN)
+    instances, failures = _planted_p5_p3("projection_geodesic", CARTESIAN)
     assert instances > 0 and failures
     assert all(set(f["inputs"]) == {"pair", "a", "b"} for f in failures)
     assert any("intra-copy DAG edges=0" not in f["actual"] for f in failures)
+
+
+def test_dist_formula_passes_on_the_lex_product():
+    assert _planted_p5_p3("dist_formula", LEXICOGRAPHIC) == (1, [])
+
+
+def test_dist_formula_fails_on_cartesian_product():
+    # BFS runs on the planted Cartesian product, the closed form on the factors;
+    # the first mismatch in id order is (0,0)-(1,1): 2 steps there, 1 in G1 o G2
+    instances, failures = _planted_p5_p3("dist_formula", CARTESIAN)
+    assert instances == 1 and len(failures) == 1
+    assert failures[0]["inputs"]["a"] == (0, 0) and failures[0]["inputs"]["b"] == (1, 1)
+    assert (failures[0]["expected"], failures[0]["actual"]) == ("2", "1")
 
 
 def test_projection_geodesic_default_corpus():

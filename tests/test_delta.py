@@ -123,6 +123,15 @@ def test_table_counters():
     assert (got.tables_built, got.table_bytes) == (stats.tables_built, stats.table_bytes)
 
 
+def test_grid_arcs_built_once_per_grid(monkeypatch):
+    import lexhyp.subdivision as subdivision
+    calls = []
+    real = subdivision.neighbor_arcs
+    monkeypatch.setattr(subdivision, "neighbor_arcs", lambda nbrs: calls.append(1) or real(nbrs))
+    stats = delta_exact(product(path_graph(4), cycle_graph(6)).graph).stats
+    assert stats.tables_built > 1 and len(calls) == 1
+
+
 def test_cap_error_attaches_partial_lower_bound():
     with pytest.raises(GeodesicCapError) as err:
         delta_exact(cycle_graph(6), DeltaConfig(geodesic_cap=1))
@@ -323,6 +332,14 @@ def _connected_graphs(max_n: int):
 @example(g=product(path_graph(2), path_graph(3)).graph)
 def test_delta_against_enumeration(g):
     assert delta_exact(g).value.quarters == _delta_by_enumeration(g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=_connected_graphs(6))
+@example(g=product(path_graph(3), path_graph(2)).graph)
+def test_bigon_against_oracle_on_random_graphs(g):
+    # the longest-first walk stops early; the oracle scans every J-pair
+    assert delta_bigon_lower_bound(g) == _bigon_oracle(g)
 
 
 @settings(max_examples=10, deadline=None)

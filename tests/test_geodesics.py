@@ -107,7 +107,7 @@ def test_farthest_geodesic_profile_against_enumeration(g, k):
         assert max(sum(hops[a, w] == hops[a, q] - 1 for w in nbrs[q])
                    for a in s.j_set for q in range(s.grid_n)) >= 3
     for a in s.j_set:
-        table = farthest_geodesic_table(nbrs, hops, a)
+        table = farthest_geodesic_table(hops, s.arcs(), a)
         assert table.shape == hops.shape
         for q in range(s.grid_n):
             assert np.array_equal(table[:, q], _farthest_by_enumeration(nbrs, hops, a, q)), (a, q)

@@ -2,13 +2,19 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from lexhyp import (CARTESIAN, LEXICOGRAPHIC, STRONG, QDist, SizeCapError,
-                    ValidationError, complete_graph, cycle_graph, is_isometric_embedding,
-                    lex_distance, parse_graph, path_graph, product, project,
-                    star_graph, trivial_graph)
+from lexhyp import (CARTESIAN, LEXICOGRAPHIC, STRONG, Graph, QDist, SizeCapError,
+                    ValidationError, complete_graph, cycle_graph, induced_subgraph,
+                    is_isometric_embedding, lex_distance, lex_distance_matrix, parse_graph,
+                    path_graph, product, project, star_graph, trivial_graph)
 from lexhyp.catalog import is_isomorphic
+from test_graph_core import connected_graphs
+
+# two components: an isolated vertex and an edge (C8's vertices 0, 4, 5)
+SPLIT = induced_subgraph(cycle_graph(8), [0, 4, 5])
 
 
 def test_p2_lex_p2_is_k4():
@@ -122,3 +128,55 @@ def test_isometric_subproduct():
     small = product(sub1, sub2, LEXICOGRAPHIC)
     emb = [big.vertex_id(v1[u], v2[v]) for u in range(3) for v in range(2)]
     assert is_isometric_embedding(small.graph, big.graph, emb)
+
+
+def _networkx_product(g1: Graph, g2: Graph, kind: str) -> set:
+    """Edge set of the networkx product, relabelled (u, v) -> u*n2 + v."""
+    nx = pytest.importorskip("networkx")
+    make = {LEXICOGRAPHIC: nx.lexicographic_product, CARTESIAN: nx.cartesian_product,
+            STRONG: nx.strong_product}[kind]
+    h1, h2 = nx.Graph(), nx.Graph()
+    for h, g in ((h1, g1), (h2, g2)):
+        h.add_nodes_from(range(g.vertex_count))
+        h.add_edges_from(g.edges)
+    n2 = g2.vertex_count
+    return {tuple(sorted((u1 * n2 + v1, u2 * n2 + v2))) for (u1, v1), (u2, v2) in make(h1, h2).edges}
+
+
+@settings(max_examples=60, deadline=None)
+@given(g1=connected_graphs(max_n=5), g2=connected_graphs(max_n=5),
+       kind=st.sampled_from((LEXICOGRAPHIC, CARTESIAN, STRONG)))
+@example(g1=trivial_graph(), g2=cycle_graph(5), kind=LEXICOGRAPHIC)
+@example(g1=cycle_graph(5), g2=trivial_graph(), kind=STRONG)
+@example(g1=path_graph(3), g2=SPLIT, kind=LEXICOGRAPHIC)
+@example(g1=path_graph(3), g2=SPLIT, kind=STRONG)
+def test_product_matches_networkx(g1, g2, kind):
+    try:
+        p = product(g1, g2, kind)
+    except ValidationError:  # only a disconnected product is refused
+        assert kind != LEXICOGRAPHIC or g1.is_trivial()
+        return
+    assert p.graph.vertex_count == g1.vertex_count * g2.vertex_count
+    assert set(p.graph.edges) == _networkx_product(g1, g2, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g1=connected_graphs(max_n=5), g2=connected_graphs(max_n=5))
+@example(g1=path_graph(2), g2=trivial_graph())
+@example(g1=cycle_graph(4), g2=SPLIT)
+def test_lex_distance_matrix_matches_bfs(g1, g2):
+    if g1.is_trivial():
+        with pytest.raises(ValidationError):
+            lex_distance_matrix(g1, g2)
+        return
+    bfs = product(g1, g2, LEXICOGRAPHIC).graph.vertex_distances()
+    assert np.array_equal(lex_distance_matrix(g1, g2), bfs)
+
+
+def test_lex_distance_across_a_disconnected_second_factor():
+    # no G2 path joins v = 0 and v = 1, but the neighboring copy does: 2 steps
+    g1, g2 = path_graph(2), induced_subgraph(cycle_graph(8), [0, 4])
+    assert g2.vertex_distances()[0, 1] < 0
+    bfs = product(g1, g2).graph.vertex_distances()
+    assert lex_distance(g1, g2, (0, 0), (0, 1)) == QDist.from_edges(2) == QDist.from_edges(int(bfs[0, 1]))
+    assert np.array_equal(lex_distance_matrix(g1, g2), bfs)
