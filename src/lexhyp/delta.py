@@ -11,18 +11,24 @@ stability check in the verification suite guards the implementation, not the
 argument.
 
 One metric primitive serves every geodesic-free bound: a per-source
-bottleneck table W_a (`farthest_geodesic_table`), where W_a[p, c] is the
-farthest p can be from some a-c geodesic.  Built once per J-point source that
-the sweep touches and kept C-contiguous on its J(G) columns, it gives the
-exact value of a role (side a-b, third corner c) as the max over p in I(a, b)
-of min(W_a[p, c], W_b[p, c]), and the farthest bigon point on a-b as the max
-of W_a[p, b] over the same interval.
+bottleneck table W_a, where W_a[p, c] is the farthest p can be from some a-c
+geodesic.  It is built once per J-point source that the sweep touches, only
+on its J(G) columns and C-contiguous, by a DP over the base graph
+(`j_source_table`): a geodesic crosses each edge's chain of interior points
+whole, or turns back at its midpoint, so the grid points in between enter
+only through per-edge minima of hop rows, cached once per grid
+(`SubdividedGraph.chains`).  One base layer stands for k grid hops, and each
+midpoint column follows in closed form from its edge's two end columns.  The
+table gives the exact value of a role (side a-b, third corner c) as the max
+over p in I(a, b) of min(W_a[p, c], W_b[p, c]), and the farthest bigon point
+on a-b as the max of W_a[p, b] over the same interval.
 
 The value sweep processes sides in decreasing length, pruning third corners
 with the corner ceiling.  A side is closed by two contiguous row gathers,
 W_a[I(a, b)] and W_b[I(a, b)]: their elementwise min, maxed over the
 interval, is the role value for every third corner at once
-(`_Sweep.side_values`) — no geodesic enumeration at all.
+(`_Sweep.side_values`) — no geodesic enumeration at all.  Side values are
+kept per J-pair, so the witness search reads those the value sweep computed.
 
 Everything that needs explicit triangles shares one triangle search: a
 walker over corner triples in lexicographic J order, filtered per corner
@@ -44,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GeodesicCapError, ValidationError
-from .geodesics import enumerate_paths, farthest_geodesic_table, interval, table_dtype
+from .geodesics import enumerate_paths, interval, j_source_table
 from .graph import Graph
 from .qdist import QDist
 from .subdivision import DEFAULT_GRID_CAP, SubdividedGraph, subdivide
@@ -90,13 +96,15 @@ class GeodesicTriangle:
 @dataclass
 class DeltaStats:
     """Counters of one engine run.  Only the first two enter `to_json_dict`;
-    `table_bytes` is the memory held by the `tables_built` per-source tables."""
+    `table_bytes` is the memory held by the `tables_built` per-source tables,
+    and `table_s` the seconds spent building them."""
 
     triples_examined: int = 0
     geodesics_enumerated: int = 0
     wall_time_s: float = 0.0
     tables_built: int = 0
     table_bytes: int = 0
+    table_s: float = 0.0
 
 
 @dataclass
@@ -148,12 +156,13 @@ class _Sweep:
         self.jD = self.D[np.ix_(self.j, self.j)]
         self.jpos = np.full(s.grid_n, -1, dtype=np.int64)
         self.jpos[self.j] = np.arange(self.nj)
-        self.jcols = self.D[:, self.j].astype(table_dtype(s.grid_n))  # for corner_ceiling
+        self.jrows = s.chains().jrows  # hop rows of the J-points, for corner_ceiling
         self.nbrs = s._neighbors
         self._tables: dict[int, np.ndarray] = {}
         self._ivals: dict[tuple[int, int], np.ndarray] = {}
         self._geos: dict[tuple[int, int], tuple] = {}
         self._ceilings: dict[tuple[int, int], np.ndarray] = {}
+        self._sides: dict[tuple[int, int], np.ndarray] = {}
         self.stats = DeltaStats()
 
     # -- caches (grid-id keys, smaller id first for pairs) -------------------
@@ -163,8 +172,9 @@ class _Sweep:
         some a-c geodesic."""
         got = self._tables.get(a)
         if got is None:
-            got = np.ascontiguousarray(farthest_geodesic_table(self.D, self.s.arcs(), a)[:, self.j])
-            self._tables[a] = got
+            t0 = time.perf_counter()
+            got = self._tables[a] = j_source_table(self.s, a)
+            self.stats.table_s += time.perf_counter() - t0
             self.stats.tables_built += 1
             self.stats.table_bytes += got.nbytes
         return got
@@ -186,8 +196,8 @@ class _Sweep:
         """
         got = self._ceilings.get((a, b))
         if got is None:
-            near = np.minimum(self.jcols[:, self.jpos[a]], self.jcols[:, self.jpos[b]])
-            got = np.minimum(near[:, None], self.jcols).max(axis=0)
+            near = np.minimum(self.jrows[self.jpos[a]], self.jrows[self.jpos[b]])
+            got = np.minimum(near, self.jrows).max(axis=1)
             self._ceilings[(a, b)] = got
         return got
 
@@ -255,8 +265,12 @@ class _Sweep:
     def side_values(self, a: int, b: int) -> np.ndarray:
         """For every third corner c (as a J index): the largest thinness any
         geodesic choice of triangle (a, b, c) realizes on side a-b (a < b)."""
-        iv = self.ival(a, b)
-        return np.minimum(self.table(a)[iv], self.table(b)[iv]).max(axis=0)
+        got = self._sides.get((a, b))
+        if got is None:
+            iv = self.ival(a, b)
+            got = np.minimum(self.table(a)[iv], self.table(b)[iv]).max(axis=0)
+            self._sides[(a, b)] = got
+        return got
 
     def triple_can_reach(self, x: int, y: int, z: int, target: int) -> bool:
         """Whether some geodesic combination of this triple (x < y < z)

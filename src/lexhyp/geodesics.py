@@ -1,14 +1,19 @@
 """Shortest-path structure on unit graphs and subdivision grids.
 
-All functions work on a neighbor table (or its `neighbor_arcs`) plus a
-precomputed hop matrix, so the same code serves vertex-level graphs and S_k
-grids.  Geodesics between two points form a DAG (the union of all shortest
+All functions but `j_source_table` work on a neighbor table (or its
+`neighbor_arcs`) plus a precomputed hop matrix, so the same code serves
+vertex-level graphs and S_k grids.  Geodesics between two points form a DAG (the union of all shortest
 paths); enumeration backtracks over that DAG in deterministic lexicographic
 order.
 
 The farthest-geodesic question ("how far from p can an a-b geodesic stay?")
 is answered for every target b at once by one (max, min) table per source a,
-a bottleneck-paths DP over the BFS DAG of a.
+a bottleneck-paths DP over the BFS DAG of a.  `farthest_geodesic_table` runs
+that DP point by point on any graph.  `j_source_table` gives the same
+values on the J(G) columns of an S_k grid from a DP over the base graph: a
+geodesic crosses an edge's interior whole or turns back at its midpoint, so
+each edge enters only through its chain minima (`EdgeChains`), one base
+layer per k grid hops, and the midpoint columns follow in closed form.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .errors import GeodesicCapError
 from .graph import neighbor_arcs
-from .subdivision import SubdividedGraph
+from .subdivision import SubdividedGraph, table_dtype
 
 
 def interval(hops: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -82,11 +87,6 @@ def enumerate_geodesics(s: SubdividedGraph, a: int, b: int,
     return enumerate_paths(s._neighbors, hops, a, b, cap)
 
 
-def table_dtype(n: int) -> np.dtype:
-    """Narrowest signed dtype that holds every hop count of an n-point grid."""
-    return np.min_scalar_type(-n)
-
-
 def farthest_geodesic_table(hops: np.ndarray, arcs: np.ndarray, a: int) -> np.ndarray:
     """W[p, q]: the largest distance from p to any single a-q geodesic.
 
@@ -101,8 +101,7 @@ def farthest_geodesic_table(hops: np.ndarray, arcs: np.ndarray, a: int) -> np.nd
     r = 1, 2, ... while some q of the layer has more than r (most grid
     points have one).  Entries are stored in `table_dtype` of the point
     count; every hop count is below it, so the narrowing is exact.  `arcs`
-    are the graph's (tail, head) rows grouped by head (`neighbor_arcs`,
-    cached per grid as `SubdividedGraph.arcs`).
+    are the graph's (tail, head) rows grouped by head (`neighbor_arcs`).
     """
     n = hops.shape[0]
     da = hops[a]
@@ -126,6 +125,78 @@ def farthest_geodesic_table(hops: np.ndarray, arcs: np.ndarray, a: int) -> np.nd
         qs = dst[first]
         t[qs] = np.minimum(t[qs], best)
     return t.T
+
+
+def j_source_table(s: SubdividedGraph, a: int) -> np.ndarray:
+    """W_a on the J(G) columns of the grid: `farthest_geodesic_table(hops,
+    arcs, a)[:, s.j_set]` as a C-contiguous (grid_n, |J|) array, same dtype,
+    for a source a in J(G).
+
+    Every base vertex sits at da = hops[a] congruent to da of a's end mod k
+    (0 for a vertex, k/2 for a midpoint), so an edge (u, v) either meets
+    (da[u] = da[v]) or is crossed forward, da[v] = da[u] + k, along its
+    monotone chain.  With T[v] the column of vertex v and H its hop row:
+
+      - a forward chain leaves min(T[u], whole) at v, so one layer per k hops
+        T[v] = min(H[v], max over forward edges u->v of min(T[u], whole));
+      - a midpoint source on (u, v) seeds T[u] = min(H[u], u_mid) and
+        T[v] = min(H[v], v_mid), and its own column stays `mid`;
+      - the midpoint column of an edge crossed u->v is min(T[u], u_mid),
+        of one crossed v->u min(T[v], v_mid), and of a meeting edge
+        min(mid, max(min(T[u], left), min(T[v], right))).
+
+    Points the source cannot reach (da = -1) keep their hop rows, as in the
+    grid DP; two such ends do not make a meeting edge.  A layer's forward
+    edges are sorted by head; where a head has several, their values are
+    scattered into a (head, rank) block padded with the dtype's minimum and
+    maxed over the rank.
+    """
+    n, k = s.base.vertex_count, s.k
+    c = s.chains()
+    t = c.jrows.copy()  # column q of W_a, for q in j_set order, starts as hops[q]
+    tv, tm = t[:n], t[n:]  # vertex columns T, midpoint columns
+    da = s.metrics().hops[a, :n]
+    u, v = c.ends.T
+    du, dv = da[u], da[v]
+    own = (a - n) // (k - 1) if a >= n else -1  # the source's edge, if any
+    if own >= 0:
+        tv[u[own]] = np.minimum(tv[u[own]], c.u_mid[own])
+        tv[v[own]] = np.minimum(tv[v[own]], c.v_mid[own])
+    fu, fv = np.flatnonzero(dv == du + k), np.flatnonzero(du == dv + k)
+    if fu.size + fv.size:
+        tail = np.concatenate([u[fu], v[fv]])
+        head = np.concatenate([v[fu], u[fv]])
+        edge = np.concatenate([fu, fv])
+        order = np.lexsort((head, da[head]))  # by layer, then by head
+        tail, head, edge = tail[order], head[order], edge[order]
+        new = np.concatenate(([True], head[1:] != head[:-1]))
+        first = np.flatnonzero(new)  # each head's first forward edge
+        group = np.cumsum(new) - 1
+        rank = np.arange(head.size) - first[group]  # position in the head's group
+        heads = head[first]
+        layer = da[heads]
+        cut = np.searchsorted(layer, np.arange(int(layer[0]), int(layer[-1]) + 2 * k, k)).tolist()
+        ends = first.tolist() + [head.size]
+        lead = c.whole[edge]
+        low = np.iinfo(t.dtype).min
+        for lo, hi in zip(cut[:-1], cut[1:]):
+            e0, e1 = ends[lo], ends[hi]
+            best = np.minimum(tv[tail[e0:e1]], lead[e0:e1])
+            if e1 - e0 > hi - lo:  # some head has several forward edges: max over them
+                pad = np.full((hi - lo, int(rank[e0:e1].max()) + 1, t.shape[1]), low, dtype=t.dtype)
+                pad[group[e0:e1] - lo, rank[e0:e1]] = best
+                best = pad.max(axis=1)
+            hs = heads[lo:hi]
+            tv[hs] = np.minimum(tv[hs], best)
+    tm[fu] = np.minimum(tv[u[fu]], c.u_mid[fu])
+    tm[fv] = np.minimum(tv[v[fv]], c.v_mid[fv])
+    meet = (du == dv) & (du >= 0)
+    if own >= 0:
+        meet[own] = False
+    mm = np.flatnonzero(meet)
+    tm[mm] = np.minimum(c.mid[mm], np.maximum(np.minimum(tv[u[mm]], c.left[mm]),
+                                              np.minimum(tv[v[mm]], c.right[mm])))
+    return np.ascontiguousarray(t.T)
 
 
 def farthest_geodesic_profile(neighbors: Sequence[Sequence[int]], hops: np.ndarray,

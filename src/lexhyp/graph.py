@@ -32,7 +32,7 @@ def _bfs_apsp(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
     rows = [u for u, v in edges] + [v for u, v in edges]
     cols = [v for u, v in edges] + [u for u, v in edges]
     adj = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    dist = shortest_path(adj, method="D", unweighted=True, directed=False)
+    dist = shortest_path(adj, method="D", unweighted=True, directed=True)  # adj holds both directions
     out = np.full((n, n), UNREACHABLE, dtype=np.int32)
     finite = np.isfinite(dist)
     out[finite] = dist[finite].astype(np.int32)

@@ -6,7 +6,10 @@ points.  Hop counts on the S_k grid are k times the metric distance, so every
 quarter-integer quantity of interest is an exact integer here.
 
 The grid metric is never searched for: it follows in closed form from the
-base graph's vertex distances (`all_pairs_distances`).
+base graph's vertex distances (`all_pairs_distances`).  Neither are the
+bottleneck tables walked point by point: an edge's interior is a chain that
+a geodesic crosses whole or enters up to its midpoint, so each edge's chain
+minima of hop rows (`edge_chains`) stand in for its k-1 interior points.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SizeCapError, ValidationError
-from .graph import UNREACHABLE, Graph, neighbor_arcs
+from .graph import UNREACHABLE, Graph
 from .qdist import QDist
 
 SUBDIVISION_FACTORS = (2, 4, 8)
@@ -29,11 +32,16 @@ class SubdividedGraph:
 
     Grid ids: 0..n-1 are the original vertices; interior points of edge i
     (edges in sorted order) occupy n + i*(k-1) .. n + (i+1)*(k-1) - 1,
-    ordered from the smaller endpoint to the larger one.
+    ordered from the smaller endpoint to the larger one.  J(G) is the
+    vertices followed by the edge midpoints, in edge order.
+
+    Two per-grid structures are built on first use and kept: `metrics()`,
+    the hop matrix, and `chains()`, its J-point rows and per-edge chain
+    minima (`EdgeChains`), from which the bottleneck tables are built.
     """
 
     __slots__ = ("base", "k", "grid_n", "j_set", "edge_points",
-                 "_neighbors", "_metrics", "_arcs")
+                 "_neighbors", "_metrics", "_chains")
 
     def __init__(self, base: Graph, k: int, cap: int):
         if k not in SUBDIVISION_FACTORS:
@@ -65,7 +73,7 @@ class SubdividedGraph:
         j = list(range(n)) + [pts[half] for pts in edge_points.values()]
         self.j_set = tuple(sorted(j))
         self._metrics: Optional[GraphMetrics] = None
-        self._arcs: Optional[np.ndarray] = None
+        self._chains: Optional[EdgeChains] = None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
@@ -82,19 +90,24 @@ class SubdividedGraph:
     def midpoint(self, edge: tuple[int, int]) -> int:
         return self.point_on_edge(edge, self.k // 2)
 
-    def arcs(self) -> np.ndarray:
-        """Both directions of every grid edge (`neighbor_arcs`), built once."""
-        if self._arcs is None:
-            self._arcs = neighbor_arcs(self._neighbors)
-        return self._arcs
-
     def metrics(self) -> "GraphMetrics":
         if self._metrics is None:
             self._metrics = all_pairs_distances(self)
         return self._metrics
 
+    def chains(self) -> "EdgeChains":
+        """The J-point rows and per-edge chain minima (`edge_chains`), built once."""
+        if self._chains is None:
+            self._chains = edge_chains(self)
+        return self._chains
+
     def __repr__(self) -> str:
         return f"SubdividedGraph(k={self.k}, grid_n={self.grid_n}, base={self.base!r})"
+
+
+def table_dtype(n: int) -> np.dtype:
+    """Narrowest signed dtype that holds every hop count of an n-point grid."""
+    return np.min_scalar_type(-n)
 
 
 def subdivide(g: Graph, k: int, cap: int = DEFAULT_GRID_CAP) -> SubdividedGraph:
@@ -106,17 +119,20 @@ def subdivide(g: Graph, k: int, cap: int = DEFAULT_GRID_CAP) -> SubdividedGraph:
 class GraphMetrics:
     """Dense exact metric data for one subdivision grid.
 
-    `hops` is the symmetric hop-count matrix over grid vertices; divide by k
-    (via `distance`) for values in edge lengths.
+    `hops` is the symmetric hop-count matrix over grid vertices; divide by
+    the grid's subdivision factor k (via `distance`) for values in edge
+    lengths.  It keeps k, not the grid: the grid caches its metrics, and a
+    reference back would make a cycle that holds every grid, with its hop
+    matrix and chains, until the cyclic garbage collector runs.
     """
 
-    grid: SubdividedGraph
+    k: int
     hops: np.ndarray
     diam_v: QDist
     diam_g: QDist
 
     def distance(self, a: int, b: int) -> QDist:
-        return QDist.from_hops(int(self.hops[a, b]), self.grid.k)
+        return QDist.from_hops(int(self.hops[a, b]), self.k)
 
 
 def all_pairs_distances(s: SubdividedGraph) -> GraphMetrics:
@@ -162,7 +178,50 @@ def all_pairs_distances(s: SubdividedGraph) -> GraphMetrics:
     diam_v = QDist.from_hops(int(hops[:n, :n].max()), k)
     j = np.asarray(s.j_set)
     diam_g = QDist.from_hops(int(hops[np.ix_(j, j)].max()), k)
-    return GraphMetrics(grid=s, hops=hops, diam_v=diam_v, diam_g=diam_g)
+    return GraphMetrics(k=k, hops=hops, diam_v=diam_v, diam_g=diam_g)
+
+
+@dataclass(frozen=True)
+class EdgeChains:
+    """The hop rows of J(G) and their minima along each base edge's chain.
+
+    `jrows` holds the grid hop row of every J-point, in `j_set` order.  Row
+    i of the other arrays belongs to edge i = (u, v) of `ends`, whose
+    interior points x_1 .. x_{k-1} run from u to v: `mid` is the row of the
+    midpoint x_{k/2} (a view of `jrows`), `left` the min of the rows of x_1
+    .. x_{k/2-1} and `right` the min of x_{k/2+1} .. x_{k-1}; `u_mid` =
+    min(left, mid), `v_mid` = min(right, mid) and `whole` = min(left, mid,
+    right).  All are in `table_dtype` of the grid; for k = 2, `left` and
+    `right` are empty chains and hold the dtype's maximum, the identity of
+    min.
+    """
+
+    ends: np.ndarray
+    jrows: np.ndarray
+    mid: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    u_mid: np.ndarray
+    v_mid: np.ndarray
+    whole: np.ndarray
+
+
+def edge_chains(s: SubdividedGraph) -> EdgeChains:
+    """The J rows and chain minima of `s`, read off its hop matrix."""
+    n, k, m = s.base.vertex_count, s.k, s.base.m
+    dtype = table_dtype(s.grid_n)
+    hops = s.metrics().hops
+    jrows = hops[list(s.j_set)].astype(dtype)
+    rows = hops[n:].reshape(m, k - 1, s.grid_n)  # edge, offset - 1, point
+    h, top = k // 2, np.iinfo(dtype).max
+    left = rows[:, :h - 1].min(axis=1, initial=top).astype(dtype)
+    right = rows[:, h:].min(axis=1, initial=top).astype(dtype)
+    mid = jrows[n:]
+    u_mid = np.minimum(left, mid)
+    v_mid = np.minimum(right, mid)
+    return EdgeChains(ends=np.asarray(s.base.edges, dtype=np.intp).reshape(m, 2), jrows=jrows,
+                      mid=mid, left=left, right=right, u_mid=u_mid, v_mid=v_mid,
+                      whole=np.minimum(u_mid, right))
 
 
 def diam_v(g: Graph) -> QDist:

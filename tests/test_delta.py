@@ -119,15 +119,21 @@ def test_table_counters():
     stats = sweep.stats
     assert stats.tables_built == len(sweep._tables) > 0
     assert stats.table_bytes == sum(t.nbytes for t in sweep._tables.values()) > 0
-    got = delta_exact(g).stats
+    assert stats.table_s > 0
+    res = delta_exact(g)
+    got = res.stats
     assert (got.tables_built, got.table_bytes) == (stats.tables_built, stats.table_bytes)
+    assert got.table_s > 0
+    # the timing stays out of the stable JSON, as the table counters do
+    assert res.to_json_dict()["stats"] == {"triples_examined": got.triples_examined,
+                                           "geodesics_enumerated": got.geodesics_enumerated}
 
 
-def test_grid_arcs_built_once_per_grid(monkeypatch):
+def test_grid_chains_built_once_per_grid(monkeypatch):
     import lexhyp.subdivision as subdivision
     calls = []
-    real = subdivision.neighbor_arcs
-    monkeypatch.setattr(subdivision, "neighbor_arcs", lambda nbrs: calls.append(1) or real(nbrs))
+    real = subdivision.edge_chains
+    monkeypatch.setattr(subdivision, "edge_chains", lambda s: calls.append(1) or real(s))
     stats = delta_exact(product(path_graph(4), cycle_graph(6)).graph).stats
     assert stats.tables_built > 1 and len(calls) == 1
 

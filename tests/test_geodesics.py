@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lexhyp import (GeodesicCapError, Graph, complete_graph, cycle_graph, enumerate_geodesics,
-                    path_graph, product, subdivide)
+                    induced_subgraph, path_graph, product, subdivide)
 from lexhyp.geodesics import (enumerate_paths, farthest_geodesic_profile, farthest_geodesic_table,
-                              geodesic_count, interval)
+                              geodesic_count, interval, j_source_table)
+from lexhyp.graph import neighbor_arcs
 
 
 def test_c4_opposite_vertices_two_geodesics():
@@ -106,10 +107,58 @@ def test_farthest_geodesic_profile_against_enumeration(g, k):
         # the DP folds past the second predecessor
         assert max(sum(hops[a, w] == hops[a, q] - 1 for w in nbrs[q])
                    for a in s.j_set for q in range(s.grid_n)) >= 3
+    arcs = neighbor_arcs(nbrs)
     for a in s.j_set:
-        table = farthest_geodesic_table(hops, s.arcs(), a)
+        table = farthest_geodesic_table(hops, arcs, a)
         assert table.shape == hops.shape
         for q in range(s.grid_n):
             assert np.array_equal(table[:, q], _farthest_by_enumeration(nbrs, hops, a, q)), (a, q)
         for b in s.j_set:
             assert np.array_equal(farthest_geodesic_profile(nbrs, hops, a, b), table[:, b])
+
+
+def _base_indegree(g: Graph) -> int:
+    """Most edges from the previous BFS layer into one vertex, over all sources."""
+    d = g.vertex_distances()
+    return max(sum(d[a, u] == d[a, v] - 1 for u in g.neighbors(v))
+               for a in range(g.vertex_count) for v in range(g.vertex_count))
+
+
+# two components: a source in one leaves the other's points unreachable.  In
+# K4_AND_K2 (two fibers of P4 o P2, and a third apart) the unreachable K4 has
+# points equidistant from both ends of an edge, where a false meeting-edge
+# closed form would lower the edge's midpoint column.
+TWO_EDGES = induced_subgraph(cycle_graph(8), [0, 1, 4, 5])
+K4_AND_K2 = induced_subgraph(product(path_graph(4), path_graph(2)).graph, [0, 1, 2, 3, 6, 7])
+
+
+def induced_subgraphs(max_n: int = 8):
+    """Induced subgraphs of drawn connected graphs: often disconnected."""
+    return connected_graphs(max_n).flatmap(lambda g: st.sets(
+        st.integers(0, g.vertex_count - 1), min_size=1).map(lambda keep: induced_subgraph(g, keep)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=st.one_of(connected_graphs(max_n=8), induced_subgraphs()), k=st.sampled_from((2, 4, 8)))
+@example(g=K24, k=4)
+@example(g=K24_NEAR_THREE, k=4)
+@example(g=K24_NEAR_THREE, k=8)
+@example(g=product(path_graph(3), path_graph(2)).graph, k=4)
+@example(g=TWO_EDGES, k=4)
+@example(g=TWO_EDGES, k=8)
+@example(g=K4_AND_K2, k=4)
+@example(g=K4_AND_K2, k=2)
+def test_j_source_table_matches_grid_dp(g, k):
+    # the base-graph DP against the grid DP's J columns, from every J-point
+    # source (vertices and midpoints), bit for bit and dtype included
+    s = subdivide(g, k)
+    hops = s.metrics().hops
+    arcs = neighbor_arcs(s._neighbors)
+    j = list(s.j_set)
+    if g in (K24, K24_NEAR_THREE):
+        assert _base_indegree(g) >= 3  # the layer step maxes over three or more edges
+    for a in s.j_set:
+        want = np.ascontiguousarray(farthest_geodesic_table(hops, arcs, a)[:, j])
+        got = j_source_table(s, a)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want), a

@@ -1,5 +1,8 @@
 """Graph construction, parsing, subdivision grids and exact metrics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +119,20 @@ def test_subdivide_c5_distance_scaling():
     m = all_pairs_distances(s)
     assert m.hops[1, 3] == 8
     assert m.distance(1, 3) == QDist.from_edges(2)
+
+
+def test_grid_freed_without_cycle_collector():
+    # the grid caches its metrics and chains; nothing refers back to it, so
+    # dropping the last reference frees the hop matrix at once
+    gc.disable()
+    try:
+        s = subdivide(product(path_graph(3), cycle_graph(5)).graph, 4)
+        hops = weakref.ref(s.metrics().hops)
+        chains = weakref.ref(s.chains().whole)
+        del s
+        assert hops() is None and chains() is None
+    finally:
+        gc.enable()
 
 
 @st.composite
