@@ -11,6 +11,7 @@ exceeded, 3 verification suite failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -67,6 +68,9 @@ def _cmd_delta(args) -> int:
         print(json.dumps(res.to_json_dict(), sort_keys=True))
     else:
         print(res.value)
+    if args.stats:  # stderr only: stdout stays byte-identical
+        for f in dataclasses.fields(res.stats):
+            print(f"{f.name}: {getattr(res.stats, f.name)}", file=sys.stderr)
     return 0
 
 
@@ -171,6 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--grid", type=int, choices=(4, 8), default=4)
     d.add_argument("--cap", type=int, default=1_000_000)
     d.add_argument("--no-cycle-only", action="store_true")
+    d.add_argument("--stats", action="store_true",
+                   help="print the engine's counters and timings to stderr")
     d.set_defaults(fn=_cmd_delta)
 
     di = sub.add_parser("dist", help="closed-form lexicographic distance")

@@ -23,12 +23,28 @@ table gives the exact value of a role (side a-b, third corner c) as the max
 over p in I(a, b) of min(W_a[p, c], W_b[p, c]), and the farthest bigon point
 on a-b as the max of W_a[p, b] over the same interval.
 
-The value sweep processes sides in decreasing length, pruning third corners
-with the corner ceiling.  A side is closed by two contiguous row gathers,
-W_a[I(a, b)] and W_b[I(a, b)]: their elementwise min, maxed over the
-interval, is the role value for every third corner at once
-(`_Sweep.side_values`) — no geodesic enumeration at all.  Side values are
-kept per J-pair, so the witness search reads those the value sweep computed.
+The value sweep walks sides in decreasing length and stops once no side
+left can raise the running value t: a side of length d contributes at most
+d/2 (`_Sweep.longest_first`).  Third corners are pruned by the corner
+ceiling, max over grid points p of min(d(a, p), d(b, p), d(c, p)), which
+bounds every role value of the triple {a, b, c}.  The sweep reads it only
+thresholded: the ceiling exceeds t exactly when some p has min(d(a, p),
+d(b, p)) > t and d(c, p) > t.  For a chunk of at most 256 pairs of one
+length that is one matrix product of 0/1 float32 matrices, (min(rows of a,
+b) > t) @ (J rows > t).T > 0 (`_Sweep.corner_masks`), exact at any size
+because a sum of nonnegative terms is 0 only when every term is.  When t
+rises inside a chunk, the rest of the chunk is masked again at the new t,
+so a side is charged exactly the third corners whose ceiling exceeds the
+running value at that side.  A side with any left is closed by two
+contiguous row gathers, W_a[I(a, b)] and W_b[I(a, b)]: their elementwise
+min, maxed over the interval, is the role value for every third corner at
+once (`_Sweep.side_values`) — no geodesic enumeration at all.  Side values
+are kept per J-pair, so the witness search reads those the value sweep
+computed.
+
+Tables, J rows and chain minima are stored in `table_dtype` of the grid's
+largest hop count: one byte per entry below 128 hops, which covers every
+product the benchmark and the suite build.
 
 Everything that needs explicit triangles shares one triangle search: a
 walker over corner triples in lexicographic J order, filtered per corner
@@ -65,7 +81,8 @@ class DeltaConfig:
     bottleneck tables); `cycle_only` restricts the witness to cycle
     triangles; `grid_factor` is the subdivision (4, or 8 for the stability
     check); `grid_cap` bounds the grid's point count, and with it the size of
-    every table (points x J-points per source).
+    every table (points x J-points per source, each entry in the narrowest
+    signed dtype holding the grid's largest hop count: one byte below 128).
     """
 
     geodesic_cap: int = 1_000_000
@@ -95,9 +112,14 @@ class GeodesicTriangle:
 
 @dataclass
 class DeltaStats:
-    """Counters of one engine run.  Only the first two enter `to_json_dict`;
-    `table_bytes` is the memory held by the `tables_built` per-source tables,
-    and `table_s` the seconds spent building them."""
+    """Counters of one engine run.  Only the first two enter `to_json_dict`.
+
+    `table_bytes` is the memory held by the `tables_built` per-source tables
+    (one byte per entry on grids below 128 hops across, see `table_dtype`),
+    and `table_s` the seconds spent building them.  `sides_visited` counts
+    the sides the value sweep closed, those whose corner mask kept some
+    third corner, and `mask_s` the seconds spent computing corner masks.
+    """
 
     triples_examined: int = 0
     geodesics_enumerated: int = 0
@@ -105,6 +127,8 @@ class DeltaStats:
     tables_built: int = 0
     table_bytes: int = 0
     table_s: float = 0.0
+    sides_visited: int = 0
+    mask_s: float = 0.0
 
 
 @dataclass
@@ -143,6 +167,9 @@ def _side_distances(D: np.ndarray, sides) -> list[np.ndarray]:
             .min(axis=1) for i in range(3)]
 
 
+MASK_CHUNK = 256  # J-pairs masked per matrix product in the value sweep
+
+
 class _Sweep:
     """Shared state for one graph: grid, hop matrix, per-source tables and
     per-pair caches."""
@@ -156,13 +183,12 @@ class _Sweep:
         self.jD = self.D[np.ix_(self.j, self.j)]
         self.jpos = np.full(s.grid_n, -1, dtype=np.int64)
         self.jpos[self.j] = np.arange(self.nj)
-        self.jrows = s.chains().jrows  # hop rows of the J-points, for corner_ceiling
+        self.jrows = s.chains().jrows  # hop rows of the J-points, for corner_masks
         self.nbrs = s._neighbors
         self._tables: dict[int, np.ndarray] = {}
-        self._ivals: dict[tuple[int, int], np.ndarray] = {}
         self._geos: dict[tuple[int, int], tuple] = {}
-        self._ceilings: dict[tuple[int, int], np.ndarray] = {}
         self._sides: dict[tuple[int, int], np.ndarray] = {}
+        self._far: tuple = (None, None)  # (t, jrows > t as float32), for the last t only
         self.stats = DeltaStats()
 
     # -- caches (grid-id keys, smaller id first for pairs) -------------------
@@ -179,26 +205,24 @@ class _Sweep:
             self.stats.table_bytes += got.nbytes
         return got
 
-    def ival(self, a: int, b: int) -> np.ndarray:
-        got = self._ivals.get((a, b))
-        if got is None:
-            got = self._ivals[(a, b)] = interval(self.D, a, b)
-        return got
+    def corner_masks(self, ii: np.ndarray, jj: np.ndarray, t: int) -> np.ndarray:
+        """For each J-pair (ii[r], jj[r]) and every third corner c (as a J
+        index): whether the corner ceiling of {a, b, c} exceeds t.
 
-    def corner_ceiling(self, a: int, b: int) -> np.ndarray:
-        """For every possible third corner c (as a J index): an upper bound on
-        the whole triple value of {a, b, c}.
-
-        Every role value is at most max over grid points p of the min distance
-        from p to the three corners (sample points lie on geodesics, geodesics
-        contain the corners, and widening p's range to the full grid only
-        raises the max), and that quantity vectorizes over c.
+        Every role value of the triple is at most the ceiling, max over grid
+        points p of min(d(a, p), d(b, p), d(c, p)): sample points lie on
+        geodesics, geodesics contain the corners, and widening p's range to
+        the full grid only raises the max.  It exceeds t exactly when some p
+        has min(d(a, p), d(b, p)) > t and d(c, p) > t, so the masks are one
+        product of 0/1 matrices, nonzero exactly where such a p exists.  The
+        corners a and b themselves are not excluded.
         """
-        got = self._ceilings.get((a, b))
-        if got is None:
-            near = np.minimum(self.jrows[self.jpos[a]], self.jrows[self.jpos[b]])
-            got = np.minimum(near, self.jrows).max(axis=1)
-            self._ceilings[(a, b)] = got
+        t0 = time.perf_counter()
+        if self._far[0] != t:
+            self._far = (t, (self.jrows > t).astype(np.float32))
+        near = np.minimum(self.jrows[ii], self.jrows[jj]) > t
+        got = near.astype(np.float32) @ self._far[1].T > 0
+        self.stats.mask_s += time.perf_counter() - t0
         return got
 
     def geos(self, a: int, b: int):
@@ -214,19 +238,28 @@ class _Sweep:
         return got
 
     def longest_first(self, side) -> int:
-        """Fold `cur = side(ii, jj, cur)` over the J-pairs, longest first, from
-        cur = 0 until no pair left can raise it: every quantity swept here
-        (a role value or a bigon thinness) is at most half its side's length.
+        """Fold the J-pairs, longest first, into a running value `cur` from 0
+        until no pair left can raise it: every quantity swept here (a role
+        value or a bigon thinness) is at most half its side's length.
+
+        `side(ii, jj, cur)` gets index arrays of at most MASK_CHUNK pairs of
+        one length, folds them in order, and returns (cur, pairs folded),
+        returning as soon as a pair raises `cur`; the rest of the chunk comes
+        back in the next call, after the stop test.
         """
         cur = 0
         iu = np.triu_indices(self.nj, 1)
         dvals = self.jD[iu]
         for d in np.unique(dvals)[::-1].tolist():
-            mask = dvals == d
-            for ii, jj in zip(iu[0][mask].tolist(), iu[1][mask].tolist()):
-                if d // 2 <= cur:
-                    return cur
-                cur = side(ii, jj, cur)
+            at = dvals == d
+            level_i, level_j = iu[0][at], iu[1][at]
+            for lo in range(0, level_i.size, MASK_CHUNK):
+                ii, jj = level_i[lo:lo + MASK_CHUNK], level_j[lo:lo + MASK_CHUNK]
+                while ii.size:
+                    if d // 2 <= cur:
+                        return cur
+                    cur, done = side(ii, jj, cur)
+                    ii, jj = ii[done:], jj[done:]
         return cur
 
     # -- triangle walkers ------------------------------------------------------
@@ -267,15 +300,16 @@ class _Sweep:
         geodesic choice of triangle (a, b, c) realizes on side a-b (a < b)."""
         got = self._sides.get((a, b))
         if got is None:
-            iv = self.ival(a, b)
+            iv = interval(self.D, a, b)
             got = np.minimum(self.table(a)[iv], self.table(b)[iv]).max(axis=0)
             self._sides[(a, b)] = got
         return got
 
     def triple_can_reach(self, x: int, y: int, z: int, target: int) -> bool:
         """Whether some geodesic combination of this triple (x < y < z)
-        attains `target`."""
-        return any(self.side_values(a, b)[self.jpos[c]] >= target
+        attains `target`.  A side shorter than 2 * target is skipped unread:
+        its role values are at most half its length."""
+        return any(self.D[a, b] >= 2 * target and self.side_values(a, b)[self.jpos[c]] >= target
                    for a, b, c in ((x, y, z), (x, z, y), (y, z, x)))
 
     # -- value sweep ---------------------------------------------------------
@@ -286,21 +320,28 @@ class _Sweep:
         Each (triangle, distinguished side) pair is visited exactly once as a
         (side, third corner) combination: sides are processed in decreasing
         length (a side of length d contributes at most d/2), third corners are
-        filtered by the vectorized corner ceiling, and survivors get their
-        exact role value from the bottleneck tables in one batched min/max.
+        filtered by the corner masks at the running value, and survivors get
+        their exact role value from the bottleneck tables in one batched
+        min/max.
         """
-        return self.longest_first(self._process_side) if self.nj >= 3 else 0
+        return self.longest_first(self._close_sides) if self.nj >= 3 else 0
 
-    def _process_side(self, ii: int, jj: int, cur: int) -> int:
-        """Fold all roles distinguished at side (ii, jj) into the running max."""
-        a, b = int(self.j[ii]), int(self.j[jj])
-        ceil = self.corner_ceiling(a, b).copy()
-        ceil[ii] = ceil[jj] = 0  # corners must be distinct
-        cs = np.flatnonzero(ceil > cur)
-        if cs.size == 0:
-            return cur
-        self.stats.triples_examined += int(cs.size)
-        return max(cur, int(self.side_values(a, b)[cs].max()))
+    def _close_sides(self, ii: np.ndarray, jj: np.ndarray, cur: int) -> tuple[int, int]:
+        """Fold the roles distinguished at sides (ii[r], jj[r]), in order, into
+        the running max; stop after the first side that raises it."""
+        masks = self.corner_masks(ii, jj, cur)
+        rows = np.arange(ii.size)
+        masks[rows, ii] = masks[rows, jj] = False  # corners must be distinct
+        for r, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+            cs = np.flatnonzero(masks[r])
+            if cs.size == 0:
+                continue
+            self.stats.sides_visited += 1
+            self.stats.triples_examined += int(cs.size)
+            got = int(self.side_values(int(self.j[i]), int(self.j[j]))[cs].max())
+            if got > cur:
+                return got, r + 1
+        return cur, ii.size
 
     # -- witness sweep ---------------------------------------------------------
 
@@ -308,7 +349,7 @@ class _Sweep:
         """First triangle attaining `target`, in lexicographic corner order.
 
         Returns (triangle, side, point) or None.  Triples whose longest side
-        is below 2 * target, or that the corner ceiling or the tables show
+        is below 2 * target, or that the corner masks or the tables show
         cannot attain it, are skipped.  With cycle_only, non-cycle
         combinations are skipped; a cycle witness always exists for a
         correctly computed positive target because extremal triangles can be
@@ -317,7 +358,7 @@ class _Sweep:
         def keep(ii: int, jj: int) -> np.ndarray:
             hit = self.longest_side(ii, jj) >= 2 * target
             if target > 0 and hit.any():
-                hit &= self.corner_ceiling(int(self.j[ii]), int(self.j[jj]))[jj + 1:] >= target
+                hit &= self.corner_masks(np.array([ii]), np.array([jj]), target - 1)[0, jj + 1:]
             return hit
 
         for x, y, z in self.triples(keep):
@@ -389,11 +430,15 @@ def delta_bigon_lower_bound(g: Graph, cfg: Optional[DeltaConfig] = None) -> QDis
     s = subdivide(g, cfg.grid_factor, cfg.grid_cap)
     sweep = _Sweep(s, cfg)
 
-    def bigon(ii: int, jj: int, cur: int) -> int:
+    def bigon(ii: np.ndarray, jj: np.ndarray, cur: int) -> tuple[int, int]:
         # a pair with one geodesic has that geodesic as its interval, so its
         # points score 0 here and cannot raise the bound
-        a, b = int(sweep.j[ii]), int(sweep.j[jj])
-        return max(cur, int(sweep.table(a)[sweep.ival(a, b), jj].max()))
+        for r, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+            a, b = int(sweep.j[i]), int(sweep.j[j])
+            got = int(sweep.table(a)[interval(sweep.D, a, b), j].max())
+            if got > cur:
+                return got, r + 1
+        return cur, ii.size
 
     return QDist((4 * sweep.longest_first(bigon)) // s.k)
 

@@ -99,11 +99,10 @@ def farthest_geodesic_table(hops: np.ndarray, arcs: np.ndarray, a: int) -> np.nd
     evaluated one BFS layer at a time: the layer's columns start from each
     q's first predecessor and fold in its r-th one with `np.maximum` for
     r = 1, 2, ... while some q of the layer has more than r (most grid
-    points have one).  Entries are stored in `table_dtype` of the point
-    count; every hop count is below it, so the narrowing is exact.  `arcs`
-    are the graph's (tail, head) rows grouped by head (`neighbor_arcs`).
+    points have one).  Entries are stored in `table_dtype` of the largest
+    hop count, so the narrowing is exact.  `arcs` are the graph's (tail,
+    head) rows grouped by head (`neighbor_arcs`).
     """
-    n = hops.shape[0]
     da = hops[a]
     src, dst = arcs.T
     keep = da[src] == da[dst] - 1
@@ -114,7 +113,7 @@ def farthest_geodesic_table(hops: np.ndarray, arcs: np.ndarray, a: int) -> np.nd
     indeg = np.diff(head, append=src.size)
     cut = np.searchsorted(da[dst[head]], np.arange(1, int(da.max()) + 2))
     # t[q] is column q of W; hops is symmetric, so row q starts as hops[:, q]
-    t = hops.astype(table_dtype(n))
+    t = hops.astype(table_dtype(int(hops.max())))
     for lo, hi in zip(cut[:-1].tolist(), cut[1:].tolist()):
         first = head[lo:hi]
         best = t[src[first]]

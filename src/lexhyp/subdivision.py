@@ -105,9 +105,16 @@ class SubdividedGraph:
         return f"SubdividedGraph(k={self.k}, grid_n={self.grid_n}, base={self.base!r})"
 
 
-def table_dtype(n: int) -> np.dtype:
-    """Narrowest signed dtype that holds every hop count of an n-point grid."""
-    return np.min_scalar_type(-n)
+def table_dtype(max_hops: int) -> np.dtype:
+    """Narrowest signed dtype that holds every hop count up to `max_hops`.
+
+    Keyed on a grid's largest hop count, not its point count: int8 up to
+    127 hops (an S_4 grid of diameter below 32 edges, every product of the
+    benchmark and the suite), int16 from 128.  Signed, so UNREACHABLE fits.
+    The bottleneck kernels only take min and max of entries, so no
+    arithmetic on them can overflow.
+    """
+    return np.min_scalar_type(-max_hops - 1)
 
 
 def subdivide(g: Graph, k: int, cap: int = DEFAULT_GRID_CAP) -> SubdividedGraph:
@@ -191,9 +198,9 @@ class EdgeChains:
     midpoint x_{k/2} (a view of `jrows`), `left` the min of the rows of x_1
     .. x_{k/2-1} and `right` the min of x_{k/2+1} .. x_{k-1}; `u_mid` =
     min(left, mid), `v_mid` = min(right, mid) and `whole` = min(left, mid,
-    right).  All are in `table_dtype` of the grid; for k = 2, `left` and
-    `right` are empty chains and hold the dtype's maximum, the identity of
-    min.
+    right).  All are in `table_dtype` of the grid's largest hop count; for
+    k = 2, `left` and `right` are empty chains and hold the dtype's maximum,
+    the identity of min.
     """
 
     ends: np.ndarray
@@ -209,8 +216,8 @@ class EdgeChains:
 def edge_chains(s: SubdividedGraph) -> EdgeChains:
     """The J rows and chain minima of `s`, read off its hop matrix."""
     n, k, m = s.base.vertex_count, s.k, s.base.m
-    dtype = table_dtype(s.grid_n)
     hops = s.metrics().hops
+    dtype = table_dtype(int(hops.max()))
     jrows = hops[list(s.j_set)].astype(dtype)
     rows = hops[n:].reshape(m, k - 1, s.grid_n)  # edge, offset - 1, point
     h, top = k // 2, np.iinfo(dtype).max

@@ -25,6 +25,16 @@ def test_delta_fraction_output(capsys):
     assert out == "5/4\n"
 
 
+def test_delta_stats_on_stderr(capsys):
+    _, plain, _ = run_cli(capsys, "delta", "cycle:5", "--json")
+    code, out, err = run_cli(capsys, "delta", "cycle:5", "--json", "--stats")
+    assert code == 0 and out == plain
+    lines = dict(line.split(": ") for line in err.splitlines())
+    assert set(lines) == {"triples_examined", "geodesics_enumerated", "wall_time_s", "tables_built",
+                          "table_bytes", "table_s", "sides_visited", "mask_s"}
+    assert int(lines["triples_examined"]) == json.loads(out)["stats"]["triples_examined"]
+
+
 def test_delta_json(capsys):
     code, out, _ = run_cli(capsys, "delta", "cycle:4", "--json")
     assert code == 0

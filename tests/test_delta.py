@@ -120,6 +120,7 @@ def test_table_counters():
     assert stats.tables_built == len(sweep._tables) > 0
     assert stats.table_bytes == sum(t.nbytes for t in sweep._tables.values()) > 0
     assert stats.table_s > 0
+    assert 0 < stats.sides_visited <= stats.triples_examined and stats.mask_s > 0
     res = delta_exact(g)
     got = res.stats
     assert (got.tables_built, got.table_bytes) == (stats.tables_built, stats.table_bytes)
@@ -127,6 +128,36 @@ def test_table_counters():
     # the timing stays out of the stable JSON, as the table counters do
     assert res.to_json_dict()["stats"] == {"triples_examined": got.triples_examined,
                                            "geodesics_enumerated": got.geodesics_enumerated}
+
+
+# lex(path:6,cycle:5), the largest ladder rung: the sweep charges every role
+# of its 2650 closed sides, and the witness search reads the tables the value
+# sweep built
+P6_C5_JSON = {
+    "grid_factor": 4, "quarters": 6, "value": "3/2",
+    "stats": {"geodesics_enumerated": 51, "triples_examined": 484951},
+    "witness": {"corners": [0, 1, 15], "is_cycle": True,
+                "sides": [[0, 30, 31, 32, 1],
+                          [1, 54, 55, 56, 5, 126, 127, 128, 10, 216, 217, 218, 15],
+                          [15, 236, 235, 234, 11, 149, 148, 147, 6, 41, 40, 39, 0]],
+                "witness_point": 127, "witness_side": 1}}
+
+
+def test_lex_p6_c5_pinned():
+    res = delta_exact(product(path_graph(6), cycle_graph(5)).graph)
+    assert res.to_json_dict() == P6_C5_JSON
+    assert res.stats.tables_built == 160
+    assert res.stats.sides_visited == 2650
+
+
+@pytest.mark.parametrize("n, dtype", [(63, np.int8), (64, np.int16)])
+def test_table_dtype_boundary(n, dtype):
+    # C_n on the S_4 grid is 2n hops across: 126 fits one byte, 128 does not
+    res = delta_exact(cycle_graph(n))
+    assert res.value.quarters == n
+    s, stats = res.grid, res.stats
+    assert s.chains().jrows.dtype == dtype
+    assert stats.table_bytes == stats.tables_built * s.grid_n * len(s.j_set) * np.dtype(dtype).itemsize
 
 
 def test_grid_chains_built_once_per_grid(monkeypatch):
@@ -369,3 +400,72 @@ def test_side_values_against_enumeration(g, k):
                 far = hops[:, np.concatenate([g_ac, g_bc])].min(axis=1)
                 best = max(best, max(int(far[g_ab].max()) for g_ab in geos(a, b)))
             assert got[sweep.jpos[c]] == best, (a, b, c)
+
+
+# ---------------------------------------------------------------------------
+# corner masks against the ceiling they threshold
+# ---------------------------------------------------------------------------
+
+def _brute_ceiling(hops: np.ndarray, a: int, b: int, c: int) -> int:
+    return int(np.minimum(np.minimum(hops[a], hops[b]), hops[c]).max())
+
+
+def _graphs_and_induced_subgraphs(max_n: int):
+    """Connected graphs, and induced subgraphs of them: often disconnected."""
+    connected = _connected_graphs(max_n)
+    induced = connected.flatmap(lambda g: st.sets(st.integers(0, g.vertex_count - 1), min_size=1)
+                                .map(lambda keep: induced_subgraph(g, keep)))
+    return st.one_of(connected, induced)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=_graphs_and_induced_subgraphs(8))
+@example(g=induced_subgraph(cycle_graph(8), [0, 1, 4, 5]))
+@example(g=product(path_graph(3), path_graph(2)).graph)
+def test_corner_masks_match_brute_ceiling(g):
+    # entry (r, c) of the masks at t: whether max over grid points p of
+    # min(d(a, p), d(b, p), d(c, p)) exceeds t, for every J-pair and every t,
+    # UNREACHABLE hop counts included
+    s = subdivide(g, 4)
+    hops = s.metrics().hops
+    sweep = _Sweep(s, DeltaConfig())
+    pairs = list(itertools.combinations(range(sweep.nj), 2))
+    if not pairs:
+        return
+    ii, jj = (np.array(x) for x in zip(*pairs))
+    ceil = np.array([[_brute_ceiling(hops, s.j_set[i], s.j_set[j], c) for c in s.j_set]
+                     for i, j in pairs])
+    for t in range(-1, int(hops.max()) + 2):
+        assert np.array_equal(sweep.corner_masks(ii, jj, t), ceil > t), t
+
+
+def _per_side_sweep(s):
+    """The value sweep one side at a time, longest first, with the brute-force
+    ceiling at the running value: (value, triples examined, sides visited)."""
+    sweep = _Sweep(s, DeltaConfig())
+    hops, j = s.metrics().hops, s.j_set
+    pairs = sorted(itertools.combinations(range(len(j)), 2), key=lambda p: -hops[j[p[0]], j[p[1]]])
+    cur = examined = visited = 0
+    for ii, jj in pairs:
+        if hops[j[ii], j[jj]] // 2 <= cur:
+            break
+        cs = [kk for kk in range(len(j))
+              if kk not in (ii, jj) and _brute_ceiling(hops, j[ii], j[jj], j[kk]) > cur]
+        if cs:
+            visited += 1
+            examined += len(cs)
+            cur = max(cur, int(sweep.side_values(j[ii], j[jj])[cs].max()))
+    return cur, examined, visited
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=_graphs_and_induced_subgraphs(8))
+@example(g=cycle_graph(40))
+@example(g=product(path_graph(3), cycle_graph(4)).graph)
+def test_chunked_sweep_counts_match_per_side_sweep(g):
+    # the masks of a chunk are recomputed whenever the running value rises,
+    # so each side is charged the corners whose ceiling beats the value at it
+    s = subdivide(g, 4)
+    sweep = _Sweep(s, DeltaConfig())
+    got = sweep.value_sweep()
+    assert (got, sweep.stats.triples_examined, sweep.stats.sides_visited) == _per_side_sweep(s)

@@ -162,3 +162,18 @@ def test_j_source_table_matches_grid_dp(g, k):
         got = j_source_table(s, a)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert np.array_equal(got, want), a
+
+
+def test_tables_one_byte_on_wide_grids():
+    # lex(P3,K6) has 369 grid points but is 12 hops across: the dtype follows
+    # the hop counts, so both kernels store one byte per entry
+    s = subdivide(product(path_graph(3), complete_graph(6)).graph, 4)
+    hops = s.metrics().hops
+    assert s.grid_n > 128 and hops.max() == 12
+    arcs = neighbor_arcs(s._neighbors)
+    j = list(s.j_set)
+    for a in s.j_set:
+        want = np.ascontiguousarray(farthest_geodesic_table(hops, arcs, a)[:, j])
+        got = j_source_table(s, a)
+        assert got.dtype == want.dtype == np.int8
+        assert np.array_equal(got, want), a

@@ -2,15 +2,21 @@
 
 Run from the root of a checkout, with `src` on the path:
 
-    PYTHONPATH=src python3 tools/bench_tables.py --out BENCH_edge_chain_tables.json \\
+    PYTHONPATH=src python3 tools/bench_tables.py --out BENCH_narrow_masks.json \\
         --parent PARENT --parent-commit REV
 
 Per table, "before" is the grid DP (`farthest_geodesic_table` over the S_4
 grid's arcs, J columns gathered C-contiguous, as the value sweep built its
 tables before the base-graph kernel) and "after" is `j_source_table`; both
 run in this checkout, with every per-grid cache warm, best of 5 passes over
-all J-point sources.  `delta_exact` is best of 3; its "before" runs this
-script with `--delta-only` on PARENT/src, a checkout of the commit REV.
+all J-point sources.
+
+`delta_exact` runs each graph in a fresh process (`--delta-one NAME`), so
+that `ru_maxrss_mb`, the process's peak resident memory, belongs to that
+graph alone: best of 3 calls, with `tables_built`, `table_bytes` and the
+value.  "after" runs it on this checkout's `src`, "before" on PARENT/src, a
+checkout of the commit REV; both run this script, so only the library
+differs.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -47,7 +54,7 @@ def best_of(reps: int, fn) -> float:
 
 
 def table_ms() -> dict:
-    # imported here: `--delta-only` also runs on checkouts without the kernel
+    # imported here: `--delta-one` also runs on checkouts without the kernel
     from lexhyp.geodesics import farthest_geodesic_table, j_source_table
 
     out = {}
@@ -71,16 +78,25 @@ def table_ms() -> dict:
     return out
 
 
-def delta_runs() -> dict:
+def delta_one(name: str) -> dict:
+    g = TABLE_GRAPHS[name]()
+    res = []
+    secs = best_of(3, lambda: res.append(delta_exact(g)))
+    st = res[-1].stats
+    return {"best_s": round(secs, 3), "tables_built": st.tables_built,
+            "table_bytes": st.table_bytes, "triples_examined": st.triples_examined,
+            "quarters": res[-1].value.quarters,
+            "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
+def delta_runs(src: str) -> dict:
+    """`delta_one` for every graph of DELTA_GRAPHS, each in a fresh process on `src`."""
+    env = dict(os.environ, PYTHONPATH=src)
     out = {}
     for name in DELTA_GRAPHS:
-        g = TABLE_GRAPHS[name]()
-        res = []
-        secs = best_of(3, lambda: res.append(delta_exact(g)))
-        st = res[-1].stats
-        out[name] = {"best_s": round(secs, 3), "tables_built": st.tables_built,
-                     "table_bytes": st.table_bytes, "triples_examined": st.triples_examined,
-                     "quarters": res[-1].value.quarters}
+        done = subprocess.run([sys.executable, __file__, "--delta-one", name], env=env,
+                              check=True, capture_output=True, text=True)
+        out[name] = json.loads(done.stdout)
     return out
 
 
@@ -89,25 +105,23 @@ def main() -> None:
     ap.add_argument("--out", help="write the BENCH json here")
     ap.add_argument("--parent", help="checkout of the parent commit, for delta_exact before")
     ap.add_argument("--parent-commit", default="", help="the parent checkout's commit id")
-    ap.add_argument("--delta-only", action="store_true", help="print delta_exact runs as json")
+    ap.add_argument("--delta-one", choices=DELTA_GRAPHS, help="print one delta_exact run as json")
     args = ap.parse_args()
-    if args.delta_only:
-        print(json.dumps(delta_runs()))
+    if args.delta_one:
+        print(json.dumps(delta_one(args.delta_one)))
         return
+    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     record = {
-        "command": ("PYTHONPATH=src python3 tools/bench_tables.py --out BENCH_edge_chain_tables.json"
+        "command": (f"PYTHONPATH=src python3 tools/bench_tables.py --out {args.out or '-'}"
                     " --parent PARENT --parent-commit REV"),
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "processor": platform.machine()},
         "table_ms_per_source": table_ms(),
-        "delta_exact_after": delta_runs(),
+        "delta_exact_after": delta_runs(here),
     }
     if args.parent:
-        env = dict(os.environ, PYTHONPATH=os.path.join(args.parent, "src"))
-        done = subprocess.run([sys.executable, __file__, "--delta-only"], env=env, check=True,
-                              capture_output=True, text=True)
         record["parent_commit"] = args.parent_commit
-        record["delta_exact_before"] = json.loads(done.stdout)
+        record["delta_exact_before"] = delta_runs(os.path.join(args.parent, "src"))
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
