@@ -2,7 +2,13 @@
 
 A `Graph` is immutable after construction and validated eagerly: no loops, no
 duplicate edges, vertices 0..n-1, connected.  The one sanctioned exception is
-`induced_subgraph`, which may return a disconnected graph.
+`induced_subgraph`, which may return a disconnected graph.  Validation,
+sorting and the neighbor lists are array operations over the whole edge
+list; each error names the first offending edge in input order.
+
+Automorphisms never come from a search on a product: `product` attaches the
+ones its construction gives, and only a graph without them (a factor) is
+searched, with a capped backtracking search (`Graph.automorphism_generators`).
 """
 
 from __future__ import annotations
@@ -47,10 +53,40 @@ def neighbor_arcs(neighbors: Sequence[Sequence[int]]) -> np.ndarray:
     return np.stack([tail, head], axis=1)
 
 
-class Graph:
-    """Simple undirected graph with unit-length edges and vertices 0..n-1."""
+def _reject_first_bad_edge(ends: np.ndarray, n: int) -> None:
+    """Raise ValidationError for the first edge, in input order, that is a
+    loop, leaves the vertex range 0..n-1 or repeats an earlier edge."""
+    u, v = ends.T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    loop = u == v
+    outside = (lo < 0) | (hi >= n)
+    key = np.where(loop | outside, -1 - np.arange(u.size), lo * n + hi)  # bad ends: unique keys
+    _, first = np.unique(key, return_index=True)
+    repeat = np.ones(u.size, dtype=bool)
+    repeat[first] = False
+    i = int((loop | outside | repeat).argmax())
+    if loop[i]:
+        raise ValidationError(f"loop at vertex {int(u[i])}")
+    if outside[i]:
+        raise ValidationError(f"edge ({int(u[i])},{int(v[i])}) outside vertex range 0..{n - 1}")
+    raise ValidationError(f"duplicate edge ({int(lo[i])},{int(hi[i])})")
 
-    __slots__ = ("vertex_count", "edges", "labels", "_edge_keys", "_neighbors", "_dist")
+
+class Graph:
+    """Simple undirected graph with unit-length edges and vertices 0..n-1.
+
+    `edges` are sorted (u, v) pairs with u < v.  A graph built by `product`
+    also carries `_automorphisms`, a read-only array of vertex permutations,
+    one per row, that the construction guarantees.  Only `product` sets it,
+    as a function that builds the array the first time
+    `automorphism_generators` is called, so products that are never swept
+    pay nothing for it.  The engine lifts and checks each row before use
+    (`j_automorphisms`), and `__eq__` and `__hash__` ignore it.  Every
+    other graph carries None.
+    """
+
+    __slots__ = ("vertex_count", "edges", "labels", "_edge_keys", "_neighbors", "_dist",
+                 "_automorphisms", "_aut_search")
 
     def __init__(
         self,
@@ -61,31 +97,34 @@ class Graph:
     ):
         if not isinstance(vertex_count, int) or vertex_count < 1:
             raise ValidationError(f"vertex_count must be a positive integer, got {vertex_count!r}")
-        seen = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValidationError(f"loop at vertex {u}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValidationError(f"edge ({u},{v}) outside vertex range 0..{vertex_count - 1}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValidationError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
-        self.vertex_count = vertex_count
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        self._edge_keys = frozenset(seen)
+        n = vertex_count
+        ends = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if ends.size == 0:
+            ends = ends.reshape(0, 2)
+        if ends.shape[1:] != (2,):
+            raise ValidationError("edges must be (u, v) vertex pairs")
+        pairs = np.sort(ends, axis=1)
+        keys = pairs * n + pairs[:, ::-1]  # lo * n + hi and hi * n + lo
+        lo, hi = pairs[keys[:, 0].argsort(kind="stable")].T  # edges in sorted order
+        lo_list, hi_list = lo.tolist(), hi.tolist()
+        self.edges: tuple[tuple[int, int], ...] = tuple(zip(lo_list, hi_list))
+        self._edge_keys = frozenset(self.edges)
+        if lo_list and (min(lo_list) < 0 or max(hi_list) >= n or np.count_nonzero(lo == hi)
+                        or len(self._edge_keys) < len(self.edges)):  # a range, loop or repeat
+            _reject_first_bad_edge(ends, n)
+        self.vertex_count = n
         if labels is not None:
             labels = tuple(labels)
-            if len(labels) != vertex_count:
+            if len(labels) != n:
                 raise ValidationError("labels length must equal vertex_count")
         self.labels = labels
-        nbrs = [[] for _ in range(vertex_count)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self._neighbors = tuple(tuple(sorted(a)) for a in nbrs)
+        arcs = np.sort(keys, axis=None)  # head * n + tail: `neighbor_arcs` order
+        tail = (arcs % n).tolist()
+        stop = arcs.searchsorted(np.arange(n, n * n + 1, n)).tolist()
+        self._neighbors = tuple(tuple(tail[a:b]) for a, b in zip([0] + stop, stop))
         self._dist: Optional[np.ndarray] = None
+        self._automorphisms: Optional[np.ndarray] = None
+        self._aut_search: Optional[np.ndarray] = None
         if not _allow_disconnected and not self.is_connected():
             raise ValidationError("disconnected graph")
 
@@ -137,6 +176,26 @@ class Graph:
             self._dist.setflags(write=False)
         return self._dist
 
+    def automorphism_generators(self) -> np.ndarray:
+        """Automorphisms generating Aut(G) or a subgroup of it, one vertex
+        permutation per row (read-only int32).
+
+        A product carries the generators of its construction; any other
+        graph gets twin transpositions plus a strong generating set from a
+        capped search over its distance rows (`_search_automorphisms`),
+        cached like `vertex_distances`.  A search stopped by the cap leaves
+        a subgroup: its orbits are finer, and every row is still an
+        automorphism.
+        """
+        if callable(self._automorphisms):  # a product's, deferred until asked for
+            self._automorphisms = self._automorphisms()
+        if self._automorphisms is not None:
+            return self._automorphisms
+        if self._aut_search is None:
+            self._aut_search = _search_automorphisms(self.vertex_distances())
+            self._aut_search.setflags(write=False)
+        return self._aut_search
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -154,6 +213,117 @@ class Graph:
         if not self.edges:
             return f"# trivial graph on {self.vertex_count} vertex\n"
         return "\n".join(f"{u} {v}" for u, v in self.edges) + "\n"
+
+
+AUT_SEARCH_NODES = 20_000  # backtracking steps per graph before the search stops
+
+
+def _search_automorphisms(d: np.ndarray) -> np.ndarray:
+    """Generators of the automorphism group of the graph with hop matrix d.
+
+    An automorphism is a permutation preserving d, since the edges are the
+    pairs at distance 1.  Twins (equal open or closed neighborhoods) are
+    swapped by transpositions, so complete and complete bipartite graphs
+    need no search.  The search uses the swaps of consecutive members of a
+    twin class, which fix every smaller vertex; the ones returned swap the
+    class's first member with each other one, which keeps the label
+    propagation of `_Sweep.orbits` to few rounds.  The rest is a strong
+    generating set along the stabilizer chain G_0 >= G_1 >= ..., G_i fixing
+    0 .. i-1: from i = n-1 down, for each j outside the orbit of i under
+    the generators so far that fix 0 .. i-1, one automorphism of G_i with
+    i -> j is searched for (`_extend_to_automorphism`).  A failed j rules
+    out its whole orbit.  After AUT_SEARCH_NODES backtracking steps the
+    search stops and keeps what it found.
+    """
+    n = d.shape[0]
+    ident = np.arange(n)
+    gens, at = [], [[] for _ in range(n)]  # at[i]: the twin swaps fixing 0 .. i-1 but not i
+    swaps = []
+    adj = d == 1
+    for nbhd in (adj, adj | np.eye(n, dtype=bool)):
+        for members in _equal_rows(nbhd):
+            for a, b in zip(members, members[1:]):
+                at[a].append(_swap(n, a, b))
+            swaps += [_swap(n, members[0], b) for b in members[1:]]
+    cls = np.zeros(n, dtype=np.intp)  # an invariant: the sorted distance row
+    for c, members in enumerate(_equal_rows(np.sort(d, axis=1))):
+        cls[members] = c
+    root = list(range(n))  # union-find over vertices: the orbits of the generators so far
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    def join(perm: np.ndarray) -> None:  # merge the orbits that perm links
+        for x, y in zip(*(np.flatnonzero(perm != ident), perm[perm != ident])):
+            root[find(int(x))] = find(int(y))
+
+    budget = [AUT_SEARCH_NODES]
+    for i in range(n - 1, -1, -1):
+        if budget[0] <= 0:
+            break
+        for perm in at[i]:
+            join(perm)
+        same = (cls == cls[i]) & (d[:, :i] == d[i, :i]).all(axis=1)
+        failed: list[int] = []
+        for j in np.flatnonzero(same[i + 1:]) + i + 1:
+            orbit = find(int(j))
+            if orbit == find(i) or any(find(x) == orbit for x in failed):
+                continue
+            perm = _extend_to_automorphism(d, cls, i, int(j), budget)
+            if perm is not None:
+                gens.append(perm)
+                join(perm)
+            elif budget[0] > 0:  # ruled out, not cut off
+                failed.append(int(j))
+    return np.array(swaps + gens, dtype=np.int32).reshape(-1, n)
+
+
+def _swap(n: int, a: int, b: int) -> np.ndarray:
+    """The transposition of vertices a and b."""
+    perm = np.arange(n)
+    perm[[a, b]] = b, a
+    return perm
+
+
+def _equal_rows(rows: np.ndarray) -> list[list[int]]:
+    """The row indices of a C-contiguous array, grouped by equal rows."""
+    groups: dict[bytes, list[int]] = {}
+    for r, row in enumerate(map(bytes, rows)):
+        groups.setdefault(row, []).append(r)
+    return list(groups.values())
+
+
+def _extend_to_automorphism(d: np.ndarray, cls: np.ndarray, i: int, j: int,
+                            budget: list) -> Optional[np.ndarray]:
+    """A permutation preserving d that fixes 0 .. i-1 and maps i to j, found
+    by backtracking over the images of i+1, i+2, ... in turn; None if there
+    is none or `budget[0]` runs out (each step spends one)."""
+    n = d.shape[0]
+    img = np.arange(n)
+    img[i] = j
+    used = np.zeros(n, dtype=bool)
+    used[:i] = used[j] = True
+    todo: list[list[int]] = []  # untried images of each vertex i+1 .. k
+    k = i + 1
+    while k > i:
+        if k == n:
+            return img
+        if len(todo) < k - i:  # first visit: images agreeing with every distance so far
+            fits = ~used & (cls == cls[k]) & (d[:, img[:k]] == d[k, :k]).all(axis=1)
+            todo.append(np.flatnonzero(fits)[::-1].tolist())
+        else:
+            used[img[k]] = False
+        if not todo[-1] or budget[0] <= 0:
+            todo.pop()
+            k -= 1
+            continue
+        budget[0] -= 1
+        img[k] = todo[-1].pop()
+        used[img[k]] = True
+        k += 1
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,30 @@ Index arrays of nonzero entries stand in for the matrices, so memory grows
 with the edge count.  For non-trivial G1 the metric of G1 o G2 is d1(u, u')
 across copies and min(2, d2(v, v')) inside one copy, where a pair unreachable
 in G2 counts as infinitely far, so 2 (via a neighboring copy).
+
+Each product carries automorphisms from its construction (Sabidussi, "The
+composition of graphs", 1959; the Handbook, above), built from generators
+of the factors' groups (`Graph.automorphism_generators`) the first time
+they are asked for:
+
+    every kind     sigma x id: (u, v) -> (sigma u, v), sigma in Aut(G1)
+    lexicographic  tau on fiber u alone: (u, v) -> (u, tau v), other fibers fixed
+    Cartesian,     id x tau: (u, v) -> (u, tau v) on every fiber at once
+    strong
+
+sigma x id maps A1 to itself and leaves the second coordinate alone, so it
+preserves each identity above.  In G1 o G2 a vertex's neighbors in other
+fibers depend only on its fiber (the A1 (x) J term), so tau may act on one
+fiber alone; in the Cartesian and strong products the A1 (x) I and A1 (x) A2
+terms tie (u, v) to (u', v) and (u', v') across fibers, so tau must act on
+every fiber alike.  The lexicographic generators give the wreath product
+Aut(G2) wr Aut(G1), the others Aut(G1) x Aut(G2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,8 +92,29 @@ def product(g1: Graph, g2: Graph, kind: str = LEXICOGRAPHIC,
     else:  # J, left empty when G1 has no edge to expand it (n2 * n2 entries)
         block = np.argwhere(np.ones((n2, n2) if g1.m else (0, 0), dtype=bool))
     adj = np.concatenate([_kron(g1.arcs(), block, n2), _kron(diag1, g2.arcs(), n2)])
-    graph = Graph(n1 * n2, adj[adj[:, 0] < adj[:, 1]].tolist())
+    graph = Graph(n1 * n2, adj[adj[:, 0] < adj[:, 1]])
+    graph._automorphisms = partial(_automorphisms, g1, g2, kind)  # built on first use
     return ProductGraph(graph=graph, factor1=g1, factor2=g2, kind=kind)
+
+
+def _automorphisms(g1: Graph, g2: Graph, kind: str) -> np.ndarray:
+    """The construction's automorphisms of the product, one vertex
+    permutation per row: sigma x id for each generator sigma of g1, and per
+    generator tau of g2 either tau on each fiber alone (lexicographic) or
+    id x tau (Cartesian, strong)."""
+    n1, n2 = g1.vertex_count, g2.vertex_count
+    s1, s2 = g1.automorphism_generators(), g2.automorphism_generators()
+    ids = np.arange(n1 * n2, dtype=np.int32).reshape(n1, n2)
+    lifted = s1[:, :, None] * n2 + ids[0]  # sigma x id: (u, v) -> (sigma u, v)
+    if kind == LEXICOGRAPHIC:
+        fibers = np.broadcast_to(ids, (n1, len(s2), n1, n2)).copy()
+        at = np.arange(n1)
+        fibers[at, :, at] = at[:, None, None] * n2 + s2  # tau on fiber u: (u, v) -> (u, tau v)
+    else:
+        fibers = ids[:, 0, None] + s2[:, None, :]  # id x tau: (u, v) -> (u, tau v)
+    out = np.concatenate([lifted.reshape(-1, n1 * n2), fibers.reshape(-1, n1 * n2)])
+    out.setflags(write=False)
+    return out
 
 
 def _lex_hops(g1: Graph, g2: Graph, u, v, u2, v2) -> np.ndarray:

@@ -117,6 +117,38 @@ def table_dtype(max_hops: int) -> np.dtype:
     return np.min_scalar_type(-max_hops - 1)
 
 
+def j_automorphisms(s: SubdividedGraph) -> Optional[np.ndarray]:
+    """The base graph's carried automorphisms (`Graph.automorphism_generators`
+    of a product) as permutations of J(G) indices, one per row; None when it
+    carries none.
+
+    Vertex v goes to pi(v), and the midpoint of edge e to the midpoint of
+    pi(e), so each row extends to an isometry of the metric graph, and of
+    the S_k grid by mapping each edge's points along.  Every generator is
+    checked here before use: a row that is not a permutation, or an edge
+    whose image is not an edge, raises ValidationError.
+    """
+    if s.base._automorphisms is None or s.base.m == 0:
+        return None
+    perms = s.base.automorphism_generators()
+    if len(perms) == 0:
+        return None
+    n = s.base.vertex_count
+    if perms.shape[1] != n or not (np.sort(perms, axis=1) == np.arange(n)).all():
+        raise ValidationError("a carried automorphism is not a vertex permutation")
+    ends = np.asarray(s.base.edges, dtype=np.int64).reshape(-1, 2)
+    keys = ends[:, 0] * n + ends[:, 1]  # ascending: edges are sorted
+    a, b = perms[:, ends[:, 0]].astype(np.int64), perms[:, ends[:, 1]].astype(np.int64)
+    image = np.minimum(a, b) * n + np.maximum(a, b)
+    at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+    missing = keys[at] != image
+    if missing.any():
+        g, e = (int(x) for x in np.argwhere(missing)[0])
+        raise ValidationError(f"carried automorphism {g} maps edge {s.base.edges[e]} to "
+                              f"({int(a[g, e])},{int(b[g, e])}), which is not an edge")
+    return np.concatenate([perms, n + at], axis=1).astype(np.int32)
+
+
 def subdivide(g: Graph, k: int, cap: int = DEFAULT_GRID_CAP) -> SubdividedGraph:
     """Build S_k(g) for k in {2, 4, 8}; fails fast above the grid-vertex cap."""
     return SubdividedGraph(g, k, cap)

@@ -132,7 +132,9 @@ def test_table_counters():
 
 # lex(path:6,cycle:5), the largest ladder rung: the sweep charges every role
 # of its 2650 closed sides, and the witness search reads the tables the value
-# sweep built
+# sweep built.  As built by `product`, the graph carries its automorphisms,
+# and 20 of those sides come from tables (one per J-pair orbit touched);
+# a plain copy computes all of them
 P6_C5_JSON = {
     "grid_factor": 4, "quarters": 6, "value": "3/2",
     "stats": {"geodesics_enumerated": 51, "triples_examined": 484951},
@@ -144,10 +146,13 @@ P6_C5_JSON = {
 
 
 def test_lex_p6_c5_pinned():
-    res = delta_exact(product(path_graph(6), cycle_graph(5)).graph)
-    assert res.to_json_dict() == P6_C5_JSON
-    assert res.stats.tables_built == 160
-    assert res.stats.sides_visited == 2650
+    g = product(path_graph(6), cycle_graph(5)).graph
+    res, plain = delta_exact(g), delta_exact(Graph(g.vertex_count, g.edges))
+    for r in (res, plain):
+        assert r.to_json_dict() == P6_C5_JSON
+        assert r.stats.sides_visited == 2650
+    assert (plain.stats.tables_built, plain.stats.sides_exact) == (160, 2651)
+    assert (res.stats.tables_built, res.stats.sides_exact) == (14, 20)
 
 
 @pytest.mark.parametrize("n, dtype", [(63, np.int8), (64, np.int16)])

@@ -1,0 +1,249 @@
+"""Automorphisms carried by products, and the orbit-shared side values of the
+value sweep: same outputs as a plain copy, verified generators, exact
+orbits."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import lexhyp.graph as graph_module
+from lexhyp import (CARTESIAN, LEXICOGRAPHIC, STRONG, DeltaConfig, Graph, ValidationError,
+                    complete_graph, cycle_graph, delta_exact, path_graph, product, star_graph,
+                    subdivide)
+from lexhyp.delta import _Sweep
+
+
+@st.composite
+def _factors(draw, max_n: int = 4):
+    """A connected graph on 1..max_n vertices: a random spanning tree plus extra edges."""
+    n = draw(st.integers(1, max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    rest = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    return Graph(n, tree + extra)
+
+
+def _plain(g: Graph) -> Graph:
+    """The same graph, carrying no automorphisms."""
+    return Graph(g.vertex_count, g.edges)
+
+
+def _group(gens: np.ndarray, n: int) -> set:
+    """Every element of the permutation group that `gens` generate."""
+    ident = tuple(range(n))
+    seen, todo = {ident}, [ident]
+    while todo:
+        p = todo.pop()
+        for g in gens.tolist():
+            q = tuple(g[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# same outputs with and without the orbits
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(g1=_factors(), g2=_factors(), kind=st.sampled_from([LEXICOGRAPHIC, CARTESIAN, STRONG]))
+@example(g1=path_graph(3), g2=cycle_graph(4), kind=LEXICOGRAPHIC)
+@example(g1=cycle_graph(4), g2=path_graph(2), kind=CARTESIAN)
+@example(g1=path_graph(3), g2=complete_graph(3), kind=STRONG)
+def test_product_sweep_matches_plain_copy(g1, g2, kind):
+    p = product(g1, g2, kind).graph
+    for cycle_only in (True, False):
+        cfg = DeltaConfig(cycle_only=cycle_only)
+        got, plain = delta_exact(p, cfg), delta_exact(_plain(p), cfg)
+        assert got.to_json_dict() == plain.to_json_dict()
+        assert got.stats.triples_examined == plain.stats.triples_examined
+        assert got.stats.sides_visited == plain.stats.sides_visited
+        assert got.stats.tables_built <= plain.stats.tables_built
+        assert got.stats.sides_exact <= plain.stats.sides_exact
+
+
+@pytest.mark.parametrize("g1, g2, kind", [
+    (path_graph(3), cycle_graph(4), LEXICOGRAPHIC),
+    (path_graph(2), complete_graph(3), LEXICOGRAPHIC),
+    (cycle_graph(4), path_graph(3), LEXICOGRAPHIC),
+    (star_graph(2), cycle_graph(5), LEXICOGRAPHIC),
+    (path_graph(3), cycle_graph(4), CARTESIAN),
+    (cycle_graph(4), path_graph(2), STRONG),
+])
+def test_orbit_read_side_values_match_direct(g1, g2, kind):
+    # every J-pair, read through the orbits in an order that starts away
+    # from the roots, against the same pair computed from the tables
+    _check_orbit_reads(product(g1, g2, kind).graph)
+
+
+def test_orbit_reads_through_rotations():
+    # the search tends to return involutions, which are their own inverses;
+    # rotations of one C5 fiber and of both tell g from its inverse
+    p = product(path_graph(2), cycle_graph(5)).graph
+    turn = (np.arange(5) + 1) % 5
+    one = np.concatenate([turn, np.arange(5, 10)])
+    both = np.concatenate([turn, turn + 5])
+    p._automorphisms = np.array([one, both], dtype=np.int32)
+    _check_orbit_reads(p)
+
+
+def _check_orbit_reads(p: Graph) -> None:
+    cfg = DeltaConfig()
+    orbit, direct = _Sweep(subdivide(p, 4), cfg), _Sweep(subdivide(_plain(p), cfg.grid_factor), cfg)
+    assert direct.gens is None and orbit.gens is not None
+    pairs = list(itertools.combinations(orbit.s.j_set, 2))
+    for a, b in reversed(pairs):
+        assert np.array_equal(orbit.side_values(a, b), direct.side_values(a, b)), (a, b)
+    assert orbit.stats.sides_exact < direct.stats.sides_exact == len(pairs)
+
+
+@pytest.mark.parametrize("g1, g2, orbits", [
+    (path_graph(6), cycle_graph(5), 135),
+    (cycle_graph(10), path_graph(3), 158),
+])
+def test_j_pair_orbit_counts(g1, g2, orbits):
+    # the orbit counts of the construction group, measured independently
+    # with networkx VF2 generators and a union-find
+    sweep = _Sweep(subdivide(product(g1, g2).graph, 4), DeltaConfig())
+    lengths = np.unique(sweep.jD[np.triu_indices(sweep.nj, 1)]).tolist()
+    assert sum(sweep.orbits(d)[1].count(-1) for d in lengths) == orbits
+
+
+def test_plain_graph_does_no_orbit_work():
+    res = delta_exact(_plain(product(path_graph(3), cycle_graph(4)).graph))
+    assert res.stats.orbit_s == 0
+    assert res.stats.sides_exact > 0
+
+
+# ---------------------------------------------------------------------------
+# generators: from the construction, verified before use
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(g1=_factors(), g2=_factors(), kind=st.sampled_from([LEXICOGRAPHIC, CARTESIAN, STRONG]))
+def test_carried_generators_are_automorphisms(g1, g2, kind):
+    p = product(g1, g2, kind).graph
+    perms = p.automorphism_generators()
+    assert perms is p._automorphisms and not perms.flags.writeable
+    for perm in perms.tolist():
+        assert sorted(perm) == list(range(p.vertex_count))
+        assert all(p.has_edge(perm[u], perm[v]) for u, v in p.edges)
+    # they generate Aut(G2) wr Aut(G1) for lex (Sabidussi), Aut(G1) x Aut(G2) otherwise
+    a1 = len(_group(g1.automorphism_generators(), g1.vertex_count))
+    a2 = len(_group(g2.automorphism_generators(), g2.vertex_count))
+    order = a2 ** g1.vertex_count * a1 if kind == LEXICOGRAPHIC else a1 * a2
+    if order <= 2000:
+        assert len(_group(perms, p.vertex_count)) == order
+
+
+def test_no_search_runs_on_a_product(monkeypatch):
+    searched = []
+    real = graph_module._search_automorphisms
+    monkeypatch.setattr(graph_module, "_search_automorphisms",
+                        lambda d: searched.append(d.shape[0]) or real(d))
+    inner = product(path_graph(2), cycle_graph(3))
+    outer = product(inner.graph, path_graph(4))
+    assert searched == []  # the generators are built when a sweep first asks
+    delta_exact(outer.graph)
+    assert sorted(searched) == [2, 3, 4]  # the factors only, never the inner product
+
+
+def test_planted_non_automorphism_is_rejected():
+    p = product(path_graph(3), cycle_graph(4)).graph
+    swap = np.arange(p.vertex_count, dtype=np.int32)
+    swap[[0, 4]] = 4, 0  # (0, 0) <-> (1, 0): an end fiber with the middle one
+    p._automorphisms = np.concatenate([p.automorphism_generators(), swap[None]])
+    with pytest.raises(ValidationError, match="not an edge"):
+        delta_exact(p)
+    p._automorphisms = np.zeros((1, p.vertex_count), dtype=np.int32)
+    with pytest.raises(ValidationError, match="not a vertex permutation"):
+        delta_exact(p)
+
+
+def test_atlas_generator_orbits_match_vf2():
+    # every connected graph on at most 6 vertices: the generators found by
+    # the search generate the full automorphism group VF2 enumerates
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    checked = 0
+    for h in nx.graph_atlas_g()[1:]:
+        n = h.number_of_nodes()
+        if n > 6 or not nx.is_connected(h):
+            continue
+        g = Graph(n, list(h.edges()))
+        gens = g.automorphism_generators()
+        full = {tuple(m[v] for v in range(n)) for m in GraphMatcher(h, h).isomorphisms_iter()}
+        assert _group(gens, n) == full, g.edges  # so the vertex orbits are equal too
+        checked += 1
+    assert checked == 143
+
+
+def test_search_cap_keeps_a_subgroup(monkeypatch):
+    # a search stopped early returns fewer generators, each one still valid
+    monkeypatch.setattr(graph_module, "AUT_SEARCH_NODES", 3)
+    g = product(cycle_graph(5), path_graph(2), CARTESIAN).graph
+    perms = graph_module._search_automorphisms(g.vertex_distances())
+    for perm in perms.tolist():
+        assert all(g.has_edge(perm[u], perm[v]) for u, v in g.edges)
+    assert len(_group(perms, g.vertex_count)) < 20  # Aut(C5 [] P2) has order 20
+
+
+# ---------------------------------------------------------------------------
+# the corner masks never prune on a non-finite product entry
+# ---------------------------------------------------------------------------
+
+def test_corner_masks_keep_corners_on_nan():
+    sweep = _Sweep(subdivide(cycle_graph(6), 4), DeltaConfig())
+    ii, jj = np.array([0, 1]), np.array([3, 4])
+    t = 8
+    clean = sweep.corner_masks(ii, jj, t)
+    far = sweep._far[1].copy()
+    far[2, :] = np.nan  # third corner 2
+    sweep._far = (t, far)
+    got = sweep.corner_masks(ii, jj, t)
+    assert got[:, 2].all()
+    assert not clean[:, 2].all()
+    rest = np.arange(sweep.nj) != 2
+    assert np.array_equal(got[:, rest], clean[:, rest])
+
+
+# ---------------------------------------------------------------------------
+# Graph construction against the per-edge loop it replaces
+# ---------------------------------------------------------------------------
+
+def _loop_graph(n: int, edges):
+    """The per-edge reference: (sorted edges, neighbor tuples) or the error."""
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            return f"loop at vertex {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) outside vertex range 0..{n - 1}"
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return f"duplicate edge ({key[0]},{key[1]})"
+        seen.add(key)
+    nbrs = [[] for _ in range(n)]
+    for u, v in sorted(seen):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(sorted(seen)), tuple(tuple(sorted(a)) for a in nbrs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), edges=st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)),
+                                           max_size=12))
+@example(n=3, edges=[(0, 1), (0, 5), (1, 1)])
+@example(n=3, edges=[(2, 2), (0, 1), (0, 1)])
+@example(n=4, edges=[(0, 5), (1, 2)])  # out of range, and later a key collision
+def test_graph_init_matches_per_edge_loop(n, edges):
+    want = _loop_graph(n, edges)
+    try:
+        g = Graph(n, edges, _allow_disconnected=True)
+    except ValidationError as err:
+        assert str(err) == want
+    else:
+        assert (g.edges, g._neighbors) == want

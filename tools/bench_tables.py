@@ -2,7 +2,7 @@
 
 Run from the root of a checkout, with `src` on the path:
 
-    PYTHONPATH=src python3 tools/bench_tables.py --out BENCH_narrow_masks.json \\
+    PYTHONPATH=src python3 tools/bench_tables.py --out BENCH_orbit_sides.json \\
         --parent PARENT --parent-commit REV
 
 Per table, "before" is the grid DP (`farthest_geodesic_table` over the S_4
@@ -13,8 +13,11 @@ all J-point sources.
 
 `delta_exact` runs each graph in a fresh process (`--delta-one NAME`), so
 that `ru_maxrss_mb`, the process's peak resident memory, belongs to that
-graph alone: best of 3 calls, with `tables_built`, `table_bytes` and the
-value.  "after" runs it on this checkout's `src`, "before" on PARENT/src, a
+graph alone: best of 3 calls, with `tables_built`, `table_bytes`,
+`sides_exact` (side vectors computed from tables; null on checkouts that
+do not count them) and the value.  The factors' automorphism search runs
+in the first call and is cached on the factors, so the best of 3 leaves it
+out.  "after" runs it on this checkout's `src`, "before" on PARENT/src, a
 checkout of the commit REV; both run this script, so only the library
 differs.
 """
@@ -84,7 +87,8 @@ def delta_one(name: str) -> dict:
     secs = best_of(3, lambda: res.append(delta_exact(g)))
     st = res[-1].stats
     return {"best_s": round(secs, 3), "tables_built": st.tables_built,
-            "table_bytes": st.table_bytes, "triples_examined": st.triples_examined,
+            "table_bytes": st.table_bytes, "sides_exact": getattr(st, "sides_exact", None),
+            "triples_examined": st.triples_examined,
             "quarters": res[-1].value.quarters,
             "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
