@@ -22,17 +22,18 @@ b = product(path_graph(4), path_graph(3)).graph
 print("\nP3 o P4 degrees:", a.degree_multiset())
 print("P4 o P3 degrees:", b.degree_multiset())
 
-# Closed-form distances, no product BFS needed.
+# Closed-form distances, no search on the product needed.
 g1, g2 = path_graph(3), path_graph(4)
 print("\nd((u0,w0),(u0,w3)) =", lex_distance(g1, g2, (0, 0), (0, 3)), "(capped at 2 inside a copy)")
 print("d((u0,w0),(u2,w3)) =", lex_distance(g1, g2, (0, 0), (2, 3)), "(first-factor distance)")
 
-# The suite re-verifies this formula against BFS on every corpus pair; here
-# is the comparison spelled out for one product.  `lex_distance_matrix` is
-# the closed form at every pair of product ids u*n2 + v at once.
+# The suite re-verifies this formula against the all-pairs search
+# (`Graph.vertex_distances`) on every corpus pair; here is the comparison
+# spelled out for one product.  `lex_distance_matrix` is the closed form at
+# every pair of product ids u*n2 + v at once.
 p = product(g1, g2)
 agree = np.array_equal(lex_distance_matrix(g1, g2), p.graph.vertex_distances())
-print("closed form == BFS on all pairs:", agree)
+print("closed form == all-pairs search:", agree)
 
 # Cartesian and strong products of the same factors sit inside the
 # lexicographic product.

@@ -1,7 +1,7 @@
 """Running the verification suite.
 
 Every computable claim the library rests on is a registered check: closed
-forms against breadth-first search, table values against the exact engine,
+forms against the all-pairs search, table values against the exact engine,
 bounds on every random pair, grid-refinement stability, and so on.  Checks
 never abort the run; failures come back as replayable report entries.
 """

@@ -164,11 +164,10 @@ def _find_induced(pattern: Graph, target: Graph) -> Optional[dict]:
     return mapping if extend(0) else None
 
 
-def in_family_F(g: Graph, catalog: Optional[FCatalog] = None) -> tuple[bool, Optional[FWitness]]:
+def in_family_F(g: Graph) -> tuple[bool, Optional[FWitness]]:
     """Decide family membership; on success report a witness vertex subset
     and the (lowest-index) catalog member it realizes."""
-    if catalog is None:
-        catalog = get_catalog()
+    catalog = get_catalog()
     if g.vertex_count < 6:
         return False, None
     for idx, member in enumerate(catalog.members):

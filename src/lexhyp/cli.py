@@ -19,7 +19,7 @@ from pathlib import Path
 from .catalog import build_catalog, in_family_F
 from .corpus import CorpusSpec, generate_corpus
 from .delta import DeltaConfig, delta_exact
-from .errors import GeodesicCapError, LexhypError, ParseError, SizeCapError, ValidationError
+from .errors import GeodesicCapError, LexhypError, ParseError, SizeCapError
 from .graph import Graph, parse_graph
 from .products import CARTESIAN, LEXICOGRAPHIC, STRONG, lex_distance, product
 from .suite import CHECKS, run_suite
@@ -45,7 +45,11 @@ def parse_gspec(spec: str) -> Graph:
                     return product(parse_gspec(left), parse_gspec(right), kind).graph
             raise ParseError(f"malformed product spec {spec!r}")
     if spec.startswith("@"):
-        return parse_graph(Path(spec[1:]).read_text(encoding="utf-8"))
+        try:  # undecodable bytes are replaced, so the parser rejects their line
+            text = Path(spec[1:]).read_text(encoding="utf-8", errors="replace")
+        except OSError as exc:  # missing, a directory, no permission, ...
+            raise ParseError(f"cannot read {spec[1:]!r}: {exc.strerror or exc}") from None
+        return parse_graph(text)
     return parse_graph(spec)
 
 
@@ -172,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("delta", help="exact hyperbolicity constant")
     d.add_argument("gspec")
     d.add_argument("--json", action="store_true")
-    d.add_argument("--grid", type=int, choices=(4, 8), default=4)
-    d.add_argument("--cap", type=int, default=1_000_000)
+    d.add_argument("--grid", type=int, choices=(4, 8), default=DeltaConfig.grid_factor)
+    d.add_argument("--cap", type=int, default=DeltaConfig.geodesic_cap)
     d.add_argument("--no-cycle-only", action="store_true")
     d.add_argument("--stats", action="store_true",
                    help="print the engine's counters and timings to stderr")
@@ -210,11 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     ca.set_defaults(fn=_cmd_catalog)
 
     ve = sub.add_parser("verify", help="run the verification suite")
-    ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--pairs", type=int, default=30)
-    ve.add_argument("--min-vertices", type=int, default=1)
-    ve.add_argument("--max-vertices", type=int, default=8)
-    ve.add_argument("--product-cap", type=int, default=24)
+    ve.add_argument("--seed", type=int, default=CorpusSpec.seed)
+    ve.add_argument("--pairs", type=int, default=CorpusSpec.pair_count)
+    ve.add_argument("--min-vertices", type=int, default=CorpusSpec.min_vertices)
+    ve.add_argument("--max-vertices", type=int, default=CorpusSpec.max_vertices)
+    ve.add_argument("--product-cap", type=int, default=CorpusSpec.product_cap)
     ve.add_argument("--checks", help="comma-separated check ids "
                                      f"(available: {','.join(sorted(CHECKS))})")
     ve.add_argument("--json", action="store_true")
@@ -230,15 +234,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.fn(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SizeCapError, GeodesicCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LexhypError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (SizeCapError, GeodesicCapError)) else 1
 
 
 if __name__ == "__main__":

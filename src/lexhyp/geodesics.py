@@ -65,18 +65,20 @@ def enumerate_paths(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
     target = int(hops[a, b])
     out: list[tuple[int, ...]] = []
     path = [a]
-
-    def extend(q: int, depth: int):
-        if depth == target:
-            out.append(tuple(path))
-            return
-        for w in neighbors[q]:
-            if da[w] == depth + 1 and db[w] == target - depth - 1:
-                path.append(w)
-                extend(w, depth + 1)
-                path.pop()
-
-    extend(a, 0)
+    todo = [iter(neighbors[a])]  # untried neighbors per path vertex: no recursion limit
+    while todo:
+        depth = len(path)  # hops from a to the next vertex
+        for w in todo[-1]:
+            if da[w] == depth and db[w] == target - depth:
+                if depth == target:
+                    out.append((*path, w))
+                else:
+                    path.append(w)
+                    todo.append(iter(neighbors[w]))
+                    break
+        else:
+            todo.pop()
+            path.pop()
     return out
 
 

@@ -6,6 +6,9 @@ duplicate edges, vertices 0..n-1, connected.  The one sanctioned exception is
 sorting and the neighbor lists are array operations over the whole edge
 list; each error names the first offending edge in input order.
 
+Hop counts come from Seidel's all-pairs recursion (R. Seidel, JCSS 1995) in
+float64 matrix products: O(n^3 log diameter) time, exact while (n-1)^2 < 2^53.
+
 Automorphisms never come from a search on a product: `product` attaches the
 ones its construction gives, and only a graph without them (a factor) is
 searched, with a capped backtracking search (`Graph.automorphism_generators`).
@@ -18,8 +21,6 @@ from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import ParseError, ValidationError
 
@@ -28,20 +29,26 @@ UNREACHABLE = -1
 _GENERATOR_RE = re.compile(r"^(path|cycle|complete|star):(\d+)$")
 
 
-def _bfs_apsp(n: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """All-pairs hop counts by breadth-first search (unit edge lengths).
-
-    Returns an int32 matrix with UNREACHABLE for disconnected pairs.
-    """
-    if n == 1:
-        return np.zeros((1, 1), dtype=np.int32)
-    rows = [u for u, v in edges] + [v for u, v in edges]
-    cols = [v for u, v in edges] + [u for u, v in edges]
-    adj = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    dist = shortest_path(adj, method="D", unweighted=True, directed=True)  # adj holds both directions
-    out = np.full((n, n), UNREACHABLE, dtype=np.int32)
-    finite = np.isfinite(dist)
-    out[finite] = dist[finite].astype(np.int32)
+def _seidel_apsp(closed: np.ndarray) -> np.ndarray:
+    """Hop counts from a closed-neighborhood matrix N (adjacency or identity),
+    UNREACHABLE between components.  Level l + 1 joins the pairs within two
+    hops in level l until none is added, which leaves complete components:
+    the reachability mask.  Back down, with T the next level's distances,
+    d(i, j) = 2 T[i, j] - [(T N)[i, j] < T[i, j] |N(j)|], and pairs in
+    different components stay 0."""
+    levels = [closed]
+    while True:
+        c = levels[-1].astype(np.float64)
+        wider = c @ c > 0
+        if np.array_equal(wider, levels[-1]):
+            break
+        levels.append(wider)
+    reach = levels.pop()
+    t = reach - np.eye(len(reach))  # 1 inside a component, 0 on the diagonal
+    for c in reversed(levels):
+        t = 2 * t - (t @ c.astype(np.float64) < t * c.sum(axis=0))
+    out = t.astype(np.int32)
+    out[~reach] = UNREACHABLE
     return out
 
 
@@ -170,9 +177,14 @@ class Graph:
         return self.vertex_count == 1
 
     def vertex_distances(self) -> np.ndarray:
-        """Hop-count APSP over vertices (cached; UNREACHABLE if disconnected)."""
+        """Hop-count APSP over vertices (cached; UNREACHABLE if disconnected)
+        by Seidel's recursion (`_seidel_apsp`): per level two n x n float64
+        products, whose entries are integers <= (n - 1)^2 and so exact below
+        2^53, and one boolean n x n matrix; O(n^3 log diameter) time."""
         if self._dist is None:
-            self._dist = _bfs_apsp(self.vertex_count, self.edges)
+            closed = np.eye(self.vertex_count, dtype=bool)
+            closed[tuple(self.arcs().T)] = True
+            self._dist = _seidel_apsp(closed)
             self._dist.setflags(write=False)
         return self._dist
 

@@ -78,17 +78,10 @@ class SubdividedGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
 
-    def point_on_edge(self, edge: tuple[int, int], offset: int) -> int:
-        """Grid id of the point at `offset`/k along `edge` (from its smaller end)."""
-        u, v = edge
-        key = (u, v) if u < v else (v, u)
-        pts = self.edge_points[key]
-        if key != (u, v):
-            pts = pts[::-1]
-        return pts[offset]
-
     def midpoint(self, edge: tuple[int, int]) -> int:
-        return self.point_on_edge(edge, self.k // 2)
+        """Grid id of the midpoint of `edge`, given in either order."""
+        u, v = edge
+        return self.edge_points[(u, v) if u < v else (v, u)][self.k // 2]
 
     def metrics(self) -> "GraphMetrics":
         if self._metrics is None:

@@ -1,7 +1,7 @@
 """Verification suite: every computable claim as a falsifiable check.
 
 Each check compares two independently computed quantities (closed form vs
-breadth-first search, table vs exact engine, ...) or a computed quantity
+all-pairs search, table vs exact engine, ...) or a computed quantity
 against a fixed constant, over a deterministic corpus.  A failing check never
 aborts the run; failures become replayable report entries.
 """
@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .catalog import get_catalog, in_family_F
+from .catalog import in_family_F
 from .corpus import Corpus
 from .delta import DeltaConfig, delta_bigon_lower_bound, delta_exact, has_tight_short_triangle, thinness
 from .errors import LexhypError
@@ -68,7 +68,6 @@ class SuiteContext:
         self._delta: dict[Graph, QDist] = {}
         self._products: dict[tuple[Graph, Graph], ProductGraph] = {}
         self._copy_pairs: dict[Corpus, list[tuple]] = {}
-        self.catalog = get_catalog()
 
     def delta(self, g: Graph) -> QDist:
         if g not in self._delta:
@@ -136,12 +135,12 @@ def _check_dist_formula(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
     for g1, g2 in _lex_pairs(_small_pairs(corpus.pairs)):
         p = ctx.lex(g1, g2)
-        bfs, closed = p.graph.vertex_distances(), lex_distance_matrix(g1, g2)
-        bad = np.argwhere(bfs != closed)
+        searched, closed = p.graph.vertex_distances(), lex_distance_matrix(g1, g2)
+        bad = np.argwhere(searched != closed)
         if bad.size:  # name the first mismatching pair; entries are hop counts
             a, b = bad[0].tolist()
             _fail(failures, {"pair": _pair_tag(g1, g2), "a": p.coords(a), "b": p.coords(b)},
-                  int(bfs[a, b]), int(closed[a, b]))
+                  int(searched[a, b]), int(closed[a, b]))
         instances += 1
     return instances, failures
 
@@ -596,7 +595,7 @@ def _check_f_char(corpus: Corpus, ctx: SuiteContext):
         d1 = diam_v(g1)
         if not ONE <= d1 <= TWO:
             continue
-        member, _ = in_family_F(g2, ctx.catalog)
+        member, _ = in_family_F(g2)
         val = ctx.delta(ctx.lex(g1, g2).graph)
         instances += 1
         if (val == THREE_HALVES) != member:
@@ -611,7 +610,7 @@ def _check_f_triangle(corpus: Corpus, ctx: SuiteContext):
     for g in corpus.graphs:
         if not _fits_s4(g):
             continue
-        member, _ = in_family_F(g, ctx.catalog)
+        member, _ = in_family_F(g)
         triangle = has_tight_short_triangle(g)
         instances += 1
         if member != triangle:

@@ -8,10 +8,9 @@ verification suite cross-checks every row against the exact engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .catalog import FCatalog, in_family_F
-from .delta import DeltaConfig, delta_exact
+from .catalog import in_family_F
+from .delta import delta_exact
 from .errors import ValidationError
 from .graph import Graph
 from .qdist import FIVE_FOURTHS, ONE, THREE_HALVES, ZERO, QDist
@@ -41,9 +40,7 @@ class TreeLexCase:
         return CASE_TEXT[self.case_id]
 
 
-def tree_lex_delta(g1: Graph, g2: Graph,
-                   delta_cfg: Optional[DeltaConfig] = None,
-                   catalog: Optional[FCatalog] = None) -> TreeLexCase:
+def tree_lex_delta(g1: Graph, g2: Graph) -> TreeLexCase:
     """Hyperbolicity constant of g1 o g2 for a tree g1, via the case table.
 
     Tree-ness is validated structurally (connected with n-1 edges) so the
@@ -57,14 +54,14 @@ def tree_lex_delta(g1: Graph, g2: Graph,
     summary: dict = {"g1_trivial": g1.is_trivial(), "g2_trivial": g2.is_trivial()}
 
     if g1.is_trivial():
-        value = ZERO if g2.is_trivial() else delta_exact(g2, delta_cfg).value
+        value = ZERO if g2.is_trivial() else delta_exact(g2).value
         return TreeLexCase("g1_trivial", summary, value)
     if g2.is_trivial():
         return TreeLexCase("g2_trivial", summary, ZERO)
 
     d1 = diam_v(g1)  # for a tree the point diameter equals the vertex diameter
     d2 = diam_g(g2)
-    in_f, _ = in_family_F(g2, catalog)
+    in_f, _ = in_family_F(g2)
     summary.update({"diam_g1": str(d1), "diam_g2": str(d2), "g2_in_f": in_f})
 
     rows = [

@@ -135,7 +135,7 @@ def test_c9_with_one_chord_is_member():
 def test_witness_induces_tagged_member():
     cat = get_catalog()
     for idx, member in enumerate(cat.members):
-        ok, w = in_family_F(member, cat)
+        ok, w = in_family_F(member)
         assert ok
         realized = induced_subgraph(member, w.subset)
         assert is_isomorphic(realized, cat.members[w.member_index])
@@ -148,7 +148,7 @@ def test_membership_monotone_under_supergraphs():
     for member in cat.members[:6]:
         n = member.vertex_count
         g = Graph(n + 1, list(member.edges) + [(0, n)])
-        ok, w = in_family_F(g, cat)
+        ok, w = in_family_F(g)
         assert ok
 
 

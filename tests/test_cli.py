@@ -175,6 +175,17 @@ def test_catalog_export_raw(tmp_path, capsys):
     assert len(index["members"]) == 68
 
 
+def test_unreadable_gspec_file(tmp_path, capsys):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run_cli(capsys, "delta", f"@{path}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read") and str(path) in err
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"0 1\n\xff\xfe\n")  # not UTF-8: rejected by the parser
+    code, _, err = run_cli(capsys, "delta", f"@{binary}")
+    assert code == 1 and err.startswith("error: line 2:")
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "delta", "cycle:2")
     assert code == 1
@@ -184,11 +195,23 @@ def test_parse_error_exit_code(capsys):
     assert code == 1
 
 
-def _run_module(*argv):
+def _run_python(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "lexhyp", *argv], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _run_module(*argv):
+    return _run_python("-m", "lexhyp", *argv)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the package's one runtime dependency
+    proc = _run_python("-c", "import sys, lexhyp; "
+                             "print([m for m in sys.modules if m.startswith('scipy')])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_python_m_lexhyp_matches_main(capsys):

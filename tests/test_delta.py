@@ -30,6 +30,11 @@ def test_cycles_quarter_length():
         assert delta_exact(cycle_graph(n)).value == QDist(n)
 
 
+def test_long_cycle_quarter_length():
+    # an S_4 grid of 2000 points, whose witness geodesics are 1000 hops long
+    assert delta_exact(cycle_graph(500)).value == QDist(500)
+
+
 def test_complete_graphs():
     assert delta_exact(complete_graph(4)).value == QDist.from_edges(1)
     assert delta_exact(product(complete_graph(2), complete_graph(2)).graph).value == QDist.from_edges(1)

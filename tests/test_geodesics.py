@@ -55,6 +55,25 @@ def test_counts_match_enumeration():
             assert n_paths == len(enumerate_paths(snbrs, hops, a, b, cap=10_000))
 
 
+def test_enumeration_is_lexicographic():
+    s = subdivide(product(path_graph(3), cycle_graph(4)).graph, 4)
+    hops = s.metrics().hops
+    nbrs = [s.neighbors(v) for v in range(s.grid_n)]
+    for a, b in ((0, 8), (0, 11), (1, 10), (s.grid_n - 1, 0)):
+        paths = enumerate_paths(nbrs, hops, a, b, cap=10_000)
+        assert len(paths) == geodesic_count(nbrs, hops, a, b) > 1
+        assert paths == sorted(set(paths))
+
+
+def test_enumeration_longer_than_recursion_limit():
+    # the S_4 grid of P400 is 1596 hops end to end
+    s = subdivide(path_graph(400), 4)
+    (geo,) = enumerate_geodesics(s, 0, 399)
+    hops = s.metrics().hops
+    assert len(geo) == 1597 and geo[0] == 0 and geo[-1] == 399
+    assert (hops[geo[:-1], geo[1:]] == 1).all()
+
+
 def test_interval_is_union_of_geodesics():
     s = subdivide(cycle_graph(6), 2)
     hops = s.metrics().hops

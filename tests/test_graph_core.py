@@ -1,11 +1,12 @@
 """Graph construction, parsing, subdivision grids and exact metrics."""
 
 import gc
+import random
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexhyp import (Graph, ParseError, QDist, SizeCapError, ValidationError,
                     all_pairs_distances, cycle_graph, complete_graph, diam_g, diam_v,
@@ -70,6 +71,35 @@ def test_vertex_distances_hand_oracle():
         [1, 2, 2, 1, 0],
     ])
     assert (g.vertex_distances() == want).all()
+
+
+@st.composite
+def induced_graphs(draw, max_n: int = 60) -> Graph:
+    """An induced subgraph of a random connected graph on 1..max_n vertices
+    (a spanning tree plus a drawn share of the other pairs): often
+    disconnected, sometimes edgeless."""
+    n = draw(st.integers(1, max_n))
+    share = draw(st.sampled_from((0.0, 0.05, 0.3, 1.0)))  # of the non-tree pairs, made edges
+    drop = draw(st.sampled_from((0.0, 0.2, 0.6)))  # of the vertices, left out of the subgraph
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < share}
+    keep = [v for v in range(n) if v == 0 or rng.random() >= drop]
+    return induced_subgraph(Graph(n, sorted(edges)), keep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=induced_graphs())
+@example(g=trivial_graph())
+@example(g=induced_subgraph(cycle_graph(8), [0, 2, 4, 6]))  # edgeless
+@example(g=induced_subgraph(cycle_graph(8), [0, 1, 3, 4, 6]))  # components {0,1}, {3,4}, {6}
+@example(g=path_graph(60))
+@example(g=complete_graph(60))
+def test_vertex_distances_match_bfs(g):
+    d = g.vertex_distances()
+    assert d.dtype == np.int32 and not d.flags.writeable
+    assert d is g.vertex_distances()  # cached
+    assert np.array_equal(d, _bfs_hops(g.vertex_count, g.neighbors))
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +175,15 @@ def connected_graphs(draw, max_n: int = 8) -> Graph:
     return Graph(n, tree + extra)
 
 
-def _grid_bfs_hops(s) -> np.ndarray:
-    """Oracle: networkx BFS from every point over the grid's own edges."""
+def _bfs_hops(n: int, neighbors) -> np.ndarray:
+    """Oracle: networkx BFS from every vertex 0..n-1 over the edges that
+    `neighbors(v)` lists; UNREACHABLE between components."""
     nx = pytest.importorskip("networkx")
-    grid = nx.Graph()
-    grid.add_nodes_from(range(s.grid_n))
-    grid.add_edges_from((v, w) for v in range(s.grid_n) for w in s.neighbors(v))
-    out = np.full((s.grid_n, s.grid_n), UNREACHABLE, dtype=np.int32)
-    for p, row in nx.all_pairs_shortest_path_length(grid):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from((v, w) for v in range(n) for w in neighbors(v))
+    out = np.full((n, n), UNREACHABLE, dtype=np.int32)
+    for p, row in nx.all_pairs_shortest_path_length(graph):
         for q, d in row.items():
             out[p, q] = d
     return out
@@ -161,9 +192,10 @@ def _grid_bfs_hops(s) -> np.ndarray:
 @settings(max_examples=25, deadline=None)
 @given(g=connected_graphs(), k=st.sampled_from((2, 4, 8)))
 def test_grid_metric_matches_bfs_on_grid_edges(g, k):
-    hops = all_pairs_distances(subdivide(g, k)).hops
+    s = subdivide(g, k)
+    hops = all_pairs_distances(s).hops
     assert hops.dtype == np.int32
-    assert np.array_equal(hops, _grid_bfs_hops(subdivide(g, k)))
+    assert np.array_equal(hops, _bfs_hops(s.grid_n, s.neighbors))
 
 
 @pytest.mark.parametrize("k", (2, 4, 8))
@@ -172,7 +204,7 @@ def test_grid_metric_matches_bfs_on_product_and_disconnected(k):
     split = induced_subgraph(cycle_graph(8), [0, 1, 3, 4, 6])  # components {0,1}, {3,4}, {6}
     for g in (lex, split):
         s = subdivide(g, k)
-        assert np.array_equal(all_pairs_distances(s).hops, _grid_bfs_hops(s))
+        assert np.array_equal(all_pairs_distances(s).hops, _bfs_hops(s.grid_n, s.neighbors))
     s = subdivide(split, k)
     hops = all_pairs_distances(s).hops
     assert hops[0, 2] == UNREACHABLE  # vertices 0 and 3 of C8
