@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from .graph import Graph, cycle_graph
+from .graph import UNREACHABLE, Graph, cycle_graph
 
 # (variant tag, cycle length, chord pool in 1-based cycle naming)
 FAMILY_CHORD_POOLS = (
@@ -147,8 +147,9 @@ def _find_induced(pattern: Graph, target: Graph) -> Optional[dict]:
                 if adj_p != (t2 in tadj[t]):
                     ok = False
                     break
-                # ambient distances never exceed induced-subgraph distances
-                if not adj_p and tdist[t, t2] > pdist[u, u2]:
+                # ambient distances never exceed induced-subgraph distances;
+                # a pattern pair in two components bounds nothing
+                if not adj_p and pdist[u, u2] != UNREACHABLE and tdist[t, t2] > pdist[u, u2]:
                     ok = False
                     break
             if not ok:

@@ -4,8 +4,8 @@ Graph specs accept the generator DSL (``path:n``, ``cycle:n``, ``complete:n``,
 ``star:n``, ``trivial``), ``@file`` references to edge lists, and product
 composition ``lex(a,b)`` / ``cart(a,b)`` / ``strong(a,b)``.
 
-Exit codes: 0 success, 1 validation or parse error, 2 size or geodesic cap
-exceeded, 3 verification suite failures.
+Exit codes: 0 success, 1 validation, parse or `--out` write error, 2 size or
+geodesic cap exceeded, 3 verification suite failures.
 """
 
 from __future__ import annotations
@@ -237,6 +237,9 @@ def main(argv=None) -> int:
     except LexhypError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (SizeCapError, GeodesicCapError)) else 1
+    except OSError as exc:  # an --out path that cannot be written; @file reads raise ParseError
+        print(f"error: cannot write {exc.filename!r}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -39,24 +39,22 @@ running value at that side.  A side with any left is closed by two
 contiguous row gathers, W_a[I(a, b)] and W_b[I(a, b)]: their elementwise
 min, maxed over the interval, is the role value for every third corner at
 once (`_Sweep.side_values`) — no geodesic enumeration at all.  Side values
-are kept per J-pair, so the witness search reads those the value sweep
-computed.
+are kept per J-pair read, so the witness search reuses those the value
+sweep computed.
 
-A graph that carries automorphisms (a product, see `products`) shares side
-values across J-pair orbits.  Side values are metric, so an automorphism g
-maps them along: side_values(g a, g b)[g c] = side_values(a, b)[c].  The
-generators are lifted to J(G), vertex v to g(v) and the midpoint of edge e
-to the midpoint of g(e), and checked against the edge set before use
-(`j_automorphisms`).  Orbits of J-pairs are computed one length at a time,
-when a second side of that length is asked for (a length read once never
-pays for them), by label propagation over the generators' actions that
-records, for each pair, the generator and the image it took its label
-from (`_Sweep.orbits`).  Only orbit roots get their vector from the tables;
-every other pair permutes its parent's.  The corner masks still run on
-every side, so the counters, the value and the witness are those of a
-graph without generators: fewer tables, same output.  On lex(P6, C5) the
-17,020 J-pairs fall into 135 orbits, and the sweep builds 14 tables
-instead of 160.
+A graph that carries automorphisms (a product, see `products`) folds each
+chunk over its J-pair orbit roots.  Masks and side values are metric, so an
+automorphism g maps them along, mask(g a, g b, t)[g c] = mask(a, b, t)[c]:
+every side of an orbit keeps as many third corners as the orbit's root,
+with the same best role value.  The generators are lifted to J(G), vertex v
+to g(v) and the midpoint of edge e to the midpoint of g(e), and checked
+against the edge set before use (`j_automorphisms`).  Each J-pair's root,
+the first pair of its orbit, is found one length at a time by min-label
+propagation (`_Sweep.roots`).  A chunk masks and reads only its distinct
+roots and charges every side its root's count (`_Sweep._close_sides`), so
+the counters, the value and the witness are those of a graph without
+generators, where every pair is its own root.  On lex(P6, C5) the 17,020
+J-pairs fall into 135 orbits, and the sweep builds 14 tables, not 160.
 
 Tables, J rows and chain minima are stored in `table_dtype` of the grid's
 largest hop count: one byte per entry below 128 hops, which covers every
@@ -135,9 +133,9 @@ class DeltaStats:
     and `table_s` the seconds spent building them.  `sides_visited` counts
     the sides the value sweep closed, those whose corner mask kept some
     third corner, and `mask_s` the seconds spent computing corner masks.
-    `sides_exact` counts the side vectors computed from tables; on a graph
-    carrying automorphisms the others are read through a permutation, and
-    `orbit_s` is the seconds spent computing J-pair orbits.
+    `sides_exact` counts the side vectors computed from tables: on a graph
+    carrying automorphisms the value sweep computes them for orbit roots
+    only, and `orbit_s` is the seconds spent finding the roots.
     """
 
     triples_examined: int = 0
@@ -188,7 +186,7 @@ def _side_distances(D: np.ndarray, sides) -> list[np.ndarray]:
             .min(axis=1) for i in range(3)]
 
 
-MASK_CHUNK = 256  # J-pairs masked per matrix product in the value sweep
+MASK_CHUNK = 256  # J-pairs per value-sweep chunk; its distinct orbit roots share one mask product
 
 
 class _Sweep:
@@ -208,8 +206,8 @@ class _Sweep:
         self.nbrs = s._neighbors
         self.gens = j_automorphisms(s)  # checked generators on J indices (int32), or None
         if self.gens is not None:
-            self._pair_id = np.full((self.nj, self.nj), -1, dtype=np.int32)
-        self._orbits: dict[int, tuple] = {}
+            self._root = np.full((self.nj, self.nj), -1, dtype=np.int32)  # see roots()
+        self._known: tuple = (None, {})  # ((length, cur), {root: (count, best)}), see _close_sides
         self._tables: dict[int, np.ndarray] = {}
         self._geos: dict[tuple[int, int], tuple] = {}
         self._sides: dict[tuple[int, int], np.ndarray] = {}
@@ -324,93 +322,66 @@ class _Sweep:
     def side_values(self, a: int, b: int) -> np.ndarray:
         """For every third corner c (as a J index): the largest thinness any
         geodesic choice of triangle (a, b, c) realizes on side a-b (a < b).
-
-        Computed from the tables for a graph without generators, for the
-        first side of each length asked for, and for the root of each J-pair
-        orbit; any other pair (a, b) reads the vector of its parent (g a,
-        g b) through g: the values are metric, so side_values(g a, g b)[g c]
-        = side_values(a, b)[c].
-        """
+        Memoised per pair."""
         got = self._sides.get((a, b))
-        if got is not None:
-            return got
-        if self.gens is None:
-            return self._exact_side(a, b)
-        i, j = self.jpos[a], self.jpos[b]
-        d = int(self.jD[i, j])
-        if d not in self._orbits:  # the first side of a length: its orbits may never pay
-            self._orbits[d] = None
-            return self._exact_side(a, b)
-        pairs, parent, via = self.orbits(d)
-        p, steps = int(self._pair_id[i, j]), []
-        while True:  # up the orbit tree to a known vector or the root
-            got = self._sides.get(pairs[p])
-            if got is None and parent[p] < 0:
-                got = self._exact_side(*pairs[p])
-            if got is not None:
-                break
-            steps.append(p)
-            p = parent[p]
-        for p in reversed(steps):
-            got = self._sides[pairs[p]] = got[self.gens[via[p]]]
+        if got is None:
+            iv = interval(self.D, a, b)
+            got = self._sides[(a, b)] = np.minimum(self.table(a)[iv], self.table(b)[iv]).max(axis=0)
+            self.stats.sides_exact += 1
         return got
 
-    def _exact_side(self, a: int, b: int) -> np.ndarray:
-        iv = interval(self.D, a, b)
-        got = self._sides[(a, b)] = np.minimum(self.table(a)[iv], self.table(b)[iv]).max(axis=0)
-        self.stats.sides_exact += 1
-        return got
+    def roots(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        """Orbit root of each J-pair (ii[r], jj[r]), all of one length, as the
+        code i * nj + j of the first pair (i, j) of its orbit in
+        `longest_first` order; without generators, the pair itself.
 
-    def orbits(self, d: int) -> tuple[list, list, list]:
-        """The J-pairs of length d as grid-id pairs (a < b), in `longest_first`
-        order, with their orbits under the generators as trees: `parent[r]`
-        is -1 at the root of r's orbit, its first pair, and otherwise the
-        pair g(r) for the generator g = `via[r]`, nearer the root.
-
-        Automorphisms keep lengths, so each length is done alone.  Labels
-        start as pair ids, and each round every pair takes the least label
-        among its images, recording the first generator that gave it, until
-        none changes: every orbit ends labeled by its first pair.  When a
-        pair's label last fell, to the root's, its new parent already held
-        that label, from an earlier round, so following parents ends at the
-        root.
+        A length's roots are found together, when first asked for, by
+        min-label propagation with pointer jumping over the pairs each
+        generator moves.  Labels only fall and stay in their orbit.  At the
+        fixpoint none exceeds its images', so labels are equal around each
+        cycle x, g x, g^2 x, ..., and each orbit is labeled by its first pair.
         """
-        got = self._orbits.get(d)
-        if got is not None:
+        if self.gens is None:
+            return ii * self.nj + jj
+        got = self._root[ii, jj]
+        if got[0] >= 0:
             return got
         t0 = time.perf_counter()
-        pi, pj = np.nonzero(np.triu(self.jD == d, 1))
-        count = pi.size
-        self._pair_id[pi, pj] = np.arange(count)
-        image = np.empty((len(self.gens), count), dtype=np.int32)  # [g, r]: id of g(r)
-        for g, perm in enumerate(self.gens):  # a row at a time: no (generators, pairs) temporaries
-            a, b = perm[pi], perm[pj]
-            image[g] = self._pair_id[np.minimum(a, b), np.maximum(a, b)]
-        label = np.arange(count, dtype=np.int32)
-        parent = np.full(count, -1, dtype=np.int32)
-        via = np.full(count, -1, dtype=np.int32)
-        cols = np.arange(count)
+        pi, pj = np.nonzero(np.triu(self.jD == self.jD[ii[0], jj[0]], 1))  # the pairs of this length
+        label = np.arange(pi.size, dtype=np.int32)
+        self._root[pi, pj] = label  # pair ids, until the roots replace them
+        moved = []  # per generator: the pairs it moves, and the ids of their images
+        for perm, moves in zip(self.gens, self.gens != np.arange(self.nj)):
+            hit = np.flatnonzero(moves[pi] | moves[pj])
+            a, b = perm[pi[hit]], perm[pj[hit]]
+            moved.append((hit, self._root[np.minimum(a, b), np.maximum(a, b)]))
         while True:
-            seen = label[image]
-            g = seen.argmin(axis=0)
-            low = seen[g, cols]
-            fell = np.flatnonzero(low < label)
-            if fell.size == 0:
+            low = label.copy()
+            for hit, image in moved:
+                low[hit] = np.minimum(low[hit], label[image])
+            low = low[low]
+            if np.array_equal(low, label):
                 break
-            label[fell] = low[fell]
-            parent[fell] = image[g[fell], fell]
-            via[fell] = g[fell]
-        pairs = list(zip(self.j[pi].tolist(), self.j[pj].tolist()))
-        got = self._orbits[d] = (pairs, parent.tolist(), via.tolist())
+            label = low
+        self._root[pi, pj] = pi[label] * self.nj + pj[label]
         self.stats.orbit_s += time.perf_counter() - t0
-        return got
+        return self._root[ii, jj]
 
     def triple_can_reach(self, x: int, y: int, z: int, target: int) -> bool:
         """Whether some geodesic combination of this triple (x < y < z)
-        attains `target`.  A side shorter than 2 * target is skipped unread:
-        its role values are at most half its length."""
-        return any(self.D[a, b] >= 2 * target and self.side_values(a, b)[self.jpos[c]] >= target
+        attains `target`.  A side is skipped unread when it is shorter than
+        2 * target (its role values are at most half its length) or when its
+        orbit root was read and reaches no `target` (automorphisms permute
+        the third corners)."""
+        return any(self.D[a, b] >= 2 * target
+                   and ((a, b) in self._sides or self._root_best(a, b) >= target)
+                   and self.side_values(a, b)[self.jpos[c]] >= target
                    for a, b, c in ((x, y, z), (x, z, y), (y, z, x)))
+
+    def _root_best(self, a: int, b: int) -> float:
+        ri, rj = divmod(int(self.roots(self.jpos[[a]], self.jpos[[b]])[0]), self.nj)
+        got = self._sides.get((int(self.j[ri]), int(self.j[rj])))
+        return np.inf if got is None else got.max()
 
     # -- value sweep ---------------------------------------------------------
 
@@ -428,20 +399,44 @@ class _Sweep:
 
     def _close_sides(self, ii: np.ndarray, jj: np.ndarray, cur: int) -> tuple[int, int]:
         """Fold the roles distinguished at sides (ii[r], jj[r]), in order, into
-        the running max; stop after the first side that raises it."""
-        masks = self.corner_masks(ii, jj, cur)
-        rows = np.arange(ii.size)
-        masks[rows, ii] = masks[rows, jj] = False  # corners must be distinct
-        for r, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
-            cs = np.flatnonzero(masks[r])
-            if cs.size == 0:
-                continue
-            self.stats.sides_visited += 1
-            self.stats.triples_examined += int(cs.size)
-            got = int(self.side_values(int(self.j[i]), int(self.j[j]))[cs].max())
-            if got > cur:
-                return got, r + 1
-        return cur, ii.size
+        the running max; stop after the first side that raises it.
+
+        Masks and side values are orbit-invariant, so each side is charged
+        its root's count of kept third corners and has its root's best role
+        value.  The chunk's distinct roots are masked once per length and
+        `cur`, and read in the order they first appear, up to the first
+        whose best exceeds `cur`.
+        """
+        codes = self.roots(ii, jj).tolist()
+        key = (int(self.jD[ii[0], jj[0]]), cur)
+        if self._known[0] != key:
+            self._known = (key, {})
+        known = self._known[1]
+        order = list(dict.fromkeys(codes))  # distinct roots, in the order they first appear
+        fresh = [r for r in order if r not in known]
+        if fresh:
+            fi, fj = np.divmod(fresh, self.nj)
+            masks = self.corner_masks(fi, fj, cur)
+            rows = np.arange(len(fresh))
+            masks[rows, fi] = masks[rows, fj] = False  # corners must be distinct
+            counts = masks.sum(axis=1).tolist()
+        value, done, k = cur, len(codes), 0
+        for r in order:
+            got = known.get(r)
+            if got is None:  # the k-th fresh root
+                best = -1
+                if counts[k]:  # read lazily: never ahead of the first raising root
+                    vals = self.side_values(int(self.j[fi[k]]), int(self.j[fj[k]]))
+                    best = int(vals[masks[k]].max())
+                got = known[r] = (counts[k], best)
+                k += 1
+            if got[1] > cur:
+                value, done = got[1], codes.index(r) + 1
+                break
+        charged = [known[r][0] for r in codes[:done]]
+        self.stats.sides_visited += done - charged.count(0)
+        self.stats.triples_examined += sum(charged)
+        return value, done
 
     # -- witness sweep ---------------------------------------------------------
 

@@ -3,10 +3,11 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lexhyp import (Graph, build_catalog, complete_graph, cycle_graph, get_catalog,
                     in_family_F, induced_subgraph, is_isomorphic, path_graph, star_graph)
-from lexhyp.catalog import FAMILY_CHORD_POOLS
+from lexhyp.catalog import FAMILY_CHORD_POOLS, _find_induced
 
 RAW_COUNT = 68
 # one-time exhaustive isomorphism pass over the 68 raw members (see the
@@ -160,3 +161,36 @@ def test_membership_deterministic():
 def test_small_graphs_never_members():
     for g in (path_graph(5), cycle_graph(3), complete_graph(5), star_graph(4)):
         assert in_family_F(g)[0] is False
+
+
+@st.composite
+def _graphs(draw, max_n: int) -> Graph:
+    """Any graph on 1..max_n vertices, disconnected ones included."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges, _allow_disconnected=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern=_graphs(5), target=_graphs(8))
+@example(pattern=induced_subgraph(path_graph(3), [0, 2]), target=path_graph(3))
+def test_find_induced_matches_vf2(pattern, target):
+    # the distance prune must not reject patterns with two components
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.vertex_count))
+        h.add_edges_from(g.edges)
+        return h
+
+    mapping = _find_induced(pattern, target)
+    vf2 = GraphMatcher(to_nx(target), to_nx(pattern)).subgraph_is_isomorphic()
+    assert (mapping is not None) == vf2
+    if mapping is not None:  # an injective map keeping edges and non-edges
+        assert sorted(mapping) == list(range(pattern.vertex_count))
+        assert len(set(mapping.values())) == pattern.vertex_count
+        for u, v in combinations(range(pattern.vertex_count), 2):
+            assert pattern.has_edge(u, v) == target.has_edge(mapping[u], mapping[v])

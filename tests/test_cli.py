@@ -186,6 +186,20 @@ def test_unreadable_gspec_file(tmp_path, capsys):
     assert code == 1 and err.startswith("error: line 2:")
 
 
+def test_unwritable_out_path(tmp_path, capsys):
+    # a missing directory, and a file where a directory should be: an error
+    # line and exit 1, not a traceback
+    missing = tmp_path / "missing" / "k4.edges"
+    code, out, err = run_cli(capsys, "product", "lex", "path:2", "path:2", "--out", str(missing))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write") and str(missing) in err
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code, out, err = run_cli(capsys, "catalog", "--out", str(afile / "sub"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write") and str(afile) in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "delta", "cycle:2")
     assert code == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lexhyp import (DeltaConfig, GeodesicCapError, GeodesicTriangle, Graph, QDist,
+from lexhyp import (CARTESIAN, DeltaConfig, GeodesicCapError, GeodesicTriangle, Graph, QDist,
                     complete_graph, cycle_graph, delta_bigon_lower_bound, delta_exact,
                     diam_g, get_catalog, has_tight_short_triangle, in_family_F, induced_subgraph,
                     is_isometric_embedding, path_graph, product, star_graph, subdivide,
@@ -16,6 +16,7 @@ from lexhyp import (DeltaConfig, GeodesicCapError, GeodesicTriangle, Graph, QDis
 from lexhyp.delta import _Sweep
 from lexhyp.geodesics import enumerate_paths
 from lexhyp.subdivision import all_pairs_distances
+from test_symmetry import _rotated_p2_c5
 
 
 def test_trees_are_zero():
@@ -472,6 +473,12 @@ def _per_side_sweep(s):
 @given(g=_graphs_and_induced_subgraphs(8))
 @example(g=cycle_graph(40))
 @example(g=product(path_graph(3), cycle_graph(4)).graph)
+@example(g=_rotated_p2_c5())  # rotations: g and its inverse differ
+# the value rises at the 7th side of a 27-side chunk, after sides sharing roots
+@example(g=product(Graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (2, 3)]), complete_graph(3),
+                   CARTESIAN).graph)
+# a root's count cached at the old value would overcharge the rest of the chunk
+@example(g=product(path_graph(3), complete_graph(3), CARTESIAN).graph)
 def test_chunked_sweep_counts_match_per_side_sweep(g):
     # the masks of a chunk are recomputed whenever the running value rises,
     # so each side is charged the corners whose ceiling beats the value at it
@@ -479,3 +486,5 @@ def test_chunked_sweep_counts_match_per_side_sweep(g):
     sweep = _Sweep(s, DeltaConfig())
     got = sweep.value_sweep()
     assert (got, sweep.stats.triples_examined, sweep.stats.sides_visited) == _per_side_sweep(s)
+    # side values are read only for visited sides, none past a rise
+    assert sweep.stats.sides_exact <= sweep.stats.sides_visited

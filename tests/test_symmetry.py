@@ -1,8 +1,6 @@
-"""Automorphisms carried by products, and the orbit-shared side values of the
-value sweep: same outputs as a plain copy, verified generators, exact
+"""Automorphisms carried by products, and the value sweep's fold over J-pair
+orbit roots: same outputs as a plain copy, verified generators, exact
 orbits."""
-
-import itertools
 
 import numpy as np
 import pytest
@@ -65,39 +63,62 @@ def test_product_sweep_matches_plain_copy(g1, g2, kind):
         assert got.stats.sides_exact <= plain.stats.sides_exact
 
 
-@pytest.mark.parametrize("g1, g2, kind", [
-    (path_graph(3), cycle_graph(4), LEXICOGRAPHIC),
-    (path_graph(2), complete_graph(3), LEXICOGRAPHIC),
-    (cycle_graph(4), path_graph(3), LEXICOGRAPHIC),
-    (star_graph(2), cycle_graph(5), LEXICOGRAPHIC),
-    (path_graph(3), cycle_graph(4), CARTESIAN),
-    (cycle_graph(4), path_graph(2), STRONG),
-])
-def test_orbit_read_side_values_match_direct(g1, g2, kind):
-    # every J-pair, read through the orbits in an order that starts away
-    # from the roots, against the same pair computed from the tables
-    _check_orbit_reads(product(g1, g2, kind).graph)
-
-
-def test_orbit_reads_through_rotations():
-    # the search tends to return involutions, which are their own inverses;
-    # rotations of one C5 fiber and of both tell g from its inverse
+def _rotated_p2_c5() -> Graph:
+    """lex(P2, C5) carrying rotations of one C5 fiber and of both: unlike the
+    involutions the search tends to return, g and its inverse differ."""
     p = product(path_graph(2), cycle_graph(5)).graph
     turn = (np.arange(5) + 1) % 5
     one = np.concatenate([turn, np.arange(5, 10)])
     both = np.concatenate([turn, turn + 5])
     p._automorphisms = np.array([one, both], dtype=np.int32)
-    _check_orbit_reads(p)
+    return p
 
 
-def _check_orbit_reads(p: Graph) -> None:
-    cfg = DeltaConfig()
-    orbit, direct = _Sweep(subdivide(p, 4), cfg), _Sweep(subdivide(_plain(p), cfg.grid_factor), cfg)
-    assert direct.gens is None and orbit.gens is not None
-    pairs = list(itertools.combinations(orbit.s.j_set, 2))
-    for a, b in reversed(pairs):
-        assert np.array_equal(orbit.side_values(a, b), direct.side_values(a, b)), (a, b)
-    assert orbit.stats.sides_exact < direct.stats.sides_exact == len(pairs)
+_FOLD_CASES = {
+    "lex-P3-C4": product(path_graph(3), cycle_graph(4)).graph,
+    "lex-P2-K3": product(path_graph(2), complete_graph(3)).graph,
+    "lex-C4-P3": product(cycle_graph(4), path_graph(3)).graph,
+    "lex-S2-C5": product(star_graph(2), cycle_graph(5)).graph,
+    "cart-P3-C4": product(path_graph(3), cycle_graph(4), CARTESIAN).graph,
+    "strong-C4-P2": product(cycle_graph(4), path_graph(2), STRONG).graph,
+    "lex-P2-C5-rotations": _rotated_p2_c5(),
+}
+
+
+@pytest.mark.parametrize("p", _FOLD_CASES.values(), ids=_FOLD_CASES.keys())
+def test_root_fold_matches_plain_copy(p):
+    # each chunk is folded over its orbit roots: the value, the witness and
+    # both counters must be those of the copy where every pair is its own root
+    for cycle_only in (True, False):
+        cfg = DeltaConfig(cycle_only=cycle_only)
+        got, plain = delta_exact(p, cfg), delta_exact(_plain(p), cfg)
+        assert got.stats.orbit_s > 0 and plain.stats.orbit_s == 0
+        assert got.to_json_dict() == plain.to_json_dict()
+        assert got.stats.triples_examined == plain.stats.triples_examined
+        assert got.stats.sides_visited == plain.stats.sides_visited
+        assert got.stats.tables_built <= plain.stats.tables_built
+        assert got.stats.sides_exact <= plain.stats.sides_exact
+
+
+@pytest.mark.parametrize("p", _FOLD_CASES.values(), ids=_FOLD_CASES.keys())
+def test_roots_are_first_pairs_of_orbits(p):
+    # every J-pair's root against its orbit closed pair by pair under the
+    # generators: the orbit's first pair in row-major (longest_first) order
+    sweep = _Sweep(subdivide(p, 4), DeltaConfig())
+    pi, pj = np.triu_indices(sweep.nj, 1)
+    gens = sweep.gens.tolist()
+    for i, j in zip(pi.tolist(), pj.tolist()):
+        orbit, todo = {(i, j)}, [(i, j)]
+        while todo:
+            a, b = todo.pop()
+            for g in gens:
+                q = (min(g[a], g[b]), max(g[a], g[b]))
+                if q not in orbit:
+                    orbit.add(q)
+                    todo.append(q)
+        first = min(orbit)
+        assert all(sweep.jD[a, b] == sweep.jD[i, j] for a, b in orbit)
+        assert int(sweep.roots(np.array([i]), np.array([j]))[0]) == first[0] * sweep.nj + first[1]
 
 
 @pytest.mark.parametrize("g1, g2, orbits", [
@@ -108,8 +129,10 @@ def test_j_pair_orbit_counts(g1, g2, orbits):
     # the orbit counts of the construction group, measured independently
     # with networkx VF2 generators and a union-find
     sweep = _Sweep(subdivide(product(g1, g2).graph, 4), DeltaConfig())
-    lengths = np.unique(sweep.jD[np.triu_indices(sweep.nj, 1)]).tolist()
-    assert sum(sweep.orbits(d)[1].count(-1) for d in lengths) == orbits
+    pi, pj = np.triu_indices(sweep.nj, 1)
+    lengths = sweep.jD[pi, pj]
+    assert sum(np.unique(sweep.roots(pi[lengths == d], pj[lengths == d])).size
+               for d in np.unique(lengths).tolist()) == orbits
 
 
 def test_plain_graph_does_no_orbit_work():

@@ -2,7 +2,7 @@
 
 Run from the root of a checkout, with `src` on the path:
 
-    PYTHONPATH=src python3 tools/bench_tables.py --out BENCH_orbit_sides.json \\
+    PYTHONPATH=src python3 tools/bench_tables.py --out BENCH_orbit_roots.json \\
         --parent PARENT --parent-commit REV
 
 Per table, "before" is the grid DP (`farthest_geodesic_table` over the S_4
@@ -38,13 +38,16 @@ import numpy as np
 from lexhyp import cycle_graph, delta_exact, path_graph, product, subdivide
 from lexhyp.graph import neighbor_arcs
 
-TABLE_GRAPHS = {
+GRAPHS = {
     "lex(P6,C5)": lambda: product(path_graph(6), cycle_graph(5)).graph,
     "lex(P8,C6)": lambda: product(path_graph(8), cycle_graph(6)).graph,
     "cycle-200": lambda: cycle_graph(200),
     "lex(P2,C5)": lambda: product(path_graph(2), cycle_graph(5)).graph,
+    "lex(P12,C8)": lambda: product(path_graph(12), cycle_graph(8)).graph,
+    "lex(P16,C8)": lambda: product(path_graph(16), cycle_graph(8)).graph,
 }
-DELTA_GRAPHS = ("lex(P6,C5)", "lex(P8,C6)")
+TABLE_GRAPHS = ("lex(P6,C5)", "lex(P8,C6)", "cycle-200", "lex(P2,C5)")
+DELTA_GRAPHS = ("lex(P6,C5)", "lex(P8,C6)", "lex(P12,C8)", "lex(P16,C8)")
 
 
 def best_of(reps: int, fn) -> float:
@@ -61,8 +64,8 @@ def table_ms() -> dict:
     from lexhyp.geodesics import farthest_geodesic_table, j_source_table
 
     out = {}
-    for name, make in TABLE_GRAPHS.items():
-        s = subdivide(make(), 4)
+    for name in TABLE_GRAPHS:
+        s = subdivide(GRAPHS[name](), 4)
         hops, j = s.metrics().hops, np.asarray(s.j_set)
         arcs = neighbor_arcs(s._neighbors)
         s.chains()
@@ -82,9 +85,13 @@ def table_ms() -> dict:
 
 
 def delta_one(name: str) -> dict:
-    g = TABLE_GRAPHS[name]()
+    g = GRAPHS[name]()
     res = []
-    secs = best_of(3, lambda: res.append(delta_exact(g)))
+
+    def call():
+        res[:] = [delta_exact(g)]  # only the last result stays alive
+
+    secs = best_of(3, call)
     st = res[-1].stats
     return {"best_s": round(secs, 3), "tables_built": st.tables_built,
             "table_bytes": st.table_bytes, "sides_exact": getattr(st, "sides_exact", None),
