@@ -5,7 +5,7 @@ verification suite for every computable claim."""
 
 from .catalog import FCatalog, FWitness, build_catalog, get_catalog, in_family_F, is_isomorphic
 from .corpus import Corpus, CorpusSpec, generate_corpus, random_connected, random_tree
-from .delta import (DeltaConfig, DeltaResult, DeltaStats, GeodesicTriangle,
+from .delta import (DeltaConfig, DeltaEngine, DeltaResult, DeltaStats, GeodesicTriangle,
                     delta_bigon_lower_bound, delta_exact, has_tight_short_triangle, thinness)
 from .errors import GeodesicCapError, LexhypError, ParseError, SizeCapError, ValidationError
 from .geodesics import enumerate_geodesics
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "CARTESIAN", "CHECKS", "Corpus", "CorpusSpec", "DeltaConfig",
-    "DeltaResult", "DeltaStats", "FCatalog", "FWitness", "GeodesicCapError",
+    "DeltaEngine", "DeltaResult", "DeltaStats", "FCatalog", "FWitness", "GeodesicCapError",
     "GeodesicTriangle", "Graph", "GraphMetrics", "LEXICOGRAPHIC", "LexhypError",
     "ParseError", "ProductGraph", "QDist", "STRONG", "SizeCapError", "SubdividedGraph",
     "SuiteReport", "TreeLexCase", "ValidationError", "all_pairs_distances",

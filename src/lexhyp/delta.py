@@ -10,6 +10,14 @@ value that is not a multiple of 1/4, and the sharp constant is a multiple of
 stability check in the verification suite guards the implementation, not the
 argument.
 
+One engine per graph and config (`DeltaEngine`) serves the value sweep, the
+bigon bound, the short-triangle predicate and the witness search.  It builds
+the grid, its hop matrix and chains once, and keeps every per-source table,
+side vector and geodesic list it computes for the calls that follow; the
+value sweep runs once, and each `delta()` call runs only a witness search.
+`delta_exact`, `delta_bigon_lower_bound` and `has_tight_short_triangle` each
+build a fresh engine, and the verification suite keeps one per corpus graph.
+
 One metric primitive serves every geodesic-free bound: a per-source
 bottleneck table W_a, where W_a[p, c] is the farthest p can be from some a-c
 geodesic.  It is built once per J-point source that the sweep touches, only
@@ -25,22 +33,22 @@ on a-b as the max of W_a[p, b] over the same interval.
 
 The value sweep walks sides in decreasing length and stops once no side
 left can raise the running value t: a side of length d contributes at most
-d/2 (`_Sweep.longest_first`).  Third corners are pruned by the corner
+d/2 (`DeltaEngine.longest_first`).  Third corners are pruned by the corner
 ceiling, max over grid points p of min(d(a, p), d(b, p), d(c, p)), which
 bounds every role value of the triple {a, b, c}.  The sweep reads it only
 thresholded: the ceiling exceeds t exactly when some p has min(d(a, p),
 d(b, p)) > t and d(c, p) > t.  For a chunk of at most 256 pairs of one
 length that is one matrix product of 0/1 float32 matrices, (min(rows of a,
-b) > t) @ (J rows > t).T > 0 (`_Sweep.corner_masks`), exact at any size
-because a sum of nonnegative terms is 0 only when every term is.  When t
+b) > t) @ (J rows > t).T > 0 (`DeltaEngine.corner_masks`), exact at any
+size because a sum of nonnegative terms is 0 only when every term is.  When t
 rises inside a chunk, the rest of the chunk is masked again at the new t,
 so a side is charged exactly the third corners whose ceiling exceeds the
 running value at that side.  A side with any left is closed by two
 contiguous row gathers, W_a[I(a, b)] and W_b[I(a, b)]: their elementwise
 min, maxed over the interval, is the role value for every third corner at
-once (`_Sweep.side_values`) — no geodesic enumeration at all.  Side values
-are kept per J-pair read, so the witness search reuses those the value
-sweep computed.
+once (`DeltaEngine.side_values`) — no geodesic enumeration at all.  Side
+values are kept per J-pair read, so the witness search reuses those the
+value sweep computed.
 
 A graph that carries automorphisms (a product, see `products`) folds each
 chunk over its J-pair orbit roots.  Masks and side values are metric, so an
@@ -50,9 +58,10 @@ with the same best role value.  The generators are lifted to J(G), vertex v
 to g(v) and the midpoint of edge e to the midpoint of g(e), and checked
 against the edge set before use (`j_automorphisms`).  Each J-pair's root,
 the first pair of its orbit, is found one length at a time by min-label
-propagation (`_Sweep.roots`).  A chunk masks and reads only its distinct
-roots and charges every side its root's count (`_Sweep._close_sides`), so
-the counters, the value and the witness are those of a graph without
+propagation (`DeltaEngine.roots`), after the length's first pair, which is
+its own root, has been folded.  A chunk masks and reads only its distinct
+roots and charges every side its root's count (`DeltaEngine._close_sides`),
+so the counters, the value and the witness are those of a graph without
 generators, where every pair is its own root.  On lex(P6, C5) the 17,020
 J-pairs fall into 135 orbits, and the sweep builds 14 tables, not 160.
 
@@ -62,19 +71,21 @@ product the benchmark and the suite build.
 
 Everything that needs explicit triangles shares one triangle search: a
 walker over corner triples in lexicographic J order, filtered per corner
-pair by a vectorized third-corner mask (`_Sweep.triples`); a walker over the
-geodesic side choices of one triple, in lexicographic order and optionally
-restricted to cycle triangles (`_Sweep.combos`); and one kernel giving every
-side point's distance to the other two sides (`_side_distances`).  The
-witness search walks them until a triangle attains the value, the
-short-triangle predicate until a vertex sits exactly 3/2 from the other
-sides, and `thinness` applies the kernel to a given triangle.
+pair by a vectorized third-corner mask (`DeltaEngine.triples`); a walker
+over the geodesic side choices of one triple, in lexicographic order and
+optionally restricted to cycle triangles (`DeltaEngine.combos`); and one
+kernel giving every side point's distance to the other two sides
+(`_side_distances`).  The witness search walks them until a triangle
+attains the value, the short-triangle predicate until a vertex sits
+exactly 3/2 from the other sides, and `thinness` applies the kernel to a
+given triangle.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -126,16 +137,20 @@ class GeodesicTriangle:
 
 @dataclass
 class DeltaStats:
-    """Counters of one engine run.  Only the first two enter `to_json_dict`.
+    """Counters of one engine's work since it was built.  Only the first two
+    enter `to_json_dict`.
 
-    `table_bytes` is the memory held by the `tables_built` per-source tables
-    (one byte per entry on grids below 128 hops across, see `table_dtype`),
-    and `table_s` the seconds spent building them.  `sides_visited` counts
-    the sides the value sweep closed, those whose corner mask kept some
-    third corner, and `mask_s` the seconds spent computing corner masks.
-    `sides_exact` counts the side vectors computed from tables: on a graph
-    carrying automorphisms the value sweep computes them for orbit roots
-    only, and `orbit_s` is the seconds spent finding the roots.
+    `wall_time_s` is the seconds spent in the engine, of which `grid_s`
+    went to building it (subdivision, hop matrix and chains), `value_s` to
+    the value sweep and `witness_s` to witness searches.  `table_bytes` is
+    the memory held by the `tables_built` per-source tables (one byte per
+    entry on grids below 128 hops across, see `table_dtype`), and `table_s`
+    the seconds spent building them.  `sides_visited` counts the sides the
+    value sweep closed, those whose corner mask kept some third corner, and
+    `mask_s` the seconds spent computing corner masks.  `sides_exact` counts
+    the side vectors computed from tables: on a graph carrying automorphisms
+    the value sweep computes them for orbit roots only, and `orbit_s` is the
+    seconds spent finding the roots.
     """
 
     triples_examined: int = 0
@@ -148,6 +163,9 @@ class DeltaStats:
     mask_s: float = 0.0
     sides_exact: int = 0
     orbit_s: float = 0.0
+    grid_s: float = 0.0
+    value_s: float = 0.0
+    witness_s: float = 0.0
 
 
 @dataclass
@@ -189,13 +207,16 @@ def _side_distances(D: np.ndarray, sides) -> list[np.ndarray]:
 MASK_CHUNK = 256  # J-pairs per value-sweep chunk; its distinct orbit roots share one mask product
 
 
-class _Sweep:
-    """Shared state for one graph: grid, hop matrix, per-source tables and
-    per-pair caches."""
+class DeltaEngine:
+    """The exact-delta engine of one graph and config: its grid, hop matrix,
+    per-source tables and per-pair caches, built once and shared by the
+    value sweep, the witness search, the bigon bound and the short-triangle
+    predicate.  Its `stats` count the work done since it was built."""
 
-    def __init__(self, s: SubdividedGraph, cfg: DeltaConfig):
-        self.s = s
-        self.cfg = cfg
+    def __init__(self, g: Graph, cfg: Optional[DeltaConfig] = None):
+        t0 = time.perf_counter()
+        self.cfg = cfg = cfg or DeltaConfig()
+        self.s = s = subdivide(g, cfg.grid_factor, cfg.grid_cap)
         self.D = s.metrics().hops
         self.j = np.asarray(s.j_set, dtype=np.int64)
         self.nj = len(self.j)
@@ -207,12 +228,14 @@ class _Sweep:
         self.gens = j_automorphisms(s)  # checked generators on J indices (int32), or None
         if self.gens is not None:
             self._root = np.full((self.nj, self.nj), -1, dtype=np.int32)  # see roots()
-        self._known: tuple = (None, {})  # ((length, cur), {root: (count, best)}), see _close_sides
+        self._known: tuple = (None, None, {})  # (length, cur, {root: (count, best)}): _close_sides
         self._tables: dict[int, np.ndarray] = {}
         self._geos: dict[tuple[int, int], tuple] = {}
         self._sides: dict[tuple[int, int], np.ndarray] = {}
         self._far: tuple = (None, None)  # (t, jrows > t as float32), for the last t only
-        self.stats = DeltaStats()
+        self._hops: Optional[int] = None  # the value sweep's result, see delta()
+        grid_s = time.perf_counter() - t0
+        self.stats = DeltaStats(wall_time_s=grid_s, grid_s=grid_s)
 
     # -- caches (grid-id keys, smaller id first for pairs) -------------------
 
@@ -405,13 +428,19 @@ class _Sweep:
         its root's count of kept third corners and has its root's best role
         value.  The chunk's distinct roots are masked once per length and
         `cur`, and read in the order they first appear, up to the first
-        whose best exceeds `cur`.
+        whose best exceeds `cur`.  A length's first pair is its own root, so
+        on a graph with generators it is folded alone, before the length's
+        roots are found: a sweep that stops after it never searches them.
         """
-        codes = self.roots(ii, jj).tolist()
-        key = (int(self.jD[ii[0], jj[0]]), cur)
-        if self._known[0] != key:
-            self._known = (key, {})
-        known = self._known[1]
+        d = int(self.jD[ii[0], jj[0]])
+        if d != self._known[0] and self.gens is not None:  # a length is entered at its first pair
+            ii, jj = ii[:1], jj[:1]
+            codes = (ii * self.nj + jj).tolist()
+        else:
+            codes = self.roots(ii, jj).tolist()
+        if self._known[:2] != (d, cur):
+            self._known = (d, cur, {})
+        known = self._known[2]
         order = list(dict.fromkeys(codes))  # distinct roots, in the order they first appear
         fresh = [r for r in order if r not in known]
         if fresh:
@@ -473,69 +502,124 @@ class _Sweep:
                 return tri, side, point
         return None
 
+    # -- entry points ----------------------------------------------------------
 
-def _degenerate_result(s: SubdividedGraph, stats: DeltaStats) -> DeltaResult:
-    p = int(s.j_set[0])
-    tri = GeodesicTriangle(corners=(p, p, p), sides=((p,), (p,), (p,)), is_cycle=True)
-    return DeltaResult(value=QDist(0), witness=tri, witness_point=p,
-                       witness_side=0, stats=stats, grid=s)
+    @contextmanager
+    def _working(self):
+        """Add the block's seconds to `stats.wall_time_s`."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stats.wall_time_s += time.perf_counter() - t0
+
+    def delta(self, cycle_only: Optional[bool] = None) -> DeltaResult:
+        """Sharp hyperbolicity constant, with a witness triangle.
+
+        The value is exact (integer quarter-units).  The witness is the first
+        attaining triangle in lexicographic (x, y, z, geodesic) order and,
+        unless `cycle_only` (default: the config's) is off or the value is 0,
+        a cycle triangle.  The value sweep runs on the first call only; each
+        call runs the witness search.  The result holds a copy of `stats`.
+        """
+        with self._working():
+            if self._hops is None:
+                t0 = time.perf_counter()
+                self._hops = self.value_sweep()
+                self.stats.value_s += time.perf_counter() - t0
+            value = QDist.from_hops(self._hops, self.s.k)
+            tri, side, point = self._witness(
+                value, self.cfg.cycle_only if cycle_only is None else cycle_only)
+        return DeltaResult(value=value, witness=tri, witness_point=point,
+                           witness_side=side, stats=replace(self.stats), grid=self.s)
+
+    def _witness(self, value: QDist, cycle_only: bool):
+        """(triangle, side, point) of the first triangle attaining the swept value."""
+        if self.nj < 3:  # no triangle with distinct corners: one point attains 0
+            p = int(self.j[0])
+            return GeodesicTriangle(corners=(p, p, p), sides=((p,), (p,), (p,)), is_cycle=True), 0, p
+        # delta = 0 admits no cycle triangle (the graph is a tree), so the cycle
+        # restriction is waived for the witness there; any triangle attains 0.
+        cycle_only = cycle_only and self._hops > 0
+        t0 = time.perf_counter()
+        try:
+            got = self.witness_search(self._hops, cycle_only)
+        except GeodesicCapError as e:
+            raise GeodesicCapError(e.pair, e.cap, partial_lower_bound=value) from None
+        finally:
+            self.stats.witness_s += time.perf_counter() - t0
+        if got is None:
+            raise AssertionError(
+                f"no {'cycle ' if cycle_only else ''}triangle attains {value}; "
+                "this contradicts the extremal-triangle reduction — please report")
+        return got
+
+    def bigon_lower_bound(self) -> QDist:
+        """Max thinness over bigons (pairs of distinct geodesics between
+        J-points).
+
+        Always a lower bound for delta; on S_8 grids the hop maximum is
+        floored to the nearest quarter, which keeps it a valid bound.
+        """
+        def bigon(ii: np.ndarray, jj: np.ndarray, cur: int) -> tuple[int, int]:
+            # a pair with one geodesic has that geodesic as its interval, so its
+            # points score 0 here and cannot raise the bound
+            for r, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+                a, b = int(self.j[i]), int(self.j[j])
+                got = int(self.table(a)[interval(self.D, a, b), j].max())
+                if got > cur:
+                    return got, r + 1
+            return cur, ii.size
+
+        with self._working():
+            return QDist((4 * self.longest_first(bigon)) // self.s.k)
+
+    def has_tight_short_triangle(self) -> bool:
+        """Whether some cycle triangle with corners in J(G) and all sides of
+        length at most 3 realizes thinness 3/2 at a vertex of G; S_4 grids
+        only.
+
+        The tight point sits 3/2 from both ends of a length-3 side, so
+        requiring it to be a vertex forces those two corners to be edge
+        midpoints.  That is the configuration the forbidden-family
+        characterization describes (a length-3 side between two vertices
+        realizes 3/2 only at an edge midpoint, and such triangles occur in
+        graphs outside the family).  The classifier's induced-subgraph search
+        must agree with this predicate.
+        """
+        if self.s.k != 4:
+            raise ValidationError("the short-triangle predicate runs on the S_4 grid only")
+        target = 6  # 3/2 in quarter hops
+        limit = 12  # sides of length <= 3, the longest exactly 3
+        n_base = self.s.base.vertex_count
+        with self._working():
+            for x, y, z in self.triples(lambda ii, jj: self.longest_side(ii, jj) == limit):
+                if not self.triple_can_reach(x, y, z, target):
+                    continue
+                for sides, _, dists in self.combos(x, y, z, cycle_only=True):
+                    if any(((d == target) & (side < n_base)).any()
+                           for side, d in zip(sides, dists)):
+                        return True
+            return False
 
 
 def delta_exact(g: Graph, cfg: Optional[DeltaConfig] = None) -> DeltaResult:
-    """Sharp hyperbolicity constant of `g`, with a witness triangle.
-
-    The returned value is exact (integer quarter-units); the witness is the
-    first attaining triangle in lexicographic (x, y, z, geodesic) order and,
-    unless `cfg.cycle_only` is off or the value is 0, a cycle triangle.
-    """
-    cfg = cfg or DeltaConfig()
-    t0 = time.perf_counter()
-    s = subdivide(g, cfg.grid_factor, cfg.grid_cap)
-    sweep = _Sweep(s, cfg)
-    if sweep.nj < 3:
-        result = _degenerate_result(s, sweep.stats)
-        sweep.stats.wall_time_s = time.perf_counter() - t0
-        return result
-    hops = sweep.value_sweep()
-    value = QDist.from_hops(hops, s.k)
-    # delta = 0 admits no cycle triangle (the graph is a tree), so the cycle
-    # restriction is waived for the witness there; any triangle attains 0.
-    cycle_only = cfg.cycle_only and hops > 0
-    try:
-        got = sweep.witness_search(hops, cycle_only)
-    except GeodesicCapError as e:
-        raise GeodesicCapError(e.pair, e.cap, partial_lower_bound=value) from None
-    if got is None:
-        raise AssertionError(
-            f"no {'cycle ' if cycle_only else ''}triangle attains {value}; "
-            "this contradicts the extremal-triangle reduction — please report")
-    tri, side, point = got
-    sweep.stats.wall_time_s = time.perf_counter() - t0
-    return DeltaResult(value=value, witness=tri, witness_point=point,
-                       witness_side=side, stats=sweep.stats, grid=s)
+    """Sharp hyperbolicity constant of `g`, with a witness triangle
+    (`DeltaEngine.delta` on a fresh engine)."""
+    return DeltaEngine(g, cfg).delta()
 
 
 def delta_bigon_lower_bound(g: Graph, cfg: Optional[DeltaConfig] = None) -> QDist:
-    """Max thinness over bigons (pairs of distinct geodesics between J-points).
+    """Max thinness over bigons, a lower bound for delta(g)
+    (`DeltaEngine.bigon_lower_bound` on a fresh engine)."""
+    return DeltaEngine(g, cfg).bigon_lower_bound()
 
-    Always a lower bound for delta(g); on S_8 grids the hop maximum is
-    floored to the nearest quarter, which keeps it a valid bound.
-    """
-    cfg = cfg or DeltaConfig()
-    s = subdivide(g, cfg.grid_factor, cfg.grid_cap)
-    sweep = _Sweep(s, cfg)
 
-    def bigon(ii: np.ndarray, jj: np.ndarray, cur: int) -> tuple[int, int]:
-        # a pair with one geodesic has that geodesic as its interval, so its
-        # points score 0 here and cannot raise the bound
-        for r, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
-            a, b = int(sweep.j[i]), int(sweep.j[j])
-            got = int(sweep.table(a)[interval(sweep.D, a, b), j].max())
-            if got > cur:
-                return got, r + 1
-        return cur, ii.size
-
-    return QDist((4 * sweep.longest_first(bigon)) // s.k)
+def has_tight_short_triangle(g: Graph, cfg: Optional[DeltaConfig] = None) -> bool:
+    """Whether some short cycle triangle is 3/2-thin at a vertex of G
+    (`DeltaEngine.has_tight_short_triangle` on a fresh S_4 engine; the
+    config's grid factor is ignored)."""
+    return DeltaEngine(g, replace(cfg or DeltaConfig(), grid_factor=4)).has_tight_short_triangle()
 
 
 def thinness(s: SubdividedGraph, t: GeodesicTriangle) -> tuple[QDist, int]:
@@ -558,29 +642,3 @@ def thinness(s: SubdividedGraph, t: GeodesicTriangle) -> tuple[QDist, int]:
     dists = _side_distances(D, [np.asarray(side, dtype=np.int64) for side in t.sides])
     i = max(range(3), key=lambda i: dists[i].max())  # first side attaining the max
     return QDist.from_hops(int(dists[i].max()), s.k), int(t.sides[i][dists[i].argmax()])
-
-
-def has_tight_short_triangle(g: Graph, cfg: Optional[DeltaConfig] = None) -> bool:
-    """Whether some cycle triangle with corners in J(G) and all sides of
-    length at most 3 realizes thinness 3/2 at a vertex of G.
-
-    The tight point sits 3/2 from both ends of a length-3 side, so requiring
-    it to be a vertex forces those two corners to be edge midpoints.  That is
-    the configuration the forbidden-family characterization describes (a
-    length-3 side between two vertices realizes 3/2 only at an edge midpoint,
-    and such triangles occur in graphs outside the family).  The classifier's
-    induced-subgraph search must agree with this predicate.
-    """
-    cfg = cfg or DeltaConfig(grid_factor=4)
-    s = subdivide(g, 4, cfg.grid_cap)
-    sweep = _Sweep(s, cfg)
-    target = 6  # 3/2 in quarter hops
-    limit = 12  # sides of length <= 3, the longest exactly 3
-    n_base = g.vertex_count
-    for x, y, z in sweep.triples(lambda ii, jj: sweep.longest_side(ii, jj) == limit):
-        if not sweep.triple_can_reach(x, y, z, target):
-            continue
-        for sides, _, dists in sweep.combos(x, y, z, cycle_only=True):
-            if any(((d == target) & (side < n_base)).any() for side, d in zip(sides, dists)):
-                return True
-    return False

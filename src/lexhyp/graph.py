@@ -239,7 +239,7 @@ def _search_automorphisms(d: np.ndarray) -> np.ndarray:
     need no search.  The search uses the swaps of consecutive members of a
     twin class, which fix every smaller vertex; the ones returned swap the
     class's first member with each other one, which keeps the min-label
-    propagation of `_Sweep.roots` to few rounds.  The rest is a strong
+    propagation of `DeltaEngine.roots` to few rounds.  The rest is a strong
     generating set along the stabilizer chain G_0 >= G_1 >= ..., G_i fixing
     0 .. i-1: from i = n-1 down, for each j outside the orbit of i under
     the generators so far that fix 0 .. i-1, one automorphism of G_i with

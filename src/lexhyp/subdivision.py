@@ -267,8 +267,19 @@ def diam_g(g: Graph) -> QDist:
     Point-to-point distance restricted to a pair of edges is a lower envelope
     of linear functions with slopes +-1 and integer offsets; its maximum over
     the two edges is attained with both endpoints at vertices or midpoints,
-    so the J(G) x J(G) maximum on the S_2 grid is exact.
+    so the maximum over J(G) x J(G) is exact.  In half edges, from the vertex
+    distances D: 2 D between vertices, 1 + 2 min over the edge's ends from a
+    vertex to a midpoint, and 2 + 2 min over the four end pairs between the
+    midpoints of two different edges.  The same formula reads 2 for a
+    midpoint and itself, no more than its edge's two ends are apart, and at
+    most 0 for pairs in different components (D = UNREACHABLE, -1), so
+    neither raises the maximum.
     """
     if g.m == 0:
         return QDist(0)
-    return subdivide(g, 2).metrics().diam_g
+    d = g.vertex_distances()
+    ends = np.asarray(g.edges, dtype=np.intp).reshape(g.m, 2)
+    to_edge = np.minimum(d[:, ends[:, 0]], d[:, ends[:, 1]])  # vertex x edge
+    between = np.minimum(to_edge[ends[:, 0]], to_edge[ends[:, 1]])  # edge x edge
+    half_edges = max(2 * int(d.max()), 1 + 2 * int(to_edge.max()), 2 + 2 * int(between.max()))
+    return QDist.from_hops(half_edges, 2)

@@ -12,19 +12,19 @@ import json
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .catalog import in_family_F
 from .corpus import Corpus
-from .delta import DeltaConfig, delta_bigon_lower_bound, delta_exact, has_tight_short_triangle, thinness
+from .delta import DeltaConfig, DeltaEngine, DeltaResult, delta_exact, thinness
 from .errors import LexhypError
 from .geodesics import geodesic_count
 from .graph import Graph, complete_graph, cycle_graph, induced_subgraph, is_isometric_embedding, path_graph
 from .products import LEXICOGRAPHIC, ProductGraph, lex_distance_matrix, product
 from .qdist import ONE, THREE_HALVES, QDist
-from .subdivision import diam_g, diam_v, subdivide
+from .subdivision import SubdividedGraph, diam_g, diam_v, subdivide
 from .treeformula import bound_check, tree_lex_delta
 
 
@@ -61,15 +61,47 @@ class SuiteReport:
 
 
 class SuiteContext:
-    """Shared memoization across checks (exact deltas are the hot item)."""
+    """Shared memoization across checks (exact deltas are the hot item).
 
-    def __init__(self, product_cap: int):
+    Each of the `singles`, the corpus graphs, keeps one default S_4
+    `DeltaEngine` for the whole run, with its grid, tables and default
+    result: the value checks, the witness, cycle-only, bigon and
+    short-triangle checks all sweep these graphs, and share that engine
+    whatever order they run in.  Every other graph, the products above all,
+    keeps only its value: each is swept once, and keeping their engines as
+    well raised the peak RSS of a `lexhyp verify --seed 0` run from 62.5 to
+    90.0 MB, for the same grid and table counts.
+    """
+
+    def __init__(self, product_cap: int, singles: Iterable[Graph] = ()):
         self.product_cap = product_cap
+        self._singles = frozenset(singles)
+        self._engines: dict[Graph, DeltaEngine] = {}
+        self._results: dict[Graph, DeltaResult] = {}
         self._delta: dict[Graph, QDist] = {}
         self._products: dict[tuple[Graph, Graph], ProductGraph] = {}
         self._copy_pairs: dict[Corpus, list[tuple]] = {}
 
+    def engine(self, g: Graph) -> DeltaEngine:
+        """The default engine of g, built on first use and kept."""
+        if g not in self._engines:
+            self._engines[g] = DeltaEngine(g)
+        return self._engines[g]
+
+    def grid(self, g: Graph) -> SubdividedGraph:
+        """The S_4 grid of g; a single's is its kept engine's."""
+        return self.engine(g).s if g in self._singles else subdivide(g, 4)
+
+    def result(self, g: Graph) -> DeltaResult:
+        """The default `delta_exact` result of g, from its kept engine."""
+        if g not in self._results:
+            self._results[g] = self.engine(g).delta()
+        return self._results[g]
+
     def delta(self, g: Graph) -> QDist:
+        """The exact value of g; a single's comes from its kept engine."""
+        if g in self._singles:
+            return self.result(g).value
         if g not in self._delta:
             self._delta[g] = delta_exact(g).value
         return self._delta[g]
@@ -181,7 +213,7 @@ def _check_neighborhood(corpus: Corpus, ctx: SuiteContext):
         p = ctx.lex(g1, g2)
         if not _fits_s4(p.graph):
             continue
-        s = subdivide(p.graph, 4)
+        s = ctx.grid(p.graph)
         hops = s.metrics().hops
         copy_edges = set(g1.edges)
         for w in range(g2.vertex_count):
@@ -219,9 +251,9 @@ def _copy_pairs(corpus: Corpus, ctx: SuiteContext):
         p = ctx.lex(g1, g2)
         if not _fits_s4(p.graph) or not g2.m:
             continue
-        s = subdivide(p.graph, 4)
+        s = ctx.grid(p.graph)
         hops = s.metrics().hops
-        s2 = subdivide(g2, 4)
+        s2 = ctx.grid(g2)
         h2 = s2.metrics().hops
         pair = _pair_tag(g1, g2)
         for x0 in range(g1.vertex_count):
@@ -441,7 +473,7 @@ def _check_diam_half(corpus: Corpus, ctx: SuiteContext):
 def _check_witness(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
     for g in corpus.graphs:
-        res = delta_exact(g)
+        res = ctx.result(g)
         re_val, _ = thinness(res.grid, res.witness)
         instances += 1
         if re_val != res.value:
@@ -495,7 +527,7 @@ def _check_cycle_only(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
     for g in corpus.graphs:
         vt = ctx.delta(g)  # the default config is cycle-only
-        vf = delta_exact(g, DeltaConfig(cycle_only=False)).value
+        vf = ctx.engine(g).delta(cycle_only=False).value
         instances += 1
         if vt != vf:
             _fail(failures, {"graph": repr(g)}, f"cycle_only {vt}", f"unrestricted {vf}")
@@ -506,7 +538,7 @@ def _check_cycle_only(corpus: Corpus, ctx: SuiteContext):
 def _check_bigon(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
     for g in corpus.graphs:
-        lo = delta_bigon_lower_bound(g)
+        lo = ctx.engine(g).bigon_lower_bound()
         hi = ctx.delta(g)
         instances += 1
         if not lo <= hi:
@@ -611,7 +643,7 @@ def _check_f_triangle(corpus: Corpus, ctx: SuiteContext):
         if not _fits_s4(g):
             continue
         member, _ = in_family_F(g)
-        triangle = has_tight_short_triangle(g)
+        triangle = ctx.engine(g).has_tight_short_triangle()
         instances += 1
         if member != triangle:
             _fail(failures, {"graph": repr(g)},
@@ -629,7 +661,7 @@ def run_suite(corpus: Corpus, checks: Optional[list[str]] = None) -> SuiteReport
     unknown = [c for c in selected if c not in CHECKS]
     if unknown:
         raise LexhypError(f"unknown check ids: {unknown}")
-    ctx = SuiteContext(product_cap=corpus.spec.product_cap)
+    ctx = SuiteContext(product_cap=corpus.spec.product_cap, singles=corpus.graphs)
     results = {}
     for cid in selected:
         t0 = time.perf_counter()

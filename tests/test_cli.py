@@ -32,8 +32,11 @@ def test_delta_stats_on_stderr(capsys):
     lines = dict(line.split(": ") for line in err.splitlines())
     assert set(lines) == {"triples_examined", "geodesics_enumerated", "wall_time_s", "tables_built",
                           "table_bytes", "table_s", "sides_visited", "mask_s", "sides_exact",
-                          "orbit_s"}
+                          "orbit_s", "grid_s", "value_s", "witness_s"}
     assert int(lines["triples_examined"]) == json.loads(out)["stats"]["triples_examined"]
+    # the phase times are parts of the engine's wall time
+    phases = [float(lines[k]) for k in ("grid_s", "value_s", "witness_s")]
+    assert all(t > 0 for t in phases) and sum(phases) <= float(lines["wall_time_s"])
 
 
 def test_delta_json(capsys):

@@ -147,3 +147,30 @@ def test_geodesic_copy_checks_alone_and_together(monkeypatch):
         alone = run_suite(corpus, [cid]).to_json_dict()[cid]
         assert {**alone, "millis": 0} == {**both[cid], "millis": 0}
         assert alone["status"] == "pass" and alone["instances"] > 0
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed"])
+def test_each_single_gets_one_s4_grid(monkeypatch, order):
+    # every check that sweeps a corpus graph shares its one default engine,
+    # whichever check asks first
+    from lexhyp import SubdividedGraph
+    corpus = generate_corpus(CorpusSpec(seed=2, max_vertices=6, pair_count=8))
+    grids: dict = {}
+    init = SubdividedGraph.__init__
+
+    def counted(self, base, k, cap):
+        grids[(base, k)] = grids.get((base, k), 0) + 1
+        init(self, base, k, cap)
+
+    monkeypatch.setattr(SubdividedGraph, "__init__", counted)
+    checks = sorted(CHECKS, reverse=order == "reversed")
+    assert run_suite(corpus, checks).all_pass
+    assert {g: grids.get((g, 4), 0) for g in corpus.graphs} == {g: 1 for g in corpus.graphs}
+    assert not any(k == 2 for _, k in grids)  # diam_g needs no grid
+
+
+def test_suite_context_without_singles_keeps_no_engine():
+    # a context built without singles memoises values only, as for products
+    ctx = SuiteContext(product_cap=24)
+    assert ctx.delta(cycle_graph(5)) == ctx.delta(cycle_graph(5))
+    assert ctx._engines == {} and ctx._results == {}

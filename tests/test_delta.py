@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lexhyp import (CARTESIAN, DeltaConfig, GeodesicCapError, GeodesicTriangle, Graph, QDist,
-                    complete_graph, cycle_graph, delta_bigon_lower_bound, delta_exact,
-                    diam_g, get_catalog, has_tight_short_triangle, in_family_F, induced_subgraph,
+from lexhyp import (CARTESIAN, DeltaConfig, DeltaEngine, DeltaResult, GeodesicCapError,
+                    GeodesicTriangle, Graph, QDist, ValidationError, complete_graph, cycle_graph,
+                    delta_bigon_lower_bound, delta_exact, diam_g, get_catalog,
+                    has_tight_short_triangle, in_family_F, induced_subgraph,
                     is_isometric_embedding, path_graph, product, star_graph, subdivide,
                     thinness, trivial_graph)
-from lexhyp.delta import _Sweep
 from lexhyp.geodesics import enumerate_paths
 from lexhyp.subdivision import all_pairs_distances
 from test_symmetry import _rotated_p2_c5
@@ -120,7 +120,7 @@ def test_witness_non_cycle_branch_pinned():
 def test_table_counters():
     # the sweep of delta_exact, run by hand so its tables can be inspected
     g = product(path_graph(4), cycle_graph(6)).graph
-    sweep = _Sweep(subdivide(g, 4), DeltaConfig())
+    sweep = DeltaEngine(g)
     sweep.witness_search(sweep.value_sweep(), cycle_only=True)
     stats = sweep.stats
     assert stats.tables_built == len(sweep._tables) > 0
@@ -397,9 +397,9 @@ def test_bigon_against_oracle_on_random_graphs(g):
 def test_side_values_against_enumeration(g, k):
     # entry c of side_values(a, b): the largest thinness on side a-b over
     # every geodesic choice of triangle (a, b, c)
-    s = subdivide(g, k)
+    sweep = DeltaEngine(g, DeltaConfig(grid_factor=k))
+    s = sweep.s
     hops, geos = _geodesic_arrays(s)
-    sweep = _Sweep(s, DeltaConfig(grid_factor=k))
     for a, b in itertools.combinations(s.j_set, 2):
         got = sweep.side_values(a, b)
         for c in s.j_set:
@@ -437,9 +437,9 @@ def test_corner_masks_match_brute_ceiling(g):
     # entry (r, c) of the masks at t: whether max over grid points p of
     # min(d(a, p), d(b, p), d(c, p)) exceeds t, for every J-pair and every t,
     # UNREACHABLE hop counts included
-    s = subdivide(g, 4)
+    sweep = DeltaEngine(g)
+    s = sweep.s
     hops = s.metrics().hops
-    sweep = _Sweep(s, DeltaConfig())
     pairs = list(itertools.combinations(range(sweep.nj), 2))
     if not pairs:
         return
@@ -453,7 +453,7 @@ def test_corner_masks_match_brute_ceiling(g):
 def _per_side_sweep(s):
     """The value sweep one side at a time, longest first, with the brute-force
     ceiling at the running value: (value, triples examined, sides visited)."""
-    sweep = _Sweep(s, DeltaConfig())
+    sweep = DeltaEngine(s.base)
     hops, j = s.metrics().hops, s.j_set
     pairs = sorted(itertools.combinations(range(len(j)), 2), key=lambda p: -hops[j[p[0]], j[p[1]]])
     cur = examined = visited = 0
@@ -482,9 +482,78 @@ def _per_side_sweep(s):
 def test_chunked_sweep_counts_match_per_side_sweep(g):
     # the masks of a chunk are recomputed whenever the running value rises,
     # so each side is charged the corners whose ceiling beats the value at it
-    s = subdivide(g, 4)
-    sweep = _Sweep(s, DeltaConfig())
+    sweep = DeltaEngine(g)
+    s = sweep.s
     got = sweep.value_sweep()
     assert (got, sweep.stats.triples_examined, sweep.stats.sides_visited) == _per_side_sweep(s)
     # side values are read only for visited sides, none past a rise
     assert sweep.stats.sides_exact <= sweep.stats.sides_visited
+
+
+# ---------------------------------------------------------------------------
+# one engine per graph: every entry point, in every order
+# ---------------------------------------------------------------------------
+
+_ENGINE_CALLS = {  # name -> (engine call, the standalone function it must match)
+    "bigon": (DeltaEngine.bigon_lower_bound, delta_bigon_lower_bound),
+    "triangle": (DeltaEngine.has_tight_short_triangle, has_tight_short_triangle),
+    "delta": (DeltaEngine.delta, delta_exact),
+    "delta_free": (lambda e: e.delta(cycle_only=False),
+                   lambda g: delta_exact(g, DeltaConfig(cycle_only=False))),
+}
+
+
+def _answer(got):
+    """A call's answer; a DeltaResult's without its stats, which count all
+    the work its engine has done."""
+    if isinstance(got, DeltaResult):
+        got = got.to_json_dict()
+        got.pop("stats")
+    return got
+
+
+def _check_engine_order(g: Graph, order) -> None:
+    engine = DeltaEngine(g)
+    for i, name in enumerate(order):
+        call, alone = _ENGINE_CALLS[name]
+        got, want = call(engine), alone(g)
+        assert _answer(got) == _answer(want), (name, order)
+        if i == 0 and name == "delta":  # a fresh engine's first delta() is delta_exact's
+            assert got.to_json_dict() == want.to_json_dict()
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=_connected_graphs(7), order=st.permutations(sorted(_ENGINE_CALLS)))
+@example(g=cycle_graph(6), order=["delta", "bigon", "triangle", "delta_free"])
+@example(g=trivial_graph(), order=["delta", "delta_free", "bigon", "triangle"])
+def test_engine_shared_across_entry_points(g, order):
+    _check_engine_order(g, order)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(sorted(_ENGINE_CALLS))))
+def test_engine_shared_on_a_product_with_generators(order):
+    g = product(path_graph(3), cycle_graph(4)).graph
+    _check_engine_order(g, order)
+
+
+def test_engine_sweeps_the_value_once():
+    engine = DeltaEngine(product(path_graph(3), cycle_graph(4)).graph)
+    first = engine.delta()
+    swept = (engine.stats.sides_visited, engine.stats.sides_exact, engine.stats.value_s)
+    again = engine.delta()
+    assert (engine.stats.sides_visited, engine.stats.sides_exact, engine.stats.value_s) == swept
+    assert again.to_json_dict()["witness"] == first.to_json_dict()["witness"]
+    # each result holds a copy of the engine's stats, which count both
+    # witness searches; the second reuses the geodesics of the first
+    assert again.stats is not first.stats
+    assert again.stats.triples_examined > first.stats.triples_examined
+    assert again.stats.geodesics_enumerated == first.stats.geodesics_enumerated
+    assert again.stats.witness_s > first.stats.witness_s
+
+
+def test_engine_short_triangle_needs_s4():
+    engine = DeltaEngine(cycle_graph(6), DeltaConfig(grid_factor=8))
+    with pytest.raises(ValidationError):
+        engine.has_tight_short_triangle()
+    # the module function ignores the config's grid factor, as it always has
+    assert has_tight_short_triangle(cycle_graph(6), DeltaConfig(grid_factor=8))

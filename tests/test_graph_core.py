@@ -266,6 +266,27 @@ def test_diam_trivial():
     assert diam_g(trivial_graph()) == QDist(0)
 
 
+def _any_graph(seed: int, n: int, m: int) -> Graph:
+    """A random graph on n vertices with up to m edges: often disconnected,
+    edgeless when m is 0."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, rng.sample(pairs, min(m, len(pairs))), _allow_disconnected=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 9), m=st.integers(0, 14))
+@example(seed=0, n=3, m=0)  # edgeless
+@example(seed=0, n=1, m=0)
+def test_diam_g_closed_form_matches_grids(seed, n, m):
+    # from vertex distances alone, against the J(G) maximum of the S_2 grid
+    # and the brute S_8 maximum; pairs in different components (UNREACHABLE,
+    # -1) are skipped by all three
+    g = _any_graph(seed, n, m)
+    want = subdivide(g, 2).metrics().diam_g if g.m else QDist(0)
+    assert diam_g(g) == want == _diam_oracle_s8(g)
+
+
 # ---------------------------------------------------------------------------
 # metric properties over random graphs
 # ---------------------------------------------------------------------------

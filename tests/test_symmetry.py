@@ -8,9 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import lexhyp.graph as graph_module
 from lexhyp import (CARTESIAN, LEXICOGRAPHIC, STRONG, DeltaConfig, Graph, ValidationError,
-                    complete_graph, cycle_graph, delta_exact, path_graph, product, star_graph,
-                    subdivide)
-from lexhyp.delta import _Sweep
+                    complete_graph, cycle_graph, delta_exact, path_graph, product, star_graph)
+from lexhyp.delta import DeltaEngine
 
 
 @st.composite
@@ -92,7 +91,7 @@ def test_root_fold_matches_plain_copy(p):
     for cycle_only in (True, False):
         cfg = DeltaConfig(cycle_only=cycle_only)
         got, plain = delta_exact(p, cfg), delta_exact(_plain(p), cfg)
-        assert got.stats.orbit_s > 0 and plain.stats.orbit_s == 0
+        assert plain.stats.orbit_s == 0
         assert got.to_json_dict() == plain.to_json_dict()
         assert got.stats.triples_examined == plain.stats.triples_examined
         assert got.stats.sides_visited == plain.stats.sides_visited
@@ -101,10 +100,44 @@ def test_root_fold_matches_plain_copy(p):
 
 
 @pytest.mark.parametrize("p", _FOLD_CASES.values(), ids=_FOLD_CASES.keys())
+def test_first_pair_of_a_length_skips_the_root_search(p):
+    # a length's first pair is its own root and is folded before the length's
+    # roots are found: a length the sweep leaves after that pair keeps its
+    # `_root` entries unset, every other length it folds has them all set
+    sweep = DeltaEngine(p)
+    assert sweep.gens is not None
+    folded: dict[int, int] = {}  # length -> pairs folded there
+    close = sweep._close_sides
+
+    def counted(ii, jj, cur):
+        got = close(ii, jj, cur)
+        d = int(sweep.jD[ii[0], jj[0]])
+        folded[d] = folded.get(d, 0) + got[1]
+        return got
+
+    sweep._close_sides = counted
+    sweep.value_sweep()
+    pi, pj = np.triu_indices(sweep.nj, 1)
+    for d, pairs in folded.items():
+        at = sweep.jD[pi, pj] == d
+        roots = sweep._root[pi[at], pj[at]]
+        assert (roots == -1).all() if pairs == 1 else (roots >= 0).all(), (d, pairs)
+
+
+@pytest.mark.parametrize("p", [_FOLD_CASES[k] for k in ("lex-P2-K3", "cart-P3-C4",
+                                                       "lex-P2-C5-rotations")])
+def test_sweep_ending_after_one_pair_finds_no_roots(p):
+    # these sweeps close one side and stop, so neither the value sweep nor the
+    # witness search finds any root
+    res = delta_exact(p)
+    assert res.stats.orbit_s == 0 and res.stats.sides_visited == 1
+
+
+@pytest.mark.parametrize("p", _FOLD_CASES.values(), ids=_FOLD_CASES.keys())
 def test_roots_are_first_pairs_of_orbits(p):
     # every J-pair's root against its orbit closed pair by pair under the
     # generators: the orbit's first pair in row-major (longest_first) order
-    sweep = _Sweep(subdivide(p, 4), DeltaConfig())
+    sweep = DeltaEngine(p)
     pi, pj = np.triu_indices(sweep.nj, 1)
     gens = sweep.gens.tolist()
     for i, j in zip(pi.tolist(), pj.tolist()):
@@ -128,7 +161,7 @@ def test_roots_are_first_pairs_of_orbits(p):
 def test_j_pair_orbit_counts(g1, g2, orbits):
     # the orbit counts of the construction group, measured independently
     # with networkx VF2 generators and a union-find
-    sweep = _Sweep(subdivide(product(g1, g2).graph, 4), DeltaConfig())
+    sweep = DeltaEngine(product(g1, g2).graph)
     pi, pj = np.triu_indices(sweep.nj, 1)
     lengths = sweep.jD[pi, pj]
     assert sum(np.unique(sweep.roots(pi[lengths == d], pj[lengths == d])).size
@@ -219,7 +252,7 @@ def test_search_cap_keeps_a_subgroup(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_corner_masks_keep_corners_on_nan():
-    sweep = _Sweep(subdivide(cycle_graph(6), 4), DeltaConfig())
+    sweep = DeltaEngine(cycle_graph(6))
     ii, jj = np.array([0, 1]), np.array([3, 4])
     t = 8
     clean = sweep.corner_masks(ii, jj, t)

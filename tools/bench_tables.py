@@ -1,8 +1,9 @@
-"""Time the per-source bottleneck tables and `delta_exact`, and write a BENCH json.
+"""Time the per-source bottleneck tables, `delta_exact` and the verification
+suite, and write a BENCH json.
 
 Run from the root of a checkout, with `src` on the path:
 
-    PYTHONPATH=src python3 tools/bench_tables.py --out BENCH_orbit_roots.json \\
+    PYTHONPATH=src python3 tools/bench_tables.py --out BENCH_shared_engine.json \\
         --parent PARENT --parent-commit REV
 
 Per table, "before" is the grid DP (`farthest_geodesic_table` over the S_4
@@ -17,9 +18,19 @@ graph alone: best of 3 calls, with `tables_built`, `table_bytes`,
 `sides_exact` (side vectors computed from tables; null on checkouts that
 do not count them) and the value.  The factors' automorphism search runs
 in the first call and is cached on the factors, so the best of 3 leaves it
-out.  "after" runs it on this checkout's `src`, "before" on PARENT/src, a
-checkout of the commit REV; both run this script, so only the library
-differs.
+out.
+
+The suite record runs `lexhyp verify --seed 0` (`run_suite` on the default
+corpus of seed 0, every check) three times in a fresh process
+(`--suite-one`), after building the catalog: the S_k grids built per k
+(`SubdividedGraph` constructions) and the per-source tables built
+(`j_source_table` calls from the delta engine), both counted in the first
+run, the best wall time of the other two, and each check's best seconds.
+Three such processes run per checkout, alternating between the two
+checkouts, and the record keeps the best times of the three.
+
+"after" runs on this checkout's `src`, "before" on PARENT/src, a checkout
+of the commit REV; both run this script, so only the library differs.
 """
 
 from __future__ import annotations
@@ -100,15 +111,66 @@ def delta_one(name: str) -> dict:
             "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
+def suite_one(reps: int = 3) -> dict:
+    import lexhyp.delta
+    from lexhyp import CorpusSpec, SubdividedGraph, generate_corpus, get_catalog, run_suite
+
+    grids: dict[str, int] = {}
+    tables = [0]
+    init, table = SubdividedGraph.__init__, lexhyp.delta.j_source_table
+
+    def counted_init(self, base, k, cap):
+        grids[f"S_{k}"] = grids.get(f"S_{k}", 0) + 1
+        init(self, base, k, cap)
+
+    def counted_table(s, a):
+        tables[0] += 1
+        return table(s, a)
+
+    get_catalog()
+    corpus = generate_corpus(CorpusSpec(seed=0))
+    SubdividedGraph.__init__, lexhyp.delta.j_source_table = counted_init, counted_table
+    try:
+        report = run_suite(corpus)
+    finally:
+        SubdividedGraph.__init__, lexhyp.delta.j_source_table = init, table
+    seconds = {cid: r.millis / 1e3 for cid, r in report.results.items()}
+    walls = []
+    for _ in range(reps - 1):
+        t0 = time.perf_counter()
+        again = run_suite(corpus)
+        walls.append(time.perf_counter() - t0)
+        seconds = {cid: min(seconds[cid], r.millis / 1e3) for cid, r in again.results.items()}
+    return {"all_pass": report.all_pass, "grids_built": dict(sorted(grids.items())),
+            "tables_built": tables[0], "best_wall_s": round(min(walls), 3),
+            "check_best_s": dict(sorted(seconds.items())),
+            "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
+def _fresh(src: str, *args: str) -> dict:
+    """This script's json output, run with `args` in a fresh process on `src`."""
+    done = subprocess.run([sys.executable, __file__, *args], env=dict(os.environ, PYTHONPATH=src),
+                          check=True, capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def suite_runs(srcs: dict, rounds: int = 3) -> dict:
+    """`suite_one` for each named `src`, `rounds` times in fresh processes,
+    alternating the order: the counts of the first, the best times of all."""
+    out: dict = {}
+    for r in range(rounds):
+        for name, src in (list(srcs.items()) if r % 2 == 0 else list(srcs.items())[::-1]):
+            got = _fresh(src, "--suite-one")
+            best = out.setdefault(name, got)
+            best["best_wall_s"] = min(best["best_wall_s"], got["best_wall_s"])
+            best["check_best_s"] = {c: min(t, got["check_best_s"][c])
+                                    for c, t in best["check_best_s"].items()}
+    return out
+
+
 def delta_runs(src: str) -> dict:
     """`delta_one` for every graph of DELTA_GRAPHS, each in a fresh process on `src`."""
-    env = dict(os.environ, PYTHONPATH=src)
-    out = {}
-    for name in DELTA_GRAPHS:
-        done = subprocess.run([sys.executable, __file__, "--delta-one", name], env=env,
-                              check=True, capture_output=True, text=True)
-        out[name] = json.loads(done.stdout)
-    return out
+    return {name: _fresh(src, "--delta-one", name) for name in DELTA_GRAPHS}
 
 
 def main() -> None:
@@ -117,9 +179,13 @@ def main() -> None:
     ap.add_argument("--parent", help="checkout of the parent commit, for delta_exact before")
     ap.add_argument("--parent-commit", default="", help="the parent checkout's commit id")
     ap.add_argument("--delta-one", choices=DELTA_GRAPHS, help="print one delta_exact run as json")
+    ap.add_argument("--suite-one", action="store_true", help="print the suite record as json")
     args = ap.parse_args()
     if args.delta_one:
         print(json.dumps(delta_one(args.delta_one)))
+        return
+    if args.suite_one:
+        print(json.dumps(suite_one()))
         return
     here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     record = {
@@ -130,9 +196,12 @@ def main() -> None:
         "table_ms_per_source": table_ms(),
         "delta_exact_after": delta_runs(here),
     }
+    suites = {"suite_after": here}
     if args.parent:
         record["parent_commit"] = args.parent_commit
         record["delta_exact_before"] = delta_runs(os.path.join(args.parent, "src"))
+        suites["suite_before"] = os.path.join(args.parent, "src")
+    record.update(suite_runs(suites))
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
