@@ -94,7 +94,7 @@ from .errors import GeodesicCapError, ValidationError
 from .geodesics import enumerate_paths, interval, j_source_table
 from .graph import Graph
 from .qdist import QDist
-from .subdivision import DEFAULT_GRID_CAP, SubdividedGraph, j_automorphisms, subdivide
+from .subdivision import SubdividedGraph, j_automorphisms, subdivide
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,14 @@ class DeltaConfig:
     witness sweep (the value sweep enumerates none: it reads per-source
     bottleneck tables); `cycle_only` restricts the witness to cycle
     triangles; `grid_factor` is the subdivision (4, or 8 for the stability
-    check); `grid_cap` bounds the grid's point count, and with it the size of
-    every table (points x J-points per source, each entry in the narrowest
-    signed dtype holding the grid's largest hop count: one byte below 128).
+    check).  `DEFAULT_GRID_CAP` bounds the grid's points, and with it every
+    table (points x J-points per source, each entry in the narrowest signed
+    dtype holding the grid's largest hop count: one byte below 128).
     """
 
     geodesic_cap: int = 1_000_000
     cycle_only: bool = True
     grid_factor: int = 4
-    grid_cap: int = DEFAULT_GRID_CAP
 
     def __post_init__(self):
         if self.geodesic_cap < 1:
@@ -216,7 +215,7 @@ class DeltaEngine:
     def __init__(self, g: Graph, cfg: Optional[DeltaConfig] = None):
         t0 = time.perf_counter()
         self.cfg = cfg = cfg or DeltaConfig()
-        self.s = s = subdivide(g, cfg.grid_factor, cfg.grid_cap)
+        self.s = s = subdivide(g, cfg.grid_factor)
         self.D = s.metrics().hops
         self.j = np.asarray(s.j_set, dtype=np.int64)
         self.nj = len(self.j)
@@ -521,7 +520,10 @@ class DeltaEngine:
         unless `cycle_only` (default: the config's) is off or the value is 0,
         a cycle triangle.  The value sweep runs on the first call only; each
         call runs the witness search.  The result holds a copy of `stats`.
+        A disconnected graph raises ValidationError before the sweep.
         """
+        if not self.s.base.is_connected():
+            raise ValidationError("delta needs a connected graph")
         with self._working():
             if self._hops is None:
                 t0 = time.perf_counter()

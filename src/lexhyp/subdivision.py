@@ -10,6 +10,11 @@ base graph's vertex distances (`all_pairs_distances`).  Neither are the
 bottleneck tables walked point by point: an edge's interior is a chain that
 a geodesic crosses whole or enters up to its midpoint, so each edge's chain
 minima of hop rows (`edge_chains`) stand in for its k-1 interior points.
+
+Maxima at J(G), the vertices and edge midpoints, need no grid: `j_hops` is
+the S_k hop matrix on J(G) from the vertex distances alone.  `diam_g` reads
+it, and so do the suite's copy-lemma checks, whose distance to a copy is a
+tent along each edge, min(i + A, k - i + B) with |A - B| <= k.
 """
 
 from __future__ import annotations
@@ -78,11 +83,6 @@ class SubdividedGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
 
-    def midpoint(self, edge: tuple[int, int]) -> int:
-        """Grid id of the midpoint of `edge`, given in either order."""
-        u, v = edge
-        return self.edge_points[(u, v) if u < v else (v, u)][self.k // 2]
-
     def metrics(self) -> "GraphMetrics":
         if self._metrics is None:
             self._metrics = all_pairs_distances(self)
@@ -129,17 +129,23 @@ def j_automorphisms(s: SubdividedGraph) -> Optional[np.ndarray]:
     n = s.base.vertex_count
     if perms.shape[1] != n or not (np.sort(perms, axis=1) == np.arange(n)).all():
         raise ValidationError("a carried automorphism is not a vertex permutation")
-    ends = np.asarray(s.base.edges, dtype=np.int64).reshape(-1, 2)
-    keys = ends[:, 0] * n + ends[:, 1]  # ascending: edges are sorted
-    a, b = perms[:, ends[:, 0]].astype(np.int64), perms[:, ends[:, 1]].astype(np.int64)
-    image = np.minimum(a, b) * n + np.maximum(a, b)
-    at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
-    missing = keys[at] != image
-    if missing.any():
-        g, e = (int(x) for x in np.argwhere(missing)[0])
+    ends = np.asarray(s.base.edges, dtype=np.intp).reshape(-1, 2)
+    a, b = perms[:, ends[:, 0]], perms[:, ends[:, 1]]
+    at = edge_ids(s.base, a, b)
+    if (at < 0).any():
+        g, e = (int(x) for x in np.argwhere(at < 0)[0])
         raise ValidationError(f"carried automorphism {g} maps edge {s.base.edges[e]} to "
                               f"({int(a[g, e])},{int(b[g, e])}), which is not an edge")
     return np.concatenate([perms, n + at], axis=1).astype(np.int32)
+
+
+def edge_ids(g: Graph, a, b) -> np.ndarray:
+    """Index in `g.edges` (not empty) of each pair (a, b), or -1 for a non-edge."""
+    n = g.vertex_count
+    keys = np.asarray(g.edges, dtype=np.int64) @ np.array([n, 1])  # ascending: edges are sorted
+    pair = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+    at = np.minimum(np.searchsorted(keys, pair), len(keys) - 1)
+    return np.where(keys[at] == pair, at, -1)
 
 
 def subdivide(g: Graph, k: int, cap: int = DEFAULT_GRID_CAP) -> SubdividedGraph:
@@ -160,8 +166,6 @@ class GraphMetrics:
 
     k: int
     hops: np.ndarray
-    diam_v: QDist
-    diam_g: QDist
 
     def distance(self, a: int, b: int) -> QDist:
         return QDist.from_hops(int(self.hops[a, b]), self.k)
@@ -180,37 +184,43 @@ def all_pairs_distances(s: SubdividedGraph) -> GraphMetrics:
 
     while two points i and j of the same edge are |i - j| apart: leaving the
     edge costs at least min(i + j, 2k - i - j) >= |i - j|.  The minimum is
-    taken in two stages, first to every vertex (`to_vertex`, grid points by
-    base vertices), then to every point, all in int32.  Pairs whose
-    endpoints lie in different components of the base graph stay
-    UNREACHABLE.  Diameters are taken over vertices and over J(G).
+    taken in two stages, first to every vertex, then to every point
+    (`_point_hops`).  Pairs whose endpoints lie in different components of
+    the base graph stay UNREACHABLE.
     """
     g, k = s.base, s.k
     n, m = g.vertex_count, g.m
+    hops = _point_hops(g, k, np.repeat(np.arange(m), k - 1), np.tile(np.arange(1, k), m))
+    block = n + (k - 1) * np.arange(m)[:, None, None]
+    i = np.arange(k - 1)
+    hops[block + i[:, None], block + i[None, :]] = np.abs(i[:, None] - i[None, :])
+    hops.setflags(write=False)
+    return GraphMetrics(k=k, hops=hops)
+
+
+def _point_hops(g: Graph, k: int, edges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """S_k hop counts between the vertices of g, then for each r the point
+    offsets[r] hops along edge edges[r] (an index into g.edges) from its
+    smaller end: the min over the four endpoint choices of s_p + k*D[e_p,
+    e_q] + t_q, in int32.  Exact for points on different edges; UNREACHABLE
+    between components."""
+    n = g.vertex_count
+    ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
+    e1 = np.concatenate([np.arange(n), ends[edges, 0]])
+    e2 = np.concatenate([np.arange(n), ends[edges, 1]])
+    s1 = np.concatenate([np.zeros(n, np.int32), offsets]).astype(np.int32)
+    s2 = k - s1  # a vertex's second choice, (v, k), never wins
     unreachable = np.int32(2 ** 30)  # above any hop count, far below int32 overflow
     d = g.vertex_distances()
     kd = np.where(d == UNREACHABLE, unreachable, k * d).astype(np.int32)
-    ends = np.asarray(g.edges, dtype=np.intp).reshape(m, 2)
-    off = np.arange(1, k, dtype=np.int32)
-    e1 = np.concatenate([np.arange(n), np.repeat(ends[:, 0], k - 1)])
-    e2 = np.concatenate([np.arange(n), np.repeat(ends[:, 1], k - 1)])
-    s1 = np.concatenate([np.zeros(n, np.int32), np.tile(off, m)])
-    s2 = np.concatenate([np.zeros(n, np.int32), np.tile(k - off, m)])
-    to_vertex = np.minimum(kd[e1] + s1[:, None], kd[e2] + s2[:, None])
+    to_vertex = np.minimum(kd[e1] + s1[:, None], kd[e2] + s2[:, None])  # points x vertices
     hops = to_vertex[:, e1]
     hops += s1
     via = to_vertex[:, e2]
     via += s2
     np.minimum(hops, via, out=hops)
-    block = n + (k - 1) * np.arange(m)[:, None, None]
-    i = np.arange(k - 1)
-    hops[block + i[:, None], block + i[None, :]] = np.abs(i[:, None] - i[None, :])
     hops[hops >= unreachable] = UNREACHABLE
-    hops.setflags(write=False)
-    diam_v = QDist.from_hops(int(hops[:n, :n].max()), k)
-    j = np.asarray(s.j_set)
-    diam_g = QDist.from_hops(int(hops[np.ix_(j, j)].max()), k)
-    return GraphMetrics(k=k, hops=hops, diam_v=diam_v, diam_g=diam_g)
+    return hops
 
 
 @dataclass(frozen=True)
@@ -256,30 +266,27 @@ def edge_chains(s: SubdividedGraph) -> EdgeChains:
                       whole=np.minimum(u_mid, right))
 
 
+def j_hops(g: Graph, k: int = 4) -> np.ndarray:
+    """The S_k hop matrix on J(G) in `j_set` order (vertex v at v, the midpoint
+    of edge e at n + e), from the vertex distances D alone: k D between
+    vertices, k/2 + k min(D[v, x], D[v, y]) from v to the midpoint of (x, y),
+    and k + k min over the end pairs between midpoints of different edges."""
+    hops = _point_hops(g, k, np.arange(g.m), np.full(g.m, k // 2))
+    np.fill_diagonal(hops, 0)  # a midpoint and itself, which the formula puts k apart
+    return hops
+
+
 def diam_v(g: Graph) -> QDist:
     """Diameter over vertices only."""
     return QDist.from_edges(int(g.vertex_distances().max()))
 
 
 def diam_g(g: Graph) -> QDist:
-    """Diameter over all points of the metric graph.
+    """Diameter over all points of the metric graph, the maximum of `j_hops`.
 
     Point-to-point distance restricted to a pair of edges is a lower envelope
     of linear functions with slopes +-1 and integer offsets; its maximum over
     the two edges is attained with both endpoints at vertices or midpoints,
-    so the maximum over J(G) x J(G) is exact.  In half edges, from the vertex
-    distances D: 2 D between vertices, 1 + 2 min over the edge's ends from a
-    vertex to a midpoint, and 2 + 2 min over the four end pairs between the
-    midpoints of two different edges.  The same formula reads 2 for a
-    midpoint and itself, no more than its edge's two ends are apart, and at
-    most 0 for pairs in different components (D = UNREACHABLE, -1), so
-    neither raises the maximum.
+    so the maximum over J(G) x J(G) is exact.  UNREACHABLE is -1.
     """
-    if g.m == 0:
-        return QDist(0)
-    d = g.vertex_distances()
-    ends = np.asarray(g.edges, dtype=np.intp).reshape(g.m, 2)
-    to_edge = np.minimum(d[:, ends[:, 0]], d[:, ends[:, 1]])  # vertex x edge
-    between = np.minimum(to_edge[ends[:, 0]], to_edge[ends[:, 1]])  # edge x edge
-    half_edges = max(2 * int(d.max()), 1 + 2 * int(to_edge.max()), 2 + 2 * int(between.max()))
-    return QDist.from_hops(half_edges, 2)
+    return QDist.from_hops(int(j_hops(g, 2).max()), 2)

@@ -4,6 +4,10 @@ Each check compares two independently computed quantities (closed form vs
 all-pairs search, table vs exact engine, ...) or a computed quantity
 against a fixed constant, over a deterministic corpus.  A failing check never
 aborts the run; failures become replayable report entries.
+
+The copy-lemma checks (`neighborhood_3_2`, `geodesic_copy_5_2`,
+`geodesic_copy_gt3`) read the S_4 metric of J(G) from `j_hops` and build no
+grid: their extremes sit at vertices and edge midpoints (`_check_neighborhood`).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .geodesics import geodesic_count
 from .graph import Graph, complete_graph, cycle_graph, induced_subgraph, is_isometric_embedding, path_graph
 from .products import LEXICOGRAPHIC, ProductGraph, lex_distance_matrix, product
 from .qdist import ONE, THREE_HALVES, QDist
-from .subdivision import SubdividedGraph, diam_g, diam_v, subdivide
+from .subdivision import diam_g, diam_v, edge_ids, j_hops
 from .treeformula import bound_check, tree_lex_delta
 
 
@@ -70,7 +74,9 @@ class SuiteContext:
     whatever order they run in.  Every other graph, the products above all,
     keeps only its value: each is swept once, and keeping their engines as
     well raised the peak RSS of a `lexhyp verify --seed 0` run from 62.5 to
-    90.0 MB, for the same grid and table counts.
+    90.0 MB, for the same grid and table counts.  The copy-lemma checks keep
+    nothing: they read `j_hops`, exact for them as their extremes sit at J
+    points.
     """
 
     def __init__(self, product_cap: int, singles: Iterable[Graph] = ()):
@@ -80,17 +86,12 @@ class SuiteContext:
         self._results: dict[Graph, DeltaResult] = {}
         self._delta: dict[Graph, QDist] = {}
         self._products: dict[tuple[Graph, Graph], ProductGraph] = {}
-        self._copy_pairs: dict[Corpus, list[tuple]] = {}
 
     def engine(self, g: Graph) -> DeltaEngine:
         """The default engine of g, built on first use and kept."""
         if g not in self._engines:
             self._engines[g] = DeltaEngine(g)
         return self._engines[g]
-
-    def grid(self, g: Graph) -> SubdividedGraph:
-        """The S_4 grid of g; a single's is its kept engine's."""
-        return self.engine(g).s if g in self._singles else subdivide(g, 4)
 
     def result(self, g: Graph) -> DeltaResult:
         """The default `delta_exact` result of g, from its kept engine."""
@@ -111,12 +112,6 @@ class SuiteContext:
         if key not in self._products:
             self._products[key] = product(g1, g2, LEXICOGRAPHIC)
         return self._products[key]
-
-    def copy_pairs(self, corpus: Corpus) -> list[tuple]:
-        """The `_copy_pairs` records, computed once for both geodesic-copy checks."""
-        if corpus not in self._copy_pairs:
-            self._copy_pairs[corpus] = list(_copy_pairs(corpus, self))
-        return self._copy_pairs[corpus]
 
     def delta_pairs(self, corpus: Corpus):
         """Pairs whose lexicographic product fits the engine budget."""
@@ -154,8 +149,19 @@ def _small_pairs(pairs):
 
 
 def _fits_s4(g: Graph) -> bool:
-    """Whether the S_4 grid of g (n + 3m points) has at most 2000 points."""
+    """The copy-lemma and short-triangle checks' domain: S_4 grids of n + 3m <= 2000 points."""
     return g.vertex_count + 3 * g.m <= 2000
+
+
+def _lift(p: ProductGraph, g: Graph, vid: Callable[[int], int]) -> np.ndarray:
+    """Product J(G) indices of J(g), in J order, lifted by the vertex map
+    `vid`; the midpoint of (a, b) goes to that of the product edge (vid(a), vid(b))."""
+    ids = np.array([vid(v) for v in range(g.vertex_count)], dtype=np.intp)
+    ends = ids[np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)]
+    at = edge_ids(p.graph, ends[:, 0], ends[:, 1])
+    if (at < 0).any():
+        raise LexhypError(f"edge {g.edges[int(np.argmax(at < 0))]} does not lift to a product edge")
+    return np.concatenate([ids, p.graph.vertex_count + at])
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +214,23 @@ def _check_copy_isometry(corpus: Corpus, ctx: SuiteContext):
 
 @_register("neighborhood_3_2")
 def _check_neighborhood(corpus: Corpus, ctx: SuiteContext):
+    """Every point of G1 o G2 lies within 3/2 of each copy G1 x {w}.
+
+    Exact on J points alone.  A vertex's nearest point on a closed edge is
+    an end, so the distance f to the copy is a multiple of k = 4 hops at
+    every vertex; along any other edge f is the tent min(i + A, k - i + B),
+    |A - B| <= k, which peaks at i in {0, k/2, k}.  No J point is nearer to
+    a point inside a copy edge than to its ends or midpoint, so the copy's
+    J points stand for the whole copy.
+    """
     instances, failures = 0, []
     for g1, g2 in _lex_pairs(corpus.pairs):
         p = ctx.lex(g1, g2)
         if not _fits_s4(p.graph):
             continue
-        s = ctx.grid(p.graph)
-        hops = s.metrics().hops
-        copy_edges = set(g1.edges)
+        hops = j_hops(p.graph)
         for w in range(g2.vertex_count):
-            members = [p.vertex_id(u, w) for u in range(g1.vertex_count)]
-            for u1, u2 in copy_edges:
-                a, b = p.vertex_id(u1, w), p.vertex_id(u2, w)
-                members.extend(s.edge_points[(min(a, b), max(a, b))])
-            worst = int(hops[:, sorted(set(members))].min(axis=1).max())
+            worst = int(hops[:, _lift(p, g1, lambda u: p.vertex_id(u, w))].min(axis=1).max())
             if worst > 6:
                 _fail(failures, {"pair": _pair_tag(g1, g2), "w": w},
                       "every point within 3/2 of the copy", f"{worst}/4")
@@ -229,65 +238,44 @@ def _check_neighborhood(corpus: Corpus, ctx: SuiteContext):
     return instances, failures
 
 
-def _j_points_of_copy(p: ProductGraph, s, g2, x0: int):
-    """Grid ids in the product S_4 grid for J(G2) lifted into copy x0."""
-    pts = {}
-    for v in range(g2.vertex_count):
-        pts[("v", v)] = p.vertex_id(x0, v)
-    for (a, b) in g2.edges:
-        pa, pb = p.vertex_id(x0, a), p.vertex_id(x0, b)
-        pts[("m", (a, b))] = s.midpoint((pa, pb))
-    return pts
-
-
-def _copy_pairs(corpus: Corpus, ctx: SuiteContext):
-    """Every pair of J(G2) points lifted into one G2-copy of G1 o G2.
-
-    Yields (pair tag, x0, key1, key2, d2, dprod): the copy's G1 coordinate,
-    the two points' keys, and their hop distances on the S_4 grids of G2
-    and of the product.
-    """
+def _copy_distances(corpus: Corpus, ctx: SuiteContext):
+    """(pair tag, keys, i, j, d2, dprod) per pair: `keys` name J(G2) in J
+    order, ("v", v) and ("m", (a, b)); `d2` holds the `j_hops` distances in
+    G2 of the key pairs (keys[i], keys[j]), i < j, and row x0 of `dprod`
+    those in the product, lifted into the copy {x0} x G2."""
     for g1, g2 in _lex_pairs(corpus.pairs):
         p = ctx.lex(g1, g2)
         if not _fits_s4(p.graph) or not g2.m:
             continue
-        s = ctx.grid(p.graph)
-        hops = s.metrics().hops
-        s2 = ctx.grid(g2)
-        h2 = s2.metrics().hops
-        pair = _pair_tag(g1, g2)
-        for x0 in range(g1.vertex_count):
-            pts = _j_points_of_copy(p, s, g2, x0)
-            keys = sorted(pts, key=str)
-            for i, k1 in enumerate(keys):
-                for k2 in keys[i + 1:]:
-                    a2 = k1[1] if k1[0] == "v" else s2.midpoint(k1[1])
-                    b2 = k2[1] if k2[0] == "v" else s2.midpoint(k2[1])
-                    yield pair, x0, k1, k2, int(h2[a2, b2]), int(hops[pts[k1], pts[k2]])
+        keys = [("v", v) for v in range(g2.vertex_count)] + [("m", e) for e in g2.edges]
+        i, j = np.triu_indices(len(keys), 1)
+        lift = np.array([_lift(p, g2, partial(p.vertex_id, x0)) for x0 in range(g1.vertex_count)])
+        dprod = j_hops(p.graph)[lift[:, i], lift[:, j]]
+        yield _pair_tag(g1, g2), keys, i, j, j_hops(g2)[i, j], dprod
 
 
 @_register("geodesic_copy_5_2")
 def _check_geodesic_copy(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
-    for pair, x0, k1, k2, d2, dprod in ctx.copy_pairs(corpus):
-        both_mid = k1[0] == "m" and k2[0] == "m"
-        if d2 <= 10 or (both_mid and d2 == 12):
-            instances += 1
-            if dprod != d2:
-                _fail(failures, {"pair": pair, "x0": x0, "y1": k1, "y2": k2},
-                      f"{d2}/4", f"{dprod}/4")
+    for pair, keys, i, j, d2, dprod in _copy_distances(corpus, ctx):
+        mid = np.array([key[0] == "m" for key in keys])
+        kept = (d2 <= 10) | (mid[i] & mid[j] & (d2 == 12))
+        instances += len(dprod) * int(kept.sum())
+        for x0, r in np.argwhere(kept & (dprod != d2)).tolist():
+            _fail(failures, {"pair": pair, "x0": x0, "y1": keys[i[r]], "y2": keys[j[r]]},
+                  f"{d2[r]}/4", f"{dprod[x0, r]}/4")
     return instances, failures
 
 
 @_register("geodesic_copy_gt3")
 def _check_geodesic_copy_far(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
-    for pair, x0, k1, k2, d2, dprod in ctx.copy_pairs(corpus):
-        if d2 > 12:
-            instances += 1
-            if not dprod < d2:
-                _fail(failures, {"pair": pair, "x0": x0, "y1": k1, "y2": k2},
-                      f"< {d2}/4", f"{dprod}/4")
+    for pair, keys, i, j, d2, dprod in _copy_distances(corpus, ctx):
+        kept = d2 > 12
+        instances += len(dprod) * int(kept.sum())
+        for x0, r in np.argwhere(kept & (dprod >= d2)).tolist():
+            _fail(failures, {"pair": pair, "x0": x0, "y1": keys[i[r]], "y2": keys[j[r]]},
+                  f"< {d2[r]}/4", f"{dprod[x0, r]}/4")
     return instances, failures
 
 

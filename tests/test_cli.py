@@ -244,6 +244,14 @@ def test_cap_exit_code(capsys):
     assert code == 2
 
 
+def test_grid_cap_exit_code(capsys):
+    # cycle:1025 subdivides into 1025 + 3 * 1025 = 4100 S_4 points, above the
+    # 4096-point grid cap: exit 2 before any APSP
+    code, out, err = run_cli(capsys, "delta", "cycle:1025")
+    assert code == 2 and out == ""
+    assert err.startswith("error: S_4 grid needs 4100 vertices")
+
+
 def test_verify_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "3", "--pairs", "4",
                            "--max-vertices", "5",

@@ -1,14 +1,17 @@
 """Corpus generation determinism and the verification suite."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from lexhyp import (CARTESIAN, CHECKS, LEXICOGRAPHIC, Corpus, CorpusSpec, LexhypError,
                     ValidationError, cycle_graph, generate_corpus, path_graph, product,
-                    random_tree, run_suite)
-from lexhyp.suite import SuiteContext
+                    random_tree, run_suite, subdivide)
+from lexhyp.subdivision import j_hops
+from lexhyp.suite import SuiteContext, _lift
 
 EXPECTED_CHECK_IDS = {
     "dist_formula", "edge_containment", "copy_isometry", "neighborhood_3_2",
@@ -93,13 +96,24 @@ def test_full_suite_small_corpus_passes():
         assert r.instances >= 0
 
 
-def _planted_p5_p3(check_id: str, kind: str):
-    g1, g2 = path_graph(5), path_graph(3)
+def _planted(check_id: str, g1, g2, planted):
+    """Run one check on the corpus pair (g1, g2), with `planted` filed as its product."""
     corpus = Corpus(spec=CorpusSpec(), graphs=(g1, g2), pairs=((g1, g2),))
     ctx = SuiteContext(product_cap=24)
     # the suite reads the product through ctx.lex; plant one labelled lexicographic
-    ctx._products[(g1, g2)] = replace(product(g1, g2, kind), kind=LEXICOGRAPHIC)
+    ctx._products[(g1, g2)] = replace(planted, kind=LEXICOGRAPHIC)
     return CHECKS[check_id](corpus, ctx)
+
+
+def _planted_p5_p3(check_id: str, kind: str):
+    g1, g2 = path_graph(5), path_graph(3)
+    return _planted(check_id, g1, g2, product(g1, g2, kind))
+
+
+def _copy_failures(failures) -> Counter:
+    """Geodesic-copy failures as (x0, {y1, y2}, expected, actual), in any order."""
+    return Counter((f["inputs"]["x0"], frozenset((f["inputs"]["y1"], f["inputs"]["y2"])),
+                    f["expected"], f["actual"]) for f in failures)
 
 
 def test_projection_geodesic_passes_on_the_lex_product():
@@ -128,21 +142,80 @@ def test_dist_formula_fails_on_cartesian_product():
     assert (failures[0]["expected"], failures[0]["actual"]) == ("2", "1")
 
 
+def test_neighborhood_3_2_passes_on_the_lex_product():
+    assert _planted_p5_p3("neighborhood_3_2", LEXICOGRAPHIC) == (3, [])
+
+
+def test_neighborhood_3_2_fails_on_cartesian_product():
+    # in P5 x P3 the copies at w = 0 and w = 2 are two edges from the far
+    # row, and the midpoints of its edges are 5/2 from them
+    instances, failures = _planted_p5_p3("neighborhood_3_2", CARTESIAN)
+    assert instances == 3
+    assert sorted(f["inputs"]["w"] for f in failures) == [0, 2]
+    assert {f["actual"] for f in failures} == {"10/4"}
+
+
+def test_geodesic_copy_gt3_fails_on_cartesian_product():
+    # P3 x P5 keeps every copy {x0} x P5 isometric, so no distance beyond 3
+    # shrinks: both ends of P5 (4 apart), and an end and the far edge's
+    # midpoint (7/2 apart), in each of the three copies
+    g1, g2 = path_graph(3), path_graph(5)
+    assert _planted("geodesic_copy_gt3", g1, g2, product(g1, g2)) == (9, [])
+    instances, failures = _planted("geodesic_copy_gt3", g1, g2, product(g1, g2, CARTESIAN))
+    far = (({("v", 0), ("v", 4)}, 16), ({("m", (0, 1)), ("v", 4)}, 14),
+           ({("v", 0), ("m", (3, 4))}, 14))
+    assert instances == 9
+    assert _copy_failures(failures) == Counter(
+        (x0, frozenset(ys), f"< {d}/4", f"{d}/4") for x0 in range(3) for ys, d in far)
+
+
+def test_geodesic_copy_5_2_fails_on_a_misfiled_product():
+    # lex(P2, C4) filed under (P2, P4): the ends of P4 are adjacent in each
+    # C4-copy, so an end and the midpoint of the far edge are 3/2 apart, not 5/2
+    g1, g2 = path_graph(2), path_graph(4)
+    assert _planted("geodesic_copy_5_2", g1, g2, product(g1, g2)) == (40, [])
+    instances, failures = _planted("geodesic_copy_5_2", g1, g2, product(g1, cycle_graph(4)))
+    assert instances == 40
+    assert _copy_failures(failures) == Counter(
+        (x0, frozenset(ys), "10/4", "6/4") for x0 in (0, 1)
+        for ys in ({("m", (0, 1)), ("v", 3)}, {("v", 0), ("m", (2, 3))}))
+
+
+def test_neighborhood_worst_on_j_matches_the_grid():
+    # the J-only maximum is exact: for every product the check reads and
+    # every copy G1 x {w}, the worst distance over J(G) to the copy's J
+    # points equals the S_4 grid's, over every grid point to every point of
+    # the copy's closed edges
+    corpus = generate_corpus(CorpusSpec())
+    ctx = SuiteContext(product_cap=corpus.spec.product_cap)
+    copies = 0
+    for g1, g2 in corpus.pairs:
+        p = ctx.lex(g1, g2)
+        if g1.is_trivial() or p.graph.vertex_count + 3 * p.graph.m > 2000:
+            continue
+        s = subdivide(p.graph, 4)
+        hops, jpos, jh = s.metrics().hops, {v: i for i, v in enumerate(s.j_set)}, j_hops(p.graph)
+        for w in range(g2.vertex_count):
+            verts = [p.vertex_id(u, w) for u in range(g1.vertex_count)]
+            edges = [tuple(sorted((p.vertex_id(a, w), p.vertex_id(b, w)))) for a, b in g1.edges]
+            members = [jpos[v] for v in verts] + [jpos[s.edge_points[e][2]] for e in edges]
+            assert np.array_equal(_lift(p, g1, lambda u: p.vertex_id(u, w)), members)
+            grid = verts + [x for e in edges for x in s.edge_points[e]]
+            assert jh[:, members].min(axis=1).max() == hops[:, grid].min(axis=1).max()
+            copies += 1
+    assert copies > 100
+
+
 def test_projection_geodesic_default_corpus():
     result = run_suite(generate_corpus(CorpusSpec()), ["projection_geodesic"]).results
     assert (result["projection_geodesic"].status, result["projection_geodesic"].instances) \
         == ("pass", 325_001)
 
 
-def test_geodesic_copy_checks_alone_and_together(monkeypatch):
-    import lexhyp.suite as suite
+def test_geodesic_copy_checks_alone_and_together():
     corpus = generate_corpus(CorpusSpec())
     ids = ["geodesic_copy_5_2", "geodesic_copy_gt3"]
-    passes = []
-    real = suite._copy_pairs
-    monkeypatch.setattr(suite, "_copy_pairs", lambda *a: passes.append(1) or real(*a))
     both = run_suite(corpus, ids).to_json_dict()
-    assert len(passes) == 1  # one subdivide-and-APSP pass serves both checks
     for cid in ids:
         alone = run_suite(corpus, [cid]).to_json_dict()[cid]
         assert {**alone, "millis": 0} == {**both[cid], "millis": 0}
@@ -167,6 +240,26 @@ def test_each_single_gets_one_s4_grid(monkeypatch, order):
     assert run_suite(corpus, checks).all_pass
     assert {g: grids.get((g, 4), 0) for g in corpus.graphs} == {g: 1 for g in corpus.graphs}
     assert not any(k == 2 for _, k in grids)  # diam_g needs no grid
+
+
+def test_copy_lemma_checks_build_no_grid(monkeypatch):
+    # the three copy-lemma checks read j_hops alone; the whole of `lexhyp
+    # verify --seed 0` builds S_4 grids only for the graphs it sweeps
+    from lexhyp import SubdividedGraph
+    corpus = generate_corpus(CorpusSpec(seed=0))
+    grids: Counter = Counter()
+    init = SubdividedGraph.__init__
+
+    def counted(self, base, k, cap):
+        grids[k] += 1
+        init(self, base, k, cap)
+
+    monkeypatch.setattr(SubdividedGraph, "__init__", counted)
+    report = run_suite(corpus, ["neighborhood_3_2", "geodesic_copy_5_2", "geodesic_copy_gt3"])
+    assert report.all_pass and all(r.instances > 0 for r in report.results.values())
+    assert grids == Counter()
+    assert run_suite(corpus).all_pass
+    assert grids == Counter({4: 91, 8: 73})
 
 
 def test_suite_context_without_singles_keeps_no_engine():

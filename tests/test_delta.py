@@ -15,7 +15,7 @@ from lexhyp import (CARTESIAN, DeltaConfig, DeltaEngine, DeltaResult, GeodesicCa
                     is_isometric_embedding, path_graph, product, star_graph, subdivide,
                     thinness, trivial_graph)
 from lexhyp.geodesics import enumerate_paths
-from lexhyp.subdivision import all_pairs_distances
+from lexhyp.subdivision import all_pairs_distances, j_hops
 from test_symmetry import _rotated_p2_c5
 
 
@@ -557,3 +557,23 @@ def test_engine_short_triangle_needs_s4():
         engine.has_tight_short_triangle()
     # the module function ignores the config's grid factor, as it always has
     assert has_tight_short_triangle(cycle_graph(6), DeltaConfig(grid_factor=8))
+
+
+@pytest.mark.parametrize("g", [Graph(3, [(0, 1)], _allow_disconnected=True),
+                               induced_subgraph(path_graph(3), [0, 2])])
+def test_delta_rejects_a_disconnected_graph(g):
+    # the witness search raised KeyError on the first; an engine and its
+    # corner masks still work on such graphs
+    engine = DeltaEngine(g)
+    assert engine.corner_masks(np.array([0]), np.array([1]), 0).shape == (1, engine.nj)
+    for call in (engine.delta, lambda: delta_exact(g)):
+        with pytest.raises(ValidationError, match="delta needs a connected graph"):
+            call()
+
+
+@pytest.mark.parametrize("k", (4, 8))
+def test_engine_j_metric_is_j_hops(k):
+    p = product(path_graph(3), cycle_graph(4)).graph
+    engine = DeltaEngine(p, DeltaConfig(grid_factor=k))
+    assert engine.jD.dtype == j_hops(p, k).dtype
+    assert np.array_equal(engine.jD, j_hops(p, k))

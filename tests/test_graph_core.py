@@ -13,6 +13,7 @@ from lexhyp import (Graph, ParseError, QDist, SizeCapError, ValidationError,
                     induced_subgraph, is_isometric_embedding, parse_graph, path_graph,
                     product, star_graph, subdivide, trivial_graph)
 from lexhyp.graph import UNREACHABLE
+from lexhyp.subdivision import j_hops
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +208,10 @@ def test_grid_metric_matches_bfs_on_product_and_disconnected(k):
         assert np.array_equal(all_pairs_distances(s).hops, _bfs_hops(s.grid_n, s.neighbors))
     s = subdivide(split, k)
     hops = all_pairs_distances(s).hops
+    mid = {e: pts[k // 2] for e, pts in s.edge_points.items()}
     assert hops[0, 2] == UNREACHABLE  # vertices 0 and 3 of C8
-    assert hops[s.midpoint((0, 1)), s.midpoint((2, 3))] == UNREACHABLE
-    assert hops[s.midpoint((2, 3)), 4] == UNREACHABLE  # to the isolated vertex 6 of C8
+    assert hops[mid[(0, 1)], mid[(2, 3)]] == UNREACHABLE
+    assert hops[mid[(2, 3)], 4] == UNREACHABLE  # to the isolated vertex 6 of C8
     assert (np.diag(hops) == 0).all()
 
 
@@ -279,11 +281,20 @@ def _any_graph(seed: int, n: int, m: int) -> Graph:
 @example(seed=0, n=3, m=0)  # edgeless
 @example(seed=0, n=1, m=0)
 def test_diam_g_closed_form_matches_grids(seed, n, m):
-    # from vertex distances alone, against the J(G) maximum of the S_2 grid
-    # and the brute S_8 maximum; pairs in different components (UNREACHABLE,
-    # -1) are skipped by all three
+    # j_hops, from vertex distances alone, is the grid hop matrix on J(G)
+    # for every k, UNREACHABLE between components included; diam_g matches
+    # the J(G) maximum of the S_2 grid and the brute S_8 maximum, where
+    # pairs in different components (-1) never count
     g = _any_graph(seed, n, m)
-    want = subdivide(g, 2).metrics().diam_g if g.m else QDist(0)
+    for k in (2, 4, 8):
+        s = subdivide(g, k)
+        j = np.asarray(s.j_set)
+        got = j_hops(g, k)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, s.metrics().hops[np.ix_(j, j)]), k
+    s = subdivide(g, 2)
+    j = np.asarray(s.j_set)
+    want = QDist.from_hops(int(s.metrics().hops[np.ix_(j, j)].max()), 2)
     assert diam_g(g) == want == _diam_oracle_s8(g)
 
 
@@ -304,13 +315,17 @@ def _random_connected(seed: int, n: int) -> Graph:
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 9))
 def test_metric_axioms_and_diam_sandwich(seed, n):
     g = _random_connected(seed, n)
-    m = all_pairs_distances(subdivide(g, 2))
-    h = m.hops
+    s = subdivide(g, 2)
+    h = all_pairs_distances(s).hops
     assert (h == h.T).all()
     assert (np.diag(h) == 0).all()
     assert (h[:, :, None] + h[None, :, :] >= h[:, None, :]).all()
-    assert m.diam_v <= m.diam_g <= m.diam_v + QDist.from_edges(1)
-    assert m.diam_g.quarters % 2 == 0
+    j = np.asarray(s.j_set)
+    dv = QDist.from_hops(int(h[:g.vertex_count, :g.vertex_count].max()), 2)
+    dg = QDist.from_hops(int(h[np.ix_(j, j)].max()), 2)
+    assert (dv, dg) == (diam_v(g), diam_g(g))
+    assert dv <= dg <= dv + QDist.from_edges(1)
+    assert dg.quarters % 2 == 0
 
 
 @settings(max_examples=20, deadline=None)
