@@ -14,7 +14,7 @@ from .graph import (Graph, complete_graph, cycle_graph, induced_subgraph,
 from .products import (CARTESIAN, LEXICOGRAPHIC, STRONG, ProductGraph, lex_distance,
                        lex_distance_matrix, product, project)
 from .qdist import QDist
-from .subdivision import GraphMetrics, SubdividedGraph, all_pairs_distances, diam_g, diam_v, subdivide
+from .subdivision import SubdividedGraph, all_pairs_distances, diam_g, diam_v, subdivide
 from .suite import CHECKS, SuiteReport, run_suite
 from .treeformula import BoundReport, TreeLexCase, bound_check, tree_lex_delta
 
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "CARTESIAN", "CHECKS", "Corpus", "CorpusSpec", "DeltaConfig",
     "DeltaEngine", "DeltaResult", "DeltaStats", "FCatalog", "FWitness", "GeodesicCapError",
-    "GeodesicTriangle", "Graph", "GraphMetrics", "LEXICOGRAPHIC", "LexhypError",
+    "GeodesicTriangle", "Graph", "LEXICOGRAPHIC", "LexhypError",
     "ParseError", "ProductGraph", "QDist", "STRONG", "SizeCapError", "SubdividedGraph",
     "SuiteReport", "TreeLexCase", "ValidationError", "all_pairs_distances",
     "bound_check", "build_catalog", "complete_graph", "cycle_graph",

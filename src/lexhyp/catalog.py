@@ -60,8 +60,7 @@ class FCatalog:
 def _chorded_cycle(n: int, chords) -> Graph:
     edges = list(cycle_graph(n).edges)
     edges += [(a - 1, b - 1) for a, b in chords]
-    labels = tuple(f"v{i + 1}" for i in range(n))
-    return Graph(n, edges, labels=labels)
+    return Graph(n, edges)
 
 
 def build_catalog(dedup: bool = True) -> FCatalog:

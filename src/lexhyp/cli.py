@@ -2,7 +2,8 @@
 
 Graph specs accept the generator DSL (``path:n``, ``cycle:n``, ``complete:n``,
 ``star:n``, ``trivial``), ``@file`` references to edge lists, and product
-composition ``lex(a,b)`` / ``cart(a,b)`` / ``strong(a,b)``.
+composition ``lex(a,b)`` / ``cart(a,b)`` / ``strong(a,b)``, nested freely.
+`delta` runs `DeltaEngine.delta`, with `cycle_only=False` for `--no-cycle-only`.
 
 Exit codes: 0 success, 1 validation, parse or `--out` write error, 2 size or
 geodesic cap exceeded, 3 verification suite failures.
@@ -14,11 +15,12 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from .catalog import build_catalog, in_family_F
 from .corpus import CorpusSpec, generate_corpus
-from .delta import DeltaConfig, delta_exact
+from .delta import DeltaConfig, DeltaEngine
 from .errors import GeodesicCapError, LexhypError, ParseError, SizeCapError
 from .graph import Graph, parse_graph
 from .products import CARTESIAN, LEXICOGRAPHIC, STRONG, lex_distance, product
@@ -32,18 +34,9 @@ def parse_gspec(spec: str) -> Graph:
     """Resolve a graph spec string: DSL, @file, or product composition."""
     spec = spec.strip()
     for head, kind in _PRODUCT_HEADS.items():
-        if spec.startswith(head + "(") and spec.endswith(")"):
-            inner = spec[len(head) + 1:-1]
-            depth = 0
-            for i, ch in enumerate(inner):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                elif ch == "," and depth == 0:
-                    left, right = inner[:i], inner[i + 1:]
-                    return product(parse_gspec(left), parse_gspec(right), kind).graph
-            raise ParseError(f"malformed product spec {spec!r}")
+        if spec.startswith(head + "("):
+            left, right = _product_operands(spec, head)
+            return product(parse_gspec(left), parse_gspec(right), kind).graph
     if spec.startswith("@"):
         try:  # undecodable bytes are replaced, so the parser rejects their line
             text = Path(spec[1:]).read_text(encoding="utf-8", errors="replace")
@@ -51,6 +44,19 @@ def parse_gspec(spec: str) -> Graph:
             raise ParseError(f"cannot read {spec[1:]!r}: {exc.strerror or exc}") from None
         return parse_graph(text)
     return parse_graph(spec)
+
+
+def _product_operands(spec: str, head: str) -> tuple[str, str]:
+    """A and B of ``head(A,B)``, split at the first comma outside nested
+    parentheses.  Unbalanced parentheses, text after the closing one and an
+    empty operand raise ParseError."""
+    depth = list(accumulate((ch == "(") - (ch == ")") for ch in spec))
+    commas = [i for i, ch in enumerate(spec) if ch == "," and depth[i] == 1]
+    if depth[-1] == 0 and min(depth[len(head):-1]) > 0 and commas:
+        left, right = spec[len(head) + 1:commas[0]], spec[commas[0] + 1:-1]
+        if left.strip() and right.strip():
+            return left, right
+    raise ParseError(f"malformed product spec {spec!r}")
 
 
 def _parse_vertex_pair(text: str) -> tuple[int, int]:
@@ -65,9 +71,8 @@ def _parse_vertex_pair(text: str) -> tuple[int, int]:
 
 def _cmd_delta(args) -> int:
     g = parse_gspec(args.gspec)
-    cfg = DeltaConfig(geodesic_cap=args.cap, cycle_only=not args.no_cycle_only,
-                      grid_factor=args.grid)
-    res = delta_exact(g, cfg)
+    cfg = DeltaConfig(geodesic_cap=args.cap, grid_factor=args.grid)
+    res = DeltaEngine(g, cfg).delta(cycle_only=not args.no_cycle_only)
     if args.json:
         print(json.dumps(res.to_json_dict(), sort_keys=True))
     else:

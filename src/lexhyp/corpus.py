@@ -1,16 +1,17 @@
-"""Deterministic graph corpora for the verification suite."""
+"""Deterministic graph corpora for the verification suite.
+
+The singles are every size in [min_vertices, max_vertices] of seven families,
+always all seven and in this order: paths, cycles, stars, complete graphs,
+random trees, random connected graphs and catalog members."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .catalog import get_catalog
 from .errors import ValidationError
 from .graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
-
-ALL_FAMILIES = ("paths", "cycles", "stars", "random_trees", "random_connected",
-                "complete", "catalog_members")
 
 
 @dataclass(frozen=True)
@@ -18,16 +19,10 @@ class CorpusSpec:
     """Deterministic corpus description: same spec, same corpus."""
 
     seed: int = 0
-    families: tuple[str, ...] = ALL_FAMILIES
     min_vertices: int = 1
     max_vertices: int = 8
     product_cap: int = 24
     pair_count: int = 30
-
-    def __post_init__(self):
-        unknown = set(self.families) - set(ALL_FAMILIES)
-        if unknown:
-            raise ValidationError(f"unknown corpus families: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -64,28 +59,14 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     if lo < 1 or hi < lo:
         raise ValidationError(f"infeasible size bounds [{lo}, {hi}]")
     rng = random.Random(spec.seed)
-    singles: list[Graph] = []
     sizes = range(lo, hi + 1)
-    if "paths" in spec.families:
-        singles += [path_graph(n) for n in sizes]
-    if "cycles" in spec.families:
-        singles += [cycle_graph(n) for n in sizes if n >= 3]
-    if "stars" in spec.families:
-        singles += [star_graph(n - 1) for n in sizes if n >= 2]
-    if "complete" in spec.families:
-        singles += [complete_graph(n) for n in sizes]
-    if "random_trees" in spec.families:
-        for n in sizes:
-            if n >= 2:
-                singles.append(random_tree(n, rng))
-    if "random_connected" in spec.families:
-        for n in sizes:
-            if n >= 2:
-                singles.append(random_connected(n, rng))
-    if "catalog_members" in spec.families:
-        singles += [g for g in get_catalog().members if lo <= g.vertex_count <= hi]
-    if not singles:
-        raise ValidationError("corpus spec selects no graphs")
+    singles = [path_graph(n) for n in sizes]
+    singles += [cycle_graph(n) for n in sizes if n >= 3]
+    singles += [star_graph(n - 1) for n in sizes if n >= 2]
+    singles += [complete_graph(n) for n in sizes]
+    singles += [random_tree(n, rng) for n in sizes if n >= 2]
+    singles += [random_connected(n, rng) for n in sizes if n >= 2]
+    singles += [g for g in get_catalog().members if lo <= g.vertex_count <= hi]
 
     pairs: list[tuple[Graph, Graph]] = []
     for i in range(spec.pair_count):

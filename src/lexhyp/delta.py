@@ -15,8 +15,10 @@ bigon bound, the short-triangle predicate and the witness search.  It builds
 the grid, its hop matrix and chains once, and keeps every per-source table,
 side vector and geodesic list it computes for the calls that follow; the
 value sweep runs once, and each `delta()` call runs only a witness search.
-`delta_exact`, `delta_bigon_lower_bound` and `has_tight_short_triangle` each
-build a fresh engine, and the verification suite keeps one per corpus graph.
+`DeltaConfig` holds the geodesic cap and the grid factor; the witness kind
+is chosen per call, `delta(cycle_only=True)`.  `delta_exact` builds a fresh
+engine for its config, the bigon bound and the short-triangle predicate a
+default S_4 one, and the verification suite keeps one per corpus graph.
 
 One metric primitive serves every geodesic-free bound: a per-source
 bottleneck table W_a, where W_a[p, c] is the farthest p can be from some a-c
@@ -103,15 +105,14 @@ class DeltaConfig:
 
     `geodesic_cap` bounds the geodesics enumerated for one pair by the
     witness sweep (the value sweep enumerates none: it reads per-source
-    bottleneck tables); `cycle_only` restricts the witness to cycle
-    triangles; `grid_factor` is the subdivision (4, or 8 for the stability
-    check).  `DEFAULT_GRID_CAP` bounds the grid's points, and with it every
-    table (points x J-points per source, each entry in the narrowest signed
-    dtype holding the grid's largest hop count: one byte below 128).
+    bottleneck tables); `grid_factor` is the subdivision (4, or 8 for the
+    stability check).  `DEFAULT_GRID_CAP` bounds the grid's points, and with
+    it every table (points x J-points per source, each entry in the
+    narrowest signed dtype holding the grid's largest hop count: one byte
+    below 128).
     """
 
     geodesic_cap: int = 1_000_000
-    cycle_only: bool = True
     grid_factor: int = 4
 
     def __post_init__(self):
@@ -216,7 +217,7 @@ class DeltaEngine:
         t0 = time.perf_counter()
         self.cfg = cfg = cfg or DeltaConfig()
         self.s = s = subdivide(g, cfg.grid_factor)
-        self.D = s.metrics().hops
+        self.D = s.hops()
         self.j = np.asarray(s.j_set, dtype=np.int64)
         self.nj = len(self.j)
         self.jD = self.D[np.ix_(self.j, self.j)]
@@ -512,14 +513,14 @@ class DeltaEngine:
         finally:
             self.stats.wall_time_s += time.perf_counter() - t0
 
-    def delta(self, cycle_only: Optional[bool] = None) -> DeltaResult:
+    def delta(self, cycle_only: bool = True) -> DeltaResult:
         """Sharp hyperbolicity constant, with a witness triangle.
 
         The value is exact (integer quarter-units).  The witness is the first
         attaining triangle in lexicographic (x, y, z, geodesic) order and,
-        unless `cycle_only` (default: the config's) is off or the value is 0,
-        a cycle triangle.  The value sweep runs on the first call only; each
-        call runs the witness search.  The result holds a copy of `stats`.
+        unless `cycle_only` is off or the value is 0, a cycle triangle.  The
+        value sweep runs on the first call only; each call runs the witness
+        search.  The result holds a copy of `stats`.
         A disconnected graph raises ValidationError before the sweep.
         """
         if not self.s.base.is_connected():
@@ -530,8 +531,7 @@ class DeltaEngine:
                 self._hops = self.value_sweep()
                 self.stats.value_s += time.perf_counter() - t0
             value = QDist.from_hops(self._hops, self.s.k)
-            tri, side, point = self._witness(
-                value, self.cfg.cycle_only if cycle_only is None else cycle_only)
+            tri, side, point = self._witness(value, cycle_only)
         return DeltaResult(value=value, witness=tri, witness_point=point,
                            witness_side=side, stats=replace(self.stats), grid=self.s)
 
@@ -547,7 +547,7 @@ class DeltaEngine:
         try:
             got = self.witness_search(self._hops, cycle_only)
         except GeodesicCapError as e:
-            raise GeodesicCapError(e.pair, e.cap, partial_lower_bound=value) from None
+            raise GeodesicCapError(e.pair, e.cap, value=value) from None
         finally:
             self.stats.witness_s += time.perf_counter() - t0
         if got is None:
@@ -611,17 +611,16 @@ def delta_exact(g: Graph, cfg: Optional[DeltaConfig] = None) -> DeltaResult:
     return DeltaEngine(g, cfg).delta()
 
 
-def delta_bigon_lower_bound(g: Graph, cfg: Optional[DeltaConfig] = None) -> QDist:
+def delta_bigon_lower_bound(g: Graph) -> QDist:
     """Max thinness over bigons, a lower bound for delta(g)
-    (`DeltaEngine.bigon_lower_bound` on a fresh engine)."""
-    return DeltaEngine(g, cfg).bigon_lower_bound()
+    (`DeltaEngine.bigon_lower_bound` on a fresh S_4 engine)."""
+    return DeltaEngine(g).bigon_lower_bound()
 
 
-def has_tight_short_triangle(g: Graph, cfg: Optional[DeltaConfig] = None) -> bool:
+def has_tight_short_triangle(g: Graph) -> bool:
     """Whether some short cycle triangle is 3/2-thin at a vertex of G
-    (`DeltaEngine.has_tight_short_triangle` on a fresh S_4 engine; the
-    config's grid factor is ignored)."""
-    return DeltaEngine(g, replace(cfg or DeltaConfig(), grid_factor=4)).has_tight_short_triangle()
+    (`DeltaEngine.has_tight_short_triangle` on a fresh S_4 engine)."""
+    return DeltaEngine(g).has_tight_short_triangle()
 
 
 def thinness(s: SubdividedGraph, t: GeodesicTriangle) -> tuple[QDist, int]:
@@ -630,7 +629,7 @@ def thinness(s: SubdividedGraph, t: GeodesicTriangle) -> tuple[QDist, int]:
     Validates that each side is a geodesic between its endpoints before
     evaluating.
     """
-    D = s.metrics().hops
+    D = s.hops()
     corners = t.corners
     ends = ((corners[0], corners[1]), (corners[1], corners[2]), (corners[2], corners[0]))
     for side, (a, b) in zip(t.sides, ends):

@@ -20,15 +20,16 @@ class SizeCapError(LexhypError):
 class GeodesicCapError(LexhypError):
     """Geodesic enumeration for one endpoint pair exceeded the configured cap.
 
-    Carries the offending pair so the caller can decide whether to abort or
-    report a partial lower bound.
+    Carries the offending pair.  Raised by the witness search, it also
+    carries `value`, the exact delta from the value sweep, which enumerates
+    no geodesics: only the witness triangle is missing.
     """
 
-    def __init__(self, pair, cap, partial_lower_bound=None):
+    def __init__(self, pair, cap, value=None):
         self.pair = pair
         self.cap = cap
-        self.partial_lower_bound = partial_lower_bound
+        self.value = value
         msg = f"geodesic cap {cap} exceeded for pair {pair}"
-        if partial_lower_bound is not None:
-            msg += f" (partial lower bound {partial_lower_bound})"
+        if value is not None:
+            msg += f" (delta = {value}; no witness within the cap)"
         super().__init__(msg)

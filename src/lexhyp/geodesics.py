@@ -85,7 +85,7 @@ def enumerate_paths(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
 def enumerate_geodesics(s: SubdividedGraph, a: int, b: int,
                         cap: int = 10**6) -> list[tuple[int, ...]]:
     """All distinct shortest a-b paths on the grid of `s` (deterministic order)."""
-    hops = s.metrics().hops
+    hops = s.hops()
     return enumerate_paths(s._neighbors, hops, a, b, cap)
 
 
@@ -156,7 +156,7 @@ def j_source_table(s: SubdividedGraph, a: int) -> np.ndarray:
     c = s.chains()
     t = c.jrows.copy()  # column q of W_a, for q in j_set order, starts as hops[q]
     tv, tm = t[:n], t[n:]  # vertex columns T, midpoint columns
-    da = s.metrics().hops[a, :n]
+    da = s.hops()[a, :n]
     u, v = c.ends.T
     du, dv = da[u], da[v]
     own = (a - n) // (k - 1) if a >= n else -1  # the source's edge, if any

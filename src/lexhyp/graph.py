@@ -1,7 +1,7 @@
 """Simple connected unit-length graphs: construction, parsing, generators.
 
 A `Graph` is immutable after construction and validated eagerly: no loops, no
-duplicate edges, vertices 0..n-1, connected.  The one sanctioned exception is
+duplicate edges, unlabeled vertices 0..n-1, connected.  The one exception is
 `induced_subgraph`, which may return a disconnected graph.  Validation,
 sorting and the neighbor lists are array operations over the whole edge
 list; each error names the first offending edge in input order.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -92,14 +92,13 @@ class Graph:
     other graph carries None.
     """
 
-    __slots__ = ("vertex_count", "edges", "labels", "_edge_keys", "_neighbors", "_dist",
+    __slots__ = ("vertex_count", "edges", "_edge_keys", "_neighbors", "_dist",
                  "_automorphisms", "_aut_search")
 
     def __init__(
         self,
         vertex_count: int,
         edges: Iterable[tuple[int, int]],
-        labels: Optional[Sequence[str]] = None,
         _allow_disconnected: bool = False,
     ):
         if not isinstance(vertex_count, int) or vertex_count < 1:
@@ -120,11 +119,6 @@ class Graph:
                         or len(self._edge_keys) < len(self.edges)):  # a range, loop or repeat
             _reject_first_bad_edge(ends, n)
         self.vertex_count = n
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValidationError("labels length must equal vertex_count")
-        self.labels = labels
         arcs = np.sort(keys, axis=None)  # head * n + tail: `neighbor_arcs` order
         tail = (arcs % n).tolist()
         stop = arcs.searchsorted(np.arange(n, n * n + 1, n)).tolist()
@@ -134,10 +128,6 @@ class Graph:
         self._aut_search: Optional[np.ndarray] = None
         if not _allow_disconnected and not self.is_connected():
             raise ValidationError("disconnected graph")
-
-    @property
-    def n(self) -> int:
-        return self.vertex_count
 
     @property
     def m(self) -> int:
@@ -433,22 +423,19 @@ def induced_subgraph(g: Graph, subset: Iterable[int]) -> Graph:
     index = {v: i for i, v in enumerate(verts)}
     members = set(verts)
     edges = [(index[u], index[v]) for u, v in g.edges if u in members and v in members]
-    labels = tuple(g.labels[v] for v in verts) if g.labels else None
-    return Graph(len(verts), edges, labels=labels, _allow_disconnected=True)
+    return Graph(len(verts), edges, _allow_disconnected=True)
 
 
-def is_isometric_embedding(h: Graph, g: Graph, mapping: Mapping[int, int] | Sequence[int]) -> bool:
-    """True iff `mapping` embeds `h` into `g` preserving all pairwise distances.
+def is_isometric_embedding(h: Graph, g: Graph, mapping: Sequence[int]) -> bool:
+    """True iff `mapping` (the image of each vertex of `h`, in order) embeds
+    `h` into `g` preserving all pairwise distances.
 
     Raises ValidationError if the map is not injective or some edge of `h`
     has no image edge in `g` (then `h` is not even mapped to a subgraph).
     """
-    if isinstance(mapping, Mapping):
-        img = [mapping[v] for v in range(h.vertex_count)]
-    else:
-        img = list(mapping)
-        if len(img) != h.vertex_count:
-            raise ValidationError("mapping must cover every vertex of h")
+    img = list(mapping)
+    if len(img) != h.vertex_count:
+        raise ValidationError("mapping must cover every vertex of h")
     if len(set(img)) != len(img):
         raise ValidationError("mapping is not injective")
     for u, v in h.edges:

@@ -78,14 +78,14 @@ def _kron(x: np.ndarray, y: np.ndarray, ny: int) -> np.ndarray:
     return (x[:, None, :] * ny + y[None, :, :]).reshape(-1, 2)
 
 
-def product(g1: Graph, g2: Graph, kind: str = LEXICOGRAPHIC,
-            cap: int = DEFAULT_PRODUCT_CAP) -> ProductGraph:
-    """Materialize the full adjacency of the chosen product of g1 and g2."""
+def product(g1: Graph, g2: Graph, kind: str = LEXICOGRAPHIC) -> ProductGraph:
+    """Materialize the full adjacency of the chosen product of g1 and g2;
+    fails fast with SizeCapError above DEFAULT_PRODUCT_CAP vertices."""
     if kind not in PRODUCT_KINDS:
         raise ValidationError(f"unknown product kind {kind!r}")
     n1, n2 = g1.vertex_count, g2.vertex_count
-    if n1 * n2 > cap:
-        raise SizeCapError(f"product needs {n1 * n2} vertices, cap is {cap}")
+    if n1 * n2 > DEFAULT_PRODUCT_CAP:
+        raise SizeCapError(f"product needs {n1 * n2} vertices, cap is {DEFAULT_PRODUCT_CAP}")
     diag1, diag2 = (np.repeat(np.arange(n), 2).reshape(n, 2) for n in (n1, n2))
     if kind != LEXICOGRAPHIC:
         block = diag2 if kind == CARTESIAN else np.concatenate([diag2, g2.arcs()])  # I, I + A2

@@ -40,21 +40,24 @@ class SubdividedGraph:
     ordered from the smaller endpoint to the larger one.  J(G) is the
     vertices followed by the edge midpoints, in edge order.
 
-    Two per-grid structures are built on first use and kept: `metrics()`,
-    the hop matrix, and `chains()`, its J-point rows and per-edge chain
-    minima (`EdgeChains`), from which the bottleneck tables are built.
+    Two per-grid structures are built on first use and kept: `hops()`,
+    the hop matrix (`all_pairs_distances`), and `chains()`, its J-point
+    rows and per-edge chain minima (`EdgeChains`), from which the
+    bottleneck tables are built.  Neither refers back to the grid: a
+    reference would make a cycle that holds every grid, with its hop
+    matrix and chains, until the cyclic garbage collector runs.
     """
 
     __slots__ = ("base", "k", "grid_n", "j_set", "edge_points",
-                 "_neighbors", "_metrics", "_chains")
+                 "_neighbors", "_hops", "_chains")
 
-    def __init__(self, base: Graph, k: int, cap: int):
+    def __init__(self, base: Graph, k: int):
         if k not in SUBDIVISION_FACTORS:
             raise ValidationError(f"subdivision factor must be one of {SUBDIVISION_FACTORS}, got {k}")
         n, m = base.vertex_count, base.m
         grid_n = n + (k - 1) * m
-        if grid_n > cap:
-            raise SizeCapError(f"S_{k} grid needs {grid_n} vertices, cap is {cap}")
+        if grid_n > DEFAULT_GRID_CAP:
+            raise SizeCapError(f"S_{k} grid needs {grid_n} vertices, cap is {DEFAULT_GRID_CAP}")
         self.base = base
         self.k = k
         self.grid_n = grid_n
@@ -77,16 +80,17 @@ class SubdividedGraph:
         half = k // 2
         j = list(range(n)) + [pts[half] for pts in edge_points.values()]
         self.j_set = tuple(sorted(j))
-        self._metrics: Optional[GraphMetrics] = None
+        self._hops: Optional[np.ndarray] = None
         self._chains: Optional[EdgeChains] = None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
 
-    def metrics(self) -> "GraphMetrics":
-        if self._metrics is None:
-            self._metrics = all_pairs_distances(self)
-        return self._metrics
+    def hops(self) -> np.ndarray:
+        """The grid hop matrix (`all_pairs_distances`), built once."""
+        if self._hops is None:
+            self._hops = all_pairs_distances(self)
+        return self._hops
 
     def chains(self) -> "EdgeChains":
         """The J-point rows and per-edge chain minima (`edge_chains`), built once."""
@@ -148,31 +152,15 @@ def edge_ids(g: Graph, a, b) -> np.ndarray:
     return np.where(keys[at] == pair, at, -1)
 
 
-def subdivide(g: Graph, k: int, cap: int = DEFAULT_GRID_CAP) -> SubdividedGraph:
-    """Build S_k(g) for k in {2, 4, 8}; fails fast above the grid-vertex cap."""
-    return SubdividedGraph(g, k, cap)
+def subdivide(g: Graph, k: int) -> SubdividedGraph:
+    """Build S_k(g) for k in {2, 4, 8}; fails fast with SizeCapError above
+    DEFAULT_GRID_CAP grid vertices."""
+    return SubdividedGraph(g, k)
 
 
-@dataclass
-class GraphMetrics:
-    """Dense exact metric data for one subdivision grid.
-
-    `hops` is the symmetric hop-count matrix over grid vertices; divide by
-    the grid's subdivision factor k (via `distance`) for values in edge
-    lengths.  It keeps k, not the grid: the grid caches its metrics, and a
-    reference back would make a cycle that holds every grid, with its hop
-    matrix and chains, until the cyclic garbage collector runs.
-    """
-
-    k: int
-    hops: np.ndarray
-
-    def distance(self, a: int, b: int) -> QDist:
-        return QDist.from_hops(int(self.hops[a, b]), self.k)
-
-
-def all_pairs_distances(s: SubdividedGraph) -> GraphMetrics:
-    """Exact grid hop matrix from the base graph's vertex distances D.
+def all_pairs_distances(s: SubdividedGraph) -> np.ndarray:
+    """Exact grid hop matrix (read-only int32) from the base graph's vertex
+    distances D; divide by k (`QDist.from_hops`) for edge lengths.
 
     Every grid point p has two (endpoint, offset) pairs: (v, 0) twice for a
     vertex v, and (u, i), (w, k-i) for the i-th interior point of edge uw.
@@ -195,7 +183,7 @@ def all_pairs_distances(s: SubdividedGraph) -> GraphMetrics:
     i = np.arange(k - 1)
     hops[block + i[:, None], block + i[None, :]] = np.abs(i[:, None] - i[None, :])
     hops.setflags(write=False)
-    return GraphMetrics(k=k, hops=hops)
+    return hops
 
 
 def _point_hops(g: Graph, k: int, edges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -251,7 +239,7 @@ class EdgeChains:
 def edge_chains(s: SubdividedGraph) -> EdgeChains:
     """The J rows and chain minima of `s`, read off its hop matrix."""
     n, k, m = s.base.vertex_count, s.k, s.base.m
-    hops = s.metrics().hops
+    hops = s.hops()
     dtype = table_dtype(int(hops.max()))
     jrows = hops[list(s.j_set)].astype(dtype)
     rows = hops[n:].reshape(m, k - 1, s.grid_n)  # edge, offset - 1, point

@@ -514,7 +514,7 @@ def _check_grid_stability(corpus: Corpus, ctx: SuiteContext):
 def _check_cycle_only(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []
     for g in corpus.graphs:
-        vt = ctx.delta(g)  # the default config is cycle-only
+        vt = ctx.delta(g)  # delta() restricts the witness to cycle triangles by default
         vf = ctx.engine(g).delta(cycle_only=False).value
         instances += 1
         if vt != vf:

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from lexhyp.cli import main
+from lexhyp import cycle_graph, path_graph, product
+from lexhyp.cli import main, parse_gspec
+from test_delta import NON_CYCLE_WITNESS_EDGES, PINNED_CYCLE_WITNESS, PINNED_FREE_WITNESS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -91,6 +93,30 @@ def test_delta_of_composed_product(capsys):
     code, out, _ = run_cli(capsys, "delta", "lex(path:4,path:2)")
     assert code == 0
     assert out == "3/2\n"
+
+
+@pytest.mark.parametrize("spec", ["lex(path:2,cycle:3", "lex(path:2,cycle:3))",
+                                  "lex(,path:2)", "lex(path:2)"])
+def test_malformed_product_spec(capsys, spec):
+    code, out, err = run_cli(capsys, "delta", spec)
+    assert code == 1 and out == ""
+    assert err == f"error: malformed product spec {spec!r}\n"
+
+
+def test_product_specs_parse_nested():
+    p23 = product(path_graph(2), cycle_graph(3)).graph
+    assert parse_gspec("lex(path:2,cycle:3)") == p23
+    assert parse_gspec("lex(lex(path:2,path:2),cycle:3)") == \
+        product(product(path_graph(2), path_graph(2)).graph, cycle_graph(3)).graph
+
+
+def test_delta_no_cycle_only_json_pinned(tmp_path, capsys):
+    f = tmp_path / "non_cycle.edges"
+    f.write_text("".join(f"{u} {v}\n" for u, v in NON_CYCLE_WITNESS_EDGES))
+    code, out, _ = run_cli(capsys, "delta", f"@{f}", "--json", "--no-cycle-only")
+    assert code == 0 and out == json.dumps(PINNED_FREE_WITNESS, sort_keys=True) + "\n"
+    code, out, _ = run_cli(capsys, "delta", f"@{f}", "--json")
+    assert code == 0 and out == json.dumps(PINNED_CYCLE_WITNESS, sort_keys=True) + "\n"
 
 
 def test_dist_command(capsys):
@@ -242,6 +268,7 @@ def test_python_m_lexhyp_matches_main(capsys):
 def test_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "delta", "cycle:6", "--cap", "1")
     assert code == 2
+    assert err.endswith("(delta = 3/2; no witness within the cap)\n")
 
 
 def test_grid_cap_exit_code(capsys):

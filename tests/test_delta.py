@@ -55,7 +55,7 @@ def test_witness_reproduces_value():
 def test_witness_corners_in_j_and_sides_geodesic():
     res = delta_exact(cycle_graph(6))
     s = res.grid
-    hops = s.metrics().hops
+    hops = s.hops()
     assert all(c in s.j_set for c in res.witness.corners)
     x, y, z = res.witness.corners
     for side, (a, b) in zip(res.witness.sides, ((x, y), (y, z), (z, x))):
@@ -92,29 +92,32 @@ def test_grid_factor_8_matches():
 def test_cycle_only_modes_agree():
     for g in (cycle_graph(5), complete_graph(4), star_graph(3),
               product(cycle_graph(4), path_graph(2)).graph):
-        assert delta_exact(g, DeltaConfig(cycle_only=True)).value == \
-            delta_exact(g, DeltaConfig(cycle_only=False)).value
+        assert DeltaEngine(g).delta(cycle_only=True).value == \
+            DeltaEngine(g).delta(cycle_only=False).value
+
+
+# The unrestricted witness of this graph is not a cycle triangle, so the two
+# modes return different witnesses: their `to_json_dict`, pinned.
+NON_CYCLE_WITNESS_EDGES = [(0, 1), (1, 2), (1, 4), (2, 3), (2, 4)]
+PINNED_CYCLE_WITNESS = {
+    "grid_factor": 4, "quarters": 3, "value": "3/4",
+    "stats": {"geodesics_enumerated": 30, "triples_examined": 109},
+    "witness": {"corners": [1, 2, 12], "is_cycle": True,
+                "sides": [[1, 8, 9, 10, 2], [2, 17, 18, 19, 4, 13, 12], [12, 11, 1]],
+                "witness_point": 19, "witness_side": 1}}
+PINNED_FREE_WITNESS = {
+    "grid_factor": 4, "quarters": 3, "value": "3/4",
+    "stats": {"geodesics_enumerated": 5, "triples_examined": 97},
+    "witness": {"corners": [0, 1, 18], "is_cycle": False,
+                "sides": [[0, 5, 6, 7, 1], [1, 8, 9, 10, 2, 17, 18],
+                          [18, 19, 4, 13, 12, 11, 1, 7, 6, 5, 0]],
+                "witness_point": 10, "witness_side": 1}}
 
 
 def test_witness_non_cycle_branch_pinned():
-    # the unrestricted witness of this graph is not a cycle triangle, so the
-    # two modes return different witnesses
-    g = Graph(5, [(0, 1), (1, 2), (1, 4), (2, 3), (2, 4)])
-    cyc = delta_exact(g, DeltaConfig(cycle_only=True)).to_json_dict()
-    assert cyc == {
-        "grid_factor": 4, "quarters": 3, "value": "3/4",
-        "stats": {"geodesics_enumerated": 30, "triples_examined": 109},
-        "witness": {"corners": [1, 2, 12], "is_cycle": True,
-                    "sides": [[1, 8, 9, 10, 2], [2, 17, 18, 19, 4, 13, 12], [12, 11, 1]],
-                    "witness_point": 19, "witness_side": 1}}
-    free = delta_exact(g, DeltaConfig(cycle_only=False)).to_json_dict()
-    assert free == {
-        "grid_factor": 4, "quarters": 3, "value": "3/4",
-        "stats": {"geodesics_enumerated": 5, "triples_examined": 97},
-        "witness": {"corners": [0, 1, 18], "is_cycle": False,
-                    "sides": [[0, 5, 6, 7, 1], [1, 8, 9, 10, 2, 17, 18],
-                              [18, 19, 4, 13, 12, 11, 1, 7, 6, 5, 0]],
-                    "witness_point": 10, "witness_side": 1}}
+    g = Graph(5, NON_CYCLE_WITNESS_EDGES)
+    assert DeltaEngine(g).delta(cycle_only=True).to_json_dict() == PINNED_CYCLE_WITNESS
+    assert DeltaEngine(g).delta(cycle_only=False).to_json_dict() == PINNED_FREE_WITNESS
 
 
 def test_table_counters():
@@ -180,10 +183,11 @@ def test_grid_chains_built_once_per_grid(monkeypatch):
     assert stats.tables_built > 1 and len(calls) == 1
 
 
-def test_cap_error_attaches_partial_lower_bound():
+def test_cap_error_attaches_the_exact_value():
     with pytest.raises(GeodesicCapError) as err:
         delta_exact(cycle_graph(6), DeltaConfig(geodesic_cap=1))
-    assert err.value.partial_lower_bound == QDist(6)
+    assert err.value.value == QDist(6)
+    assert "(delta = 3/2; no witness within the cap)" in str(err.value)
 
 
 def test_config_validation():
@@ -200,7 +204,7 @@ def test_config_validation():
 def _bigon_oracle(g: Graph) -> QDist:
     """Direct enumeration over distinct geodesic pairs between J-points."""
     s = subdivide(g, 4)
-    hops = all_pairs_distances(s).hops
+    hops = all_pairs_distances(s)
     nbrs = [s.neighbors(v) for v in range(s.grid_n)]
     best = 0
     j = list(s.j_set)
@@ -344,7 +348,7 @@ def test_tight_short_triangle_matches_family(seed, n):
 # ---------------------------------------------------------------------------
 
 def _geodesic_arrays(s):
-    hops = s.metrics().hops
+    hops = s.hops()
     nbrs = [s.neighbors(v) for v in range(s.grid_n)]
     cache = {}
 
@@ -388,6 +392,21 @@ def test_delta_against_enumeration(g):
 def test_bigon_against_oracle_on_random_graphs(g):
     # the longest-first walk stops early; the oracle scans every J-pair
     assert delta_bigon_lower_bound(g) == _bigon_oracle(g)
+
+
+def test_atlas_both_sides_of_delta():
+    # every connected networkx atlas graph with n <= 5: the engine's value
+    # against the enumeration oracle, which shows that nothing exceeds it,
+    # with and without the cycle restriction, and the bigon bound
+    nx = pytest.importorskip("networkx")
+    graphs = [Graph(h.number_of_nodes(), list(h.edges)) for h in nx.graph_atlas_g()[1:]
+              if h.number_of_nodes() <= 5 and nx.is_connected(h)]
+    assert len(graphs) == 31
+    for g in graphs:
+        value = delta_exact(g).value
+        assert value.quarters == _delta_by_enumeration(g), g.edges
+        assert DeltaEngine(g).delta(cycle_only=False).value == value, g.edges
+        assert delta_bigon_lower_bound(g) == _bigon_oracle(g), g.edges
 
 
 @settings(max_examples=10, deadline=None)
@@ -439,7 +458,7 @@ def test_corner_masks_match_brute_ceiling(g):
     # UNREACHABLE hop counts included
     sweep = DeltaEngine(g)
     s = sweep.s
-    hops = s.metrics().hops
+    hops = s.hops()
     pairs = list(itertools.combinations(range(sweep.nj), 2))
     if not pairs:
         return
@@ -454,7 +473,7 @@ def _per_side_sweep(s):
     """The value sweep one side at a time, longest first, with the brute-force
     ceiling at the running value: (value, triples examined, sides visited)."""
     sweep = DeltaEngine(s.base)
-    hops, j = s.metrics().hops, s.j_set
+    hops, j = s.hops(), s.j_set
     pairs = sorted(itertools.combinations(range(len(j)), 2), key=lambda p: -hops[j[p[0]], j[p[1]]])
     cur = examined = visited = 0
     for ii, jj in pairs:
@@ -499,7 +518,7 @@ _ENGINE_CALLS = {  # name -> (engine call, the standalone function it must match
     "triangle": (DeltaEngine.has_tight_short_triangle, has_tight_short_triangle),
     "delta": (DeltaEngine.delta, delta_exact),
     "delta_free": (lambda e: e.delta(cycle_only=False),
-                   lambda g: delta_exact(g, DeltaConfig(cycle_only=False))),
+                   lambda g: DeltaEngine(g).delta(cycle_only=False)),
 }
 
 
@@ -555,8 +574,8 @@ def test_engine_short_triangle_needs_s4():
     engine = DeltaEngine(cycle_graph(6), DeltaConfig(grid_factor=8))
     with pytest.raises(ValidationError):
         engine.has_tight_short_triangle()
-    # the module function ignores the config's grid factor, as it always has
-    assert has_tight_short_triangle(cycle_graph(6), DeltaConfig(grid_factor=8))
+    # the module function takes no config: it always builds an S_4 engine
+    assert has_tight_short_triangle(cycle_graph(6))
 
 
 @pytest.mark.parametrize("g", [Graph(3, [(0, 1)], _allow_disconnected=True),

@@ -47,7 +47,7 @@ def test_cap_error_carries_pair():
 
 def test_counts_match_enumeration():
     s = subdivide(complete_graph(5), 2)
-    hops = s.metrics().hops
+    hops = s.hops()
     snbrs = [s.neighbors(v) for v in range(s.grid_n)]
     for a in range(s.grid_n):
         for b in range(a + 1, s.grid_n):
@@ -57,7 +57,7 @@ def test_counts_match_enumeration():
 
 def test_enumeration_is_lexicographic():
     s = subdivide(product(path_graph(3), cycle_graph(4)).graph, 4)
-    hops = s.metrics().hops
+    hops = s.hops()
     nbrs = [s.neighbors(v) for v in range(s.grid_n)]
     for a, b in ((0, 8), (0, 11), (1, 10), (s.grid_n - 1, 0)):
         paths = enumerate_paths(nbrs, hops, a, b, cap=10_000)
@@ -69,14 +69,14 @@ def test_enumeration_longer_than_recursion_limit():
     # the S_4 grid of P400 is 1596 hops end to end
     s = subdivide(path_graph(400), 4)
     (geo,) = enumerate_geodesics(s, 0, 399)
-    hops = s.metrics().hops
+    hops = s.hops()
     assert len(geo) == 1597 and geo[0] == 0 and geo[-1] == 399
     assert (hops[geo[:-1], geo[1:]] == 1).all()
 
 
 def test_interval_is_union_of_geodesics():
     s = subdivide(cycle_graph(6), 2)
-    hops = s.metrics().hops
+    hops = s.hops()
     nbrs = [s.neighbors(v) for v in range(s.grid_n)]
     a, b = 0, 3  # antipodal on C6: both arcs are geodesics
     iv = set(interval(hops, a, b).tolist())
@@ -120,7 +120,7 @@ def _farthest_by_enumeration(nbrs, hops, a: int, q: int) -> np.ndarray:
 def test_farthest_geodesic_profile_against_enumeration(g, k):
     # every column of the table from every J-point source, on the S_k grid of g
     s = subdivide(g, k)
-    hops = s.metrics().hops
+    hops = s.hops()
     nbrs = [s.neighbors(v) for v in range(s.grid_n)]
     if g in (K24, K24_NEAR_THREE):
         # the DP folds past the second predecessor
@@ -171,7 +171,7 @@ def test_j_source_table_matches_grid_dp(g, k):
     # the base-graph DP against the grid DP's J columns, from every J-point
     # source (vertices and midpoints), bit for bit and dtype included
     s = subdivide(g, k)
-    hops = s.metrics().hops
+    hops = s.hops()
     arcs = neighbor_arcs(s._neighbors)
     j = list(s.j_set)
     if g in (K24, K24_NEAR_THREE):
@@ -187,7 +187,7 @@ def test_tables_one_byte_on_wide_grids():
     # lex(P3,K6) has 369 grid points but is 12 hops across: the dtype follows
     # the hop counts, so both kernels store one byte per entry
     s = subdivide(product(path_graph(3), complete_graph(6)).graph, 4)
-    hops = s.metrics().hops
+    hops = s.hops()
     assert s.grid_n > 128 and hops.max() == 12
     arcs = neighbor_arcs(s._neighbors)
     j = list(s.j_set)

@@ -147,18 +147,18 @@ def test_subdivide_c3_by_2_is_c6():
 
 def test_subdivide_c5_distance_scaling():
     s = subdivide(cycle_graph(5), 4)
-    m = all_pairs_distances(s)
-    assert m.hops[1, 3] == 8
-    assert m.distance(1, 3) == QDist.from_edges(2)
+    hops = all_pairs_distances(s)
+    assert hops[1, 3] == 8
+    assert QDist.from_hops(int(hops[1, 3]), s.k) == QDist.from_edges(2)
 
 
 def test_grid_freed_without_cycle_collector():
-    # the grid caches its metrics and chains; nothing refers back to it, so
+    # the grid caches its hop matrix and chains; nothing refers back to it, so
     # dropping the last reference frees the hop matrix at once
     gc.disable()
     try:
         s = subdivide(product(path_graph(3), cycle_graph(5)).graph, 4)
-        hops = weakref.ref(s.metrics().hops)
+        hops = weakref.ref(s.hops())
         chains = weakref.ref(s.chains().whole)
         del s
         assert hops() is None and chains() is None
@@ -194,7 +194,7 @@ def _bfs_hops(n: int, neighbors) -> np.ndarray:
 @given(g=connected_graphs(), k=st.sampled_from((2, 4, 8)))
 def test_grid_metric_matches_bfs_on_grid_edges(g, k):
     s = subdivide(g, k)
-    hops = all_pairs_distances(s).hops
+    hops = all_pairs_distances(s)
     assert hops.dtype == np.int32
     assert np.array_equal(hops, _bfs_hops(s.grid_n, s.neighbors))
 
@@ -205,9 +205,9 @@ def test_grid_metric_matches_bfs_on_product_and_disconnected(k):
     split = induced_subgraph(cycle_graph(8), [0, 1, 3, 4, 6])  # components {0,1}, {3,4}, {6}
     for g in (lex, split):
         s = subdivide(g, k)
-        assert np.array_equal(all_pairs_distances(s).hops, _bfs_hops(s.grid_n, s.neighbors))
+        assert np.array_equal(all_pairs_distances(s), _bfs_hops(s.grid_n, s.neighbors))
     s = subdivide(split, k)
-    hops = all_pairs_distances(s).hops
+    hops = all_pairs_distances(s)
     mid = {e: pts[k // 2] for e, pts in s.edge_points.items()}
     assert hops[0, 2] == UNREACHABLE  # vertices 0 and 3 of C8
     assert hops[mid[(0, 1)], mid[(2, 3)]] == UNREACHABLE
@@ -225,14 +225,14 @@ def test_grid_size_and_jset_counts():
 
 def test_grid_cap_fails_fast():
     with pytest.raises(SizeCapError):
-        subdivide(complete_graph(10), 8, cap=100)
+        subdivide(complete_graph(40), 8)  # 5500 points
 
 
 def test_subdivision_restriction_reproduces_vertex_apsp():
     for g in (cycle_graph(6), star_graph(4), complete_graph(4)):
         base = g.vertex_distances()
         for k in (2, 4, 8):
-            hops = all_pairs_distances(subdivide(g, k)).hops
+            hops = all_pairs_distances(subdivide(g, k))
             n = g.vertex_count
             assert (hops[:n, :n] == k * base).all()
 
@@ -243,7 +243,7 @@ def test_subdivision_restriction_reproduces_vertex_apsp():
 
 def _diam_oracle_s8(g: Graph) -> QDist:
     """Independent oracle: brute-force max over the full S_8 grid."""
-    hops = all_pairs_distances(subdivide(g, 8)).hops
+    hops = all_pairs_distances(subdivide(g, 8))
     return QDist((4 * int(hops.max())) // 8)
 
 
@@ -291,10 +291,10 @@ def test_diam_g_closed_form_matches_grids(seed, n, m):
         j = np.asarray(s.j_set)
         got = j_hops(g, k)
         assert got.dtype == np.int32
-        assert np.array_equal(got, s.metrics().hops[np.ix_(j, j)]), k
+        assert np.array_equal(got, s.hops()[np.ix_(j, j)]), k
     s = subdivide(g, 2)
     j = np.asarray(s.j_set)
-    want = QDist.from_hops(int(s.metrics().hops[np.ix_(j, j)].max()), 2)
+    want = QDist.from_hops(int(s.hops()[np.ix_(j, j)].max()), 2)
     assert diam_g(g) == want == _diam_oracle_s8(g)
 
 
@@ -316,7 +316,7 @@ def _random_connected(seed: int, n: int) -> Graph:
 def test_metric_axioms_and_diam_sandwich(seed, n):
     g = _random_connected(seed, n)
     s = subdivide(g, 2)
-    h = all_pairs_distances(s).hops
+    h = all_pairs_distances(s)
     assert (h == h.T).all()
     assert (np.diag(h) == 0).all()
     assert (h[:, :, None] + h[None, :, :] >= h[:, None, :]).all()
@@ -335,5 +335,5 @@ def test_subdivision_metric_scaling(seed, n):
     base = g.vertex_distances()
     nb = g.vertex_count
     for k in (2, 4):
-        hops = all_pairs_distances(subdivide(g, k)).hops
+        hops = all_pairs_distances(subdivide(g, k))
         assert (hops[:nb, :nb] == k * base).all()

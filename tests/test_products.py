@@ -58,7 +58,7 @@ def test_edge_containment_chain():
 
 def test_product_cap():
     with pytest.raises(SizeCapError):
-        product(complete_graph(30), complete_graph(30), LEXICOGRAPHIC, cap=100)
+        product(complete_graph(65), complete_graph(65), LEXICOGRAPHIC)  # 4225 vertices
     with pytest.raises(ValidationError):
         product(path_graph(2), path_graph(2), "tensor")
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lexhyp.graph as graph_module
-from lexhyp import (CARTESIAN, LEXICOGRAPHIC, STRONG, DeltaConfig, Graph, ValidationError,
+from lexhyp import (CARTESIAN, LEXICOGRAPHIC, STRONG, Graph, ValidationError,
                     complete_graph, cycle_graph, delta_exact, path_graph, product, star_graph)
 from lexhyp.delta import DeltaEngine
 
@@ -53,8 +53,8 @@ def _group(gens: np.ndarray, n: int) -> set:
 def test_product_sweep_matches_plain_copy(g1, g2, kind):
     p = product(g1, g2, kind).graph
     for cycle_only in (True, False):
-        cfg = DeltaConfig(cycle_only=cycle_only)
-        got, plain = delta_exact(p, cfg), delta_exact(_plain(p), cfg)
+        got = DeltaEngine(p).delta(cycle_only)
+        plain = DeltaEngine(_plain(p)).delta(cycle_only)
         assert got.to_json_dict() == plain.to_json_dict()
         assert got.stats.triples_examined == plain.stats.triples_examined
         assert got.stats.sides_visited == plain.stats.sides_visited
@@ -89,8 +89,8 @@ def test_root_fold_matches_plain_copy(p):
     # each chunk is folded over its orbit roots: the value, the witness and
     # both counters must be those of the copy where every pair is its own root
     for cycle_only in (True, False):
-        cfg = DeltaConfig(cycle_only=cycle_only)
-        got, plain = delta_exact(p, cfg), delta_exact(_plain(p), cfg)
+        got = DeltaEngine(p).delta(cycle_only)
+        plain = DeltaEngine(_plain(p)).delta(cycle_only)
         assert plain.stats.orbit_s == 0
         assert got.to_json_dict() == plain.to_json_dict()
         assert got.stats.triples_examined == plain.stats.triples_examined

@@ -25,9 +25,10 @@ corpus of seed 0, every check) three times in a fresh process
 (`--suite-one`), after building the catalog: the S_k grids built per k
 (`SubdividedGraph` constructions) and the per-source tables built
 (`j_source_table` calls from the delta engine), both counted in the first
-run, the best wall time of the other two, and each check's best seconds.
-Three such processes run per checkout, alternating between the two
-checkouts, and the record keeps the best times of the three.
+run, and the best wall time of the other two.  Three such processes run per
+checkout, alternating between the two checkouts, and the record keeps the
+best wall time of the three.  Per-check seconds are left out: at this run
+count they are too noisy to compare single checks.
 
 "after" runs on this checkout's `src`, "before" on PARENT/src, a checkout
 of the commit REV; both run this script, so only the library differs.
@@ -77,7 +78,7 @@ def table_ms() -> dict:
     out = {}
     for name in TABLE_GRAPHS:
         s = subdivide(GRAPHS[name](), 4)
-        hops, j = s.metrics().hops, np.asarray(s.j_set)
+        hops, j = s.hops(), np.asarray(s.j_set)
         arcs = neighbor_arcs(s._neighbors)
         s.chains()
 
@@ -119,9 +120,9 @@ def suite_one(reps: int = 3) -> dict:
     tables = [0]
     init, table = SubdividedGraph.__init__, lexhyp.delta.j_source_table
 
-    def counted_init(self, base, k, cap):
+    def counted_init(self, base, k, *cap):  # a parent checkout may still pass a cap
         grids[f"S_{k}"] = grids.get(f"S_{k}", 0) + 1
-        init(self, base, k, cap)
+        init(self, base, k, *cap)
 
     def counted_table(s, a):
         tables[0] += 1
@@ -134,16 +135,13 @@ def suite_one(reps: int = 3) -> dict:
         report = run_suite(corpus)
     finally:
         SubdividedGraph.__init__, lexhyp.delta.j_source_table = init, table
-    seconds = {cid: r.millis / 1e3 for cid, r in report.results.items()}
     walls = []
     for _ in range(reps - 1):
         t0 = time.perf_counter()
-        again = run_suite(corpus)
+        run_suite(corpus)
         walls.append(time.perf_counter() - t0)
-        seconds = {cid: min(seconds[cid], r.millis / 1e3) for cid, r in again.results.items()}
     return {"all_pass": report.all_pass, "grids_built": dict(sorted(grids.items())),
             "tables_built": tables[0], "best_wall_s": round(min(walls), 3),
-            "check_best_s": dict(sorted(seconds.items())),
             "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
@@ -156,15 +154,13 @@ def _fresh(src: str, *args: str) -> dict:
 
 def suite_runs(srcs: dict, rounds: int = 3) -> dict:
     """`suite_one` for each named `src`, `rounds` times in fresh processes,
-    alternating the order: the counts of the first, the best times of all."""
+    alternating the order: the counts of the first, the best wall time of all."""
     out: dict = {}
     for r in range(rounds):
         for name, src in (list(srcs.items()) if r % 2 == 0 else list(srcs.items())[::-1]):
             got = _fresh(src, "--suite-one")
             best = out.setdefault(name, got)
             best["best_wall_s"] = min(best["best_wall_s"], got["best_wall_s"])
-            best["check_best_s"] = {c: min(t, got["check_best_s"][c])
-                                    for c, t in best["check_best_s"].items()}
     return out
 
 
