@@ -34,8 +34,9 @@ def parse_gspec(spec: str) -> Graph:
     """Resolve a graph spec string: DSL, @file, or product composition."""
     spec = spec.strip()
     for head, kind in _PRODUCT_HEADS.items():
-        if spec.startswith(head + "("):
-            left, right = _product_operands(spec, head)
+        body = spec[len(head):].lstrip()  # whitespace may separate the head from "("
+        if spec.startswith(head) and body.startswith("("):
+            left, right = _product_operands(spec, body)
             return product(parse_gspec(left), parse_gspec(right), kind).graph
     if spec.startswith("@"):
         try:  # undecodable bytes are replaced, so the parser rejects their line
@@ -46,14 +47,14 @@ def parse_gspec(spec: str) -> Graph:
     return parse_graph(spec)
 
 
-def _product_operands(spec: str, head: str) -> tuple[str, str]:
-    """A and B of ``head(A,B)``, split at the first comma outside nested
-    parentheses.  Unbalanced parentheses, text after the closing one and an
-    empty operand raise ParseError."""
-    depth = list(accumulate((ch == "(") - (ch == ")") for ch in spec))
-    commas = [i for i, ch in enumerate(spec) if ch == "," and depth[i] == 1]
-    if depth[-1] == 0 and min(depth[len(head):-1]) > 0 and commas:
-        left, right = spec[len(head) + 1:commas[0]], spec[commas[0] + 1:-1]
+def _product_operands(spec: str, body: str) -> tuple[str, str]:
+    """A and B of a product spec's `body` ``(A,B)``, split at the first comma
+    outside nested parentheses.  Unbalanced parentheses, text after the
+    closing one and an empty operand raise ParseError naming `spec`."""
+    depth = list(accumulate((ch == "(") - (ch == ")") for ch in body))
+    commas = [i for i, ch in enumerate(body) if ch == "," and depth[i] == 1]
+    if depth[-1] == 0 and min(depth[:-1]) > 0 and commas:
+        left, right = body[1:commas[0]], body[commas[0] + 1:-1]
         if left.strip() and right.strip():
             return left, right
     raise ParseError(f"malformed product spec {spec!r}")

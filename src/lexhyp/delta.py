@@ -71,20 +71,21 @@ Tables, J rows and chain minima are stored in `table_dtype` of the grid's
 largest hop count: one byte per entry below 128 hops, which covers every
 product the benchmark and the suite build.
 
-Everything that needs explicit triangles shares one triangle search: a
-walker over corner triples in lexicographic J order, filtered per corner
-pair by a vectorized third-corner mask (`DeltaEngine.triples`); a walker
-over the geodesic side choices of one triple, in lexicographic order and
-optionally restricted to cycle triangles (`DeltaEngine.combos`); and one
-kernel giving every side point's distance to the other two sides
-(`_side_distances`).  The witness search walks them until a triangle
-attains the value, the short-triangle predicate until a vertex sits
-exactly 3/2 from the other sides, and `thinness` applies the kernel to a
-given triangle.
+Explicit triangles serve only the witness search and `thinness`.  The
+witness search walks corner triples in lexicographic J order, skips those
+whose longest side is below twice the value or whose side values show they
+cannot attain it (`DeltaEngine.triple_can_reach`), and enumerates the
+geodesic side choices of the rest, in lexicographic order and optionally
+only cycle triangles, until one attains the value; `thinness` evaluates a
+given triangle.  Both read every side point's distance to the other two
+sides from one kernel (`_side_distances`).  The short-triangle predicate
+enumerates no geodesic: it is a query on the tables
+(`DeltaEngine.has_tight_short_triangle`).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -309,37 +310,6 @@ class DeltaEngine:
                     ii, jj = ii[done:], jj[done:]
         return cur
 
-    # -- triangle walkers ------------------------------------------------------
-
-    def longest_side(self, ii: int, jj: int) -> np.ndarray:
-        """Longest side of every corner triple (ii, jj, kk) with kk > jj."""
-        return np.maximum(np.maximum(self.jD[ii, jj + 1:], self.jD[jj, jj + 1:]),
-                          self.jD[ii, jj])
-
-    def triples(self, keep):
-        """Corner triples (x, y, z) in lexicographic J order; `keep(ii, jj)`
-        masks the third corners kk > jj to visit."""
-        for ii in range(self.nj):
-            for jj in range(ii + 1, self.nj):
-                for kk in (jj + 1 + np.flatnonzero(keep(ii, jj))).tolist():
-                    yield int(self.j[ii]), int(self.j[jj]), int(self.j[kk])
-
-    def combos(self, x: int, y: int, z: int, cycle_only: bool):
-        """Each (x->y, y->z, x->z) geodesic choice in lexicographic order, as
-        (sides, is_cycle, side distances); with cycle_only, cycle triangles
-        only (sides pairwise meeting only at their shared corner)."""
-        arr_xy, fs_xy = self.geos(x, y)
-        arr_yz, fs_yz = self.geos(y, z)
-        arr_xz, fs_xz = self.geos(x, z)
-        for a0, f0 in zip(arr_xy, fs_xy):
-            for a1, f1 in zip(arr_yz, fs_yz):
-                for a2, f2 in zip(arr_xz, fs_xz):
-                    is_cycle = f0 & f1 == {y} and f1 & f2 == {z} and f2 & f0 == {x}
-                    if cycle_only and not is_cycle:
-                        continue
-                    sides = (a0, a1, a2)
-                    yield sides, is_cycle, _side_distances(self.D, sides)
-
     # -- per-triple machinery ------------------------------------------------
 
     def side_values(self, a: int, b: int) -> np.ndarray:
@@ -473,33 +443,38 @@ class DeltaEngine:
         """First triangle attaining `target`, in lexicographic corner order.
 
         Returns (triangle, side, point) or None.  Triples whose longest side
-        is below 2 * target, or that the corner masks or the tables show
-        cannot attain it, are skipped.  With cycle_only, non-cycle
-        combinations are skipped; a cycle witness always exists for a
-        correctly computed positive target because extremal triangles can be
-        chosen to be cycles.
+        is below 2 * target, or whose side values show they cannot attain it
+        (`triple_can_reach`), are skipped; the rest have their geodesic side
+        choices enumerated in lexicographic order.  With cycle_only, non-cycle
+        choices are skipped; a cycle witness always exists for a correctly
+        computed positive target because extremal triangles can be chosen to
+        be cycles.
         """
-        def keep(ii: int, jj: int) -> np.ndarray:
-            hit = self.longest_side(ii, jj) >= 2 * target
-            if target > 0 and hit.any():
-                hit &= self.corner_masks(np.array([ii]), np.array([jj]), target - 1)[0, jj + 1:]
-            return hit
-
-        for x, y, z in self.triples(keep):
-            if target > 0 and not self.triple_can_reach(x, y, z, target):
-                continue
-            self.stats.triples_examined += 1
-            for sides, is_cycle, dists in self.combos(x, y, z, cycle_only):
-                if max(int(v.max()) for v in dists) != target:
-                    continue
-                side = next(i for i, v in enumerate(dists) if v.max() == target)
-                point = int(sides[side][dists[side].argmax()])
-                tri = GeodesicTriangle(
-                    corners=(x, y, z),
-                    sides=(tuple(sides[0].tolist()), tuple(sides[1].tolist()),
-                           tuple(sides[2][::-1].tolist())),  # stored z -> x
-                    is_cycle=is_cycle)
-                return tri, side, point
+        J, jD = self.j.tolist(), self.jD
+        for ii in range(self.nj):
+            for jj in range(ii + 1, self.nj):
+                longest = np.maximum(np.maximum(jD[ii, jj + 1:], jD[jj, jj + 1:]), jD[ii, jj])
+                for kk in (jj + 1 + np.flatnonzero(longest >= 2 * target)).tolist():
+                    x, y, z = J[ii], J[jj], J[kk]
+                    if target > 0 and not self.triple_can_reach(x, y, z, target):
+                        continue
+                    self.stats.triples_examined += 1
+                    choices = (zip(*self.geos(x, y)), zip(*self.geos(y, z)), zip(*self.geos(x, z)))
+                    for (a0, f0), (a1, f1), (a2, f2) in itertools.product(*choices):
+                        is_cycle = f0 & f1 == {y} and f1 & f2 == {z} and f2 & f0 == {x}
+                        if cycle_only and not is_cycle:
+                            continue
+                        sides = (a0, a1, a2)
+                        dists = _side_distances(self.D, sides)
+                        if max(int(v.max()) for v in dists) != target:
+                            continue
+                        side = next(i for i, v in enumerate(dists) if v.max() == target)
+                        tri = GeodesicTriangle(
+                            corners=(x, y, z),
+                            sides=(tuple(a0.tolist()), tuple(a1.tolist()),
+                                   tuple(a2[::-1].tolist())),  # stored z -> x
+                            is_cycle=is_cycle)
+                        return tri, side, int(sides[side][dists[side].argmax()])
         return None
 
     # -- entry points ----------------------------------------------------------
@@ -579,29 +554,44 @@ class DeltaEngine:
     def has_tight_short_triangle(self) -> bool:
         """Whether some cycle triangle with corners in J(G) and all sides of
         length at most 3 realizes thinness 3/2 at a vertex of G; S_4 grids
-        only.
+        only.  The classifier's induced-subgraph search must agree with it.
 
-        The tight point sits 3/2 from both ends of a length-3 side, so
-        requiring it to be a vertex forces those two corners to be edge
-        midpoints.  That is the configuration the forbidden-family
-        characterization describes (a length-3 side between two vertices
-        realizes 3/2 only at an edge midpoint, and such triangles occur in
-        graphs outside the family).  The classifier's induced-subgraph search
-        must agree with this predicate.
+        A query on the tables: it holds iff some J-pair (a, b) at 3 has a
+        vertex p of G in I(a, b) and a third corner c, not a or b and at
+        most 3 from both, with min(W_a[p, c], W_b[p, c]) >= 3/2.  Exact:
+        - The tight point p is the midpoint of a length-3 side [ab], as the
+          other sides contain a and b and d(p, a) + d(p, b) <= 3.  A vertex
+          p forces a and b to be edge midpoints: the configuration of the
+          family characterization (between two vertices a length-3 side
+          realizes 3/2 only at an edge midpoint, also outside the family).
+        - The min of the two columns is exact: the other two sides are
+          chosen independently, and p's distance to their union is the min
+          of its distances to each.  Nothing exceeds 3/2, so >= is =.
+        - A non-cycle triangle attaining it contains a cycle one with
+          corners a, b and w, the point of [ac] ∩ [bc] nearest a along
+          [ac].  The other sides meet [ab] at most at its ends, since every
+          other point of [ab] is within 3/2 of p, and b is not on [ac]
+          (else d(a, c) > 3), nor a on [bc].  w is a vertex of G or c, so
+          in J(G): a geodesic enters and leaves an edge chain, whose
+          interior points have two neighbors, at its ends, or ends at its
+          midpoint, so two geodesics cannot first meet inside one.
+        It enumerates no geodesic, so it cannot raise GeodesicCapError.
         """
         if self.s.k != 4:
             raise ValidationError("the short-triangle predicate runs on the S_4 grid only")
-        target = 6  # 3/2 in quarter hops
-        limit = 12  # sides of length <= 3, the longest exactly 3
         n_base = self.s.base.vertex_count
+        short = (self.jD >= 0) & (self.jD <= 12)  # at most 3 apart, in quarter hops
         with self._working():
-            for x, y, z in self.triples(lambda ii, jj: self.longest_side(ii, jj) == limit):
-                if not self.triple_can_reach(x, y, z, target):
+            for i, j in zip(*np.nonzero(np.triu(self.jD == 12, 1))):
+                a, b = int(self.j[i]), int(self.j[j])
+                iv = interval(self.D, a, b)
+                iv = iv[iv < n_base]  # the tight point is a vertex of G
+                if not iv.size:
                     continue
-                for sides, _, dists in self.combos(x, y, z, cycle_only=True):
-                    if any(((d == target) & (side < n_base)).any()
-                           for side, d in zip(sides, dists)):
-                        return True
+                cs = short[i] & short[j]
+                cs[[i, j]] = False
+                if (np.minimum(self.table(a)[iv][:, cs], self.table(b)[iv][:, cs]) >= 6).any():
+                    return True
             return False
 
 

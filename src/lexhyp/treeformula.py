@@ -92,7 +92,6 @@ class BoundEntry:
 
 @dataclass(frozen=True)
 class BoundReport:
-    factor_summary: str
     entries: tuple[BoundEntry, ...]
 
     @property
@@ -138,5 +137,4 @@ def bound_check(g1: Graph, g2: Graph, delta_product: QDist, delta_g1: QDist) -> 
         tight_ok = g1.is_tree() and delta_product == THREE_HALVES and not g2.is_trivial()
         entries.append(BoundEntry("upper_bound_tight_implies_tree", tight_ok,
                                   "delta(lex)=delta(G1)+3/2 forces a tree G1 with value 3/2"))
-    summary = f"G1(n={g1.vertex_count}), G2(n={g2.vertex_count})"
-    return BoundReport(factor_summary=summary, entries=tuple(entries))
+    return BoundReport(entries=tuple(entries))

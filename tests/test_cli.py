@@ -106,6 +106,7 @@ def test_malformed_product_spec(capsys, spec):
 def test_product_specs_parse_nested():
     p23 = product(path_graph(2), cycle_graph(3)).graph
     assert parse_gspec("lex(path:2,cycle:3)") == p23
+    assert parse_gspec("lex (path:2,cycle:3)") == p23
     assert parse_gspec("lex(lex(path:2,path:2),cycle:3)") == \
         product(product(path_graph(2), path_graph(2)).graph, cycle_graph(3)).graph
 

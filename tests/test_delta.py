@@ -188,6 +188,8 @@ def test_cap_error_attaches_the_exact_value():
         delta_exact(cycle_graph(6), DeltaConfig(geodesic_cap=1))
     assert err.value.value == QDist(6)
     assert "(delta = 3/2; no witness within the cap)" in str(err.value)
+    # the short-triangle predicate enumerates no geodesic, so no cap binds it
+    assert DeltaEngine(cycle_graph(6), DeltaConfig(geodesic_cap=1)).has_tight_short_triangle()
 
 
 def test_config_validation():
@@ -334,6 +336,7 @@ def test_tight_short_triangle_on_catalog_members():
         for g in (member, pendant):
             assert in_family_F(g)[0]
             assert has_tight_short_triangle(g)
+            assert _tight_by_enumeration(g), g.edges
 
 
 @settings(max_examples=300, deadline=None)
@@ -373,8 +376,38 @@ def _delta_by_enumeration(g: Graph) -> int:
     return best
 
 
+def _tight_by_enumeration(g: Graph) -> bool:
+    """Whether some cycle triangle with corners in J(G), every side between
+    0 and 12 hops long and the longest exactly 12, has a side point that is
+    a vertex of G and exactly 6 hops (3/2) from the other two sides."""
+    s = subdivide(g, 4)
+    hops, geos = _geodesic_arrays(s)
+    for x, y, z in itertools.combinations(s.j_set, 3):
+        lengths = (hops[x, y], hops[y, z], hops[x, z])
+        if min(lengths) < 0 or max(lengths) != 12:
+            continue
+        for tri in itertools.product(geos(x, y), geos(y, z), geos(x, z)):
+            xy, yz, xz = (set(side.tolist()) for side in tri)
+            if xy & yz != {y} or yz & xz != {z} or xz & xy != {x}:
+                continue
+            for i in range(3):
+                others = np.concatenate([tri[(i + 1) % 3], tri[(i + 2) % 3]])
+                far = hops[np.ix_(tri[i], others)].min(axis=1)
+                if ((far == 6) & (tri[i] < g.vertex_count)).any():
+                    return True
+    return False
+
+
 def _connected_graphs(max_n: int):
     return st.builds(_random_connected, st.integers(0, 10_000), st.integers(2, max_n))
+
+
+def _graphs_and_induced_subgraphs(max_n: int):
+    """Connected graphs, and induced subgraphs of them: often disconnected."""
+    connected = _connected_graphs(max_n)
+    induced = connected.flatmap(lambda g: st.sets(st.integers(0, g.vertex_count - 1), min_size=1)
+                                .map(lambda keep: induced_subgraph(g, keep)))
+    return st.one_of(connected, induced)
 
 
 @settings(max_examples=60, deadline=None)
@@ -409,6 +442,42 @@ def test_atlas_both_sides_of_delta():
         assert delta_bigon_lower_bound(g) == _bigon_oracle(g), g.edges
 
 
+def test_atlas_short_triangle_against_enumeration():
+    # every connected networkx atlas graph with n <= 6
+    nx = pytest.importorskip("networkx")
+    graphs = [Graph(h.number_of_nodes(), list(h.edges)) for h in nx.graph_atlas_g()[1:]
+              if h.number_of_nodes() <= 6 and nx.is_connected(h)]
+    assert len(graphs) == 143
+    got = [has_tight_short_triangle(g) for g in graphs]
+    assert got == [_tight_by_enumeration(g) for g in graphs]
+    assert sum(got) == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=_graphs_and_induced_subgraphs(8))
+# a tight triangle, and a length-3 side between midpoints, each beside a
+# component out of reach
+@example(g=Graph(7, list(cycle_graph(6).edges), _allow_disconnected=True))
+@example(g=induced_subgraph(cycle_graph(8), [0, 1, 2, 3, 4, 6]))
+def test_short_triangle_against_enumeration(g):
+    assert has_tight_short_triangle(g) == _tight_by_enumeration(g)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(6), get_catalog().members[0],
+                               product(path_graph(2), cycle_graph(5)).graph],
+                         ids=["C6", "member-0", "lex(P2,C5)"])
+def test_short_triangle_enumerates_no_geodesic(g, monkeypatch):
+    import lexhyp.delta
+    calls = []
+    real = lexhyp.delta.enumerate_paths
+    monkeypatch.setattr(lexhyp.delta, "enumerate_paths", lambda *a: calls.append(a) or real(*a))
+    engine = DeltaEngine(g)
+    engine.has_tight_short_triangle()
+    assert calls == []
+    engine.delta()  # the witness search is enumeration's one caller
+    assert calls
+
+
 @settings(max_examples=10, deadline=None)
 @given(g=_connected_graphs(5), k=st.sampled_from((4, 8)))
 @example(g=cycle_graph(5), k=8)
@@ -438,14 +507,6 @@ def test_side_values_against_enumeration(g, k):
 
 def _brute_ceiling(hops: np.ndarray, a: int, b: int, c: int) -> int:
     return int(np.minimum(np.minimum(hops[a], hops[b]), hops[c]).max())
-
-
-def _graphs_and_induced_subgraphs(max_n: int):
-    """Connected graphs, and induced subgraphs of them: often disconnected."""
-    connected = _connected_graphs(max_n)
-    induced = connected.flatmap(lambda g: st.sets(st.integers(0, g.vertex_count - 1), min_size=1)
-                                .map(lambda keep: induced_subgraph(g, keep)))
-    return st.one_of(connected, induced)
 
 
 @settings(max_examples=30, deadline=None)

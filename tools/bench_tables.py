@@ -23,9 +23,10 @@ out.
 The suite record runs `lexhyp verify --seed 0` (`run_suite` on the default
 corpus of seed 0, every check) three times in a fresh process
 (`--suite-one`), after building the catalog: the S_k grids built per k
-(`SubdividedGraph` constructions) and the per-source tables built
-(`j_source_table` calls from the delta engine), both counted in the first
-run, and the best wall time of the other two.  Three such processes run per
+(`SubdividedGraph` constructions), the per-source tables built
+(`j_source_table` calls from the delta engine) and the geodesic
+enumerations (`enumerate_paths` calls from the delta engine), all counted
+in the first run, and the best wall time of the other two.  Three such processes run per
 checkout, alternating between the two checkouts, and the record keeps the
 best wall time of the three.  Per-check seconds are left out: at this run
 count they are too noisy to compare single checks.
@@ -117,8 +118,9 @@ def suite_one(reps: int = 3) -> dict:
     from lexhyp import CorpusSpec, SubdividedGraph, generate_corpus, get_catalog, run_suite
 
     grids: dict[str, int] = {}
-    tables = [0]
+    tables, paths = [0], [0]
     init, table = SubdividedGraph.__init__, lexhyp.delta.j_source_table
+    enumerate_paths = lexhyp.delta.enumerate_paths
 
     def counted_init(self, base, k, *cap):  # a parent checkout may still pass a cap
         grids[f"S_{k}"] = grids.get(f"S_{k}", 0) + 1
@@ -128,20 +130,26 @@ def suite_one(reps: int = 3) -> dict:
         tables[0] += 1
         return table(s, a)
 
+    def counted_paths(*args):
+        paths[0] += 1
+        return enumerate_paths(*args)
+
     get_catalog()
     corpus = generate_corpus(CorpusSpec(seed=0))
     SubdividedGraph.__init__, lexhyp.delta.j_source_table = counted_init, counted_table
+    lexhyp.delta.enumerate_paths = counted_paths
     try:
         report = run_suite(corpus)
     finally:
         SubdividedGraph.__init__, lexhyp.delta.j_source_table = init, table
+        lexhyp.delta.enumerate_paths = enumerate_paths
     walls = []
     for _ in range(reps - 1):
         t0 = time.perf_counter()
         run_suite(corpus)
         walls.append(time.perf_counter() - t0)
     return {"all_pass": report.all_pass, "grids_built": dict(sorted(grids.items())),
-            "tables_built": tables[0], "best_wall_s": round(min(walls), 3),
+            "tables_built": tables[0], "enumerate_paths_calls": paths[0], "best_wall_s": round(min(walls), 3),
             "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
