@@ -49,15 +49,23 @@ def parse_gspec(spec: str) -> Graph:
 
 def _product_operands(spec: str, body: str) -> tuple[str, str]:
     """A and B of a product spec's `body` ``(A,B)``, split at the first comma
-    outside nested parentheses.  Unbalanced parentheses, text after the
-    closing one and an empty operand raise ParseError naming `spec`."""
+    outside nested parentheses whose left side is not an ``@file`` naming a
+    missing path, so a file name may hold commas in either operand; the
+    first such comma if none qualifies.  Unbalanced parentheses, text after
+    the closing one and an empty operand raise ParseError naming `spec`."""
     depth = list(accumulate((ch == "(") - (ch == ")") for ch in body))
     commas = [i for i, ch in enumerate(body) if ch == "," and depth[i] == 1]
     if depth[-1] == 0 and min(depth[:-1]) > 0 and commas:
-        left, right = body[1:commas[0]], body[commas[0] + 1:-1]
+        cut = next((i for i in commas if not _missing_file(body[1:i])), commas[0])
+        left, right = body[1:cut], body[cut + 1:-1]
         if left.strip() and right.strip():
             return left, right
     raise ParseError(f"malformed product spec {spec!r}")
+
+
+def _missing_file(spec: str) -> bool:
+    spec = spec.strip()
+    return spec.startswith("@") and not Path(spec[1:]).exists()
 
 
 def _parse_vertex_pair(text: str) -> tuple[int, int]:

@@ -1,19 +1,21 @@
 """Shortest-path structure on unit graphs and subdivision grids.
 
-All functions but `j_source_table` work on a neighbor table (or its
-`neighbor_arcs`) plus a precomputed hop matrix, so the same code serves
-vertex-level graphs and S_k grids.  Geodesics between two points form a DAG (the union of all shortest
+All functions but `j_source_table` work on a neighbor table plus a
+precomputed hop matrix, so the same code serves vertex-level graphs and S_k
+grids.  Geodesics between two points form a DAG (the union of all shortest
 paths); enumeration backtracks over that DAG in deterministic lexicographic
 order.
 
 The farthest-geodesic question ("how far from p can an a-b geodesic stay?")
 is answered for every target b at once by one (max, min) table per source a,
-a bottleneck-paths DP over the BFS DAG of a.  `farthest_geodesic_table` runs
-that DP point by point on any graph.  `j_source_table` gives the same
-values on the J(G) columns of an S_k grid from a DP over the base graph: a
-geodesic crosses an edge's interior whole or turns back at its midpoint, so
-each edge enters only through its chain minima (`EdgeChains`), one base
-layer per k grid hops, and the midpoint columns follow in closed form.
+a bottleneck-paths DP over the BFS DAG of a.  `farthest_geodesic_table` is
+the plain reference: that DP run point by point on any graph, which the
+tests use and whose column b is `farthest_geodesic_profile`.  The engine's
+kernel, `j_source_table`, gives the same values on the J(G) columns of an
+S_k grid from a DP over the base graph: a geodesic crosses an edge's
+interior whole or turns back at its midpoint, so each edge enters only
+through its chain minima (`EdgeChains`), one base layer per k grid hops, and
+the midpoint columns follow in closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeodesicCapError
-from .graph import neighbor_arcs
 from .subdivision import SubdividedGraph, table_dtype
 
 
@@ -89,49 +90,33 @@ def enumerate_geodesics(s: SubdividedGraph, a: int, b: int,
     return enumerate_paths(s._neighbors, hops, a, b, cap)
 
 
-def farthest_geodesic_table(hops: np.ndarray, arcs: np.ndarray, a: int) -> np.ndarray:
+def farthest_geodesic_table(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
+                            a: int) -> np.ndarray:
     """W[p, q]: the largest distance from p to any single a-q geodesic.
 
     d(p, geodesic) is the minimum of hops[p, v] over the path's vertices, so
     W[:, q] is a maximin (bottleneck) path value over the geodesic DAG from a.
-    Every a-q geodesic ends with an edge from a BFS predecessor w of q, so
+    Every a-q geodesic ends with an edge from a DAG predecessor w of q (a
+    neighbor one hop closer to a), so, visiting points in order of distance
+    from a,
 
-        W[:, a] = hops[:, a],  W[:, q] = min(hops[:, q], max over w of W[:, w]),
+        W[:, a] = hops[:, a],  W[:, q] = min(hops[:, q], max over w of W[:, w]).
 
-    evaluated one BFS layer at a time: the layer's columns start from each
-    q's first predecessor and fold in its r-th one with `np.maximum` for
-    r = 1, 2, ... while some q of the layer has more than r (most grid
-    points have one).  Entries are stored in `table_dtype` of the largest
-    hop count, so the narrowing is exact.  `arcs` are the graph's (tail,
-    head) rows grouped by head (`neighbor_arcs`).
+    Points that a cannot reach keep their hop columns.  Entries are stored
+    in `table_dtype` of the largest hop count, so the narrowing is exact.
     """
-    da = hops[a]
-    src, dst = arcs.T
-    keep = da[src] == da[dst] - 1
-    src, dst = src[keep], dst[keep]
-    order = np.argsort(da[dst], kind="stable")  # by layer, then by q
-    src, dst = src[order], dst[order]
-    head = np.flatnonzero(np.diff(dst, prepend=-1))  # first edge into each q
-    indeg = np.diff(head, append=src.size)
-    cut = np.searchsorted(da[dst[head]], np.arange(1, int(da.max()) + 2))
-    # t[q] is column q of W; hops is symmetric, so row q starts as hops[:, q]
-    t = hops.astype(table_dtype(int(hops.max())))
-    for lo, hi in zip(cut[:-1].tolist(), cut[1:].tolist()):
-        first = head[lo:hi]
-        best = t[src[first]]
-        deg_q = indeg[lo:hi]
-        for r in range(1, int(deg_q.max())):
-            more = np.flatnonzero(deg_q > r)
-            best[more] = np.maximum(best[more], t[src[first[more] + r]])
-        qs = dst[first]
-        t[qs] = np.minimum(t[qs], best)
+    da = hops[a].tolist()
+    t = hops.astype(table_dtype(int(hops.max())))  # row q: column q of W (hops is symmetric)
+    for q in np.argsort(hops[a], kind="stable").tolist():
+        if da[q] > 0:
+            t[q] = np.minimum(t[q], t[[w for w in neighbors[q] if da[w] == da[q] - 1]].max(axis=0))
     return t.T
 
 
 def j_source_table(s: SubdividedGraph, a: int) -> np.ndarray:
-    """W_a on the J(G) columns of the grid: `farthest_geodesic_table(hops,
-    arcs, a)[:, s.j_set]` as a C-contiguous (grid_n, |J|) array, same dtype,
-    for a source a in J(G).
+    """W_a on the J(G) columns of the grid: `farthest_geodesic_table(
+    s._neighbors, s.hops(), a)[:, s.j_set]` as a C-contiguous (grid_n, |J|)
+    array, same dtype, for a source a in J(G).
 
     Every base vertex sits at da = hops[a] congruent to da of a's end mod k
     (0 for a vertex, k/2 for a midpoint), so an edge (u, v) either meets
@@ -147,7 +132,7 @@ def j_source_table(s: SubdividedGraph, a: int) -> np.ndarray:
         min(mid, max(min(T[u], left), min(T[v], right))).
 
     Points the source cannot reach (da = -1) keep their hop rows, as in the
-    grid DP; two such ends do not make a meeting edge.  A layer's forward
+    reference; two such ends do not make a meeting edge.  A layer's forward
     edges are sorted by head; where a head has several, their values are
     scattered into a (head, rank) block padded with the dtype's minimum and
     maxed over the rank.
@@ -206,4 +191,4 @@ def farthest_geodesic_profile(neighbors: Sequence[Sequence[int]], hops: np.ndarr
 
     Column b of `farthest_geodesic_table` from source a.
     """
-    return farthest_geodesic_table(hops, neighbor_arcs(neighbors), a)[:, b].astype(hops.dtype)
+    return farthest_geodesic_table(neighbors, hops, a)[:, b].astype(hops.dtype)

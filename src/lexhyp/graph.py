@@ -52,14 +52,6 @@ def _seidel_apsp(closed: np.ndarray) -> np.ndarray:
     return out
 
 
-def neighbor_arcs(neighbors: Sequence[Sequence[int]]) -> np.ndarray:
-    """(tail, head) rows for both directions of every edge, sorted by head, then tail."""
-    deg = [len(ns) for ns in neighbors]
-    head = np.repeat(np.arange(len(neighbors)), deg)
-    tail = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp, count=head.size)
-    return np.stack([tail, head], axis=1)
-
-
 def _reject_first_bad_edge(ends: np.ndarray, n: int) -> None:
     """Raise ValidationError for the first edge, in input order, that is a
     loop, leaves the vertex range 0..n-1 or repeats an earlier edge."""
@@ -119,7 +111,7 @@ class Graph:
                         or len(self._edge_keys) < len(self.edges)):  # a range, loop or repeat
             _reject_first_bad_edge(ends, n)
         self.vertex_count = n
-        arcs = np.sort(keys, axis=None)  # head * n + tail: `neighbor_arcs` order
+        arcs = np.sort(keys, axis=None)  # head * n + tail: `arcs()` order
         tail = (arcs % n).tolist()
         stop = arcs.searchsorted(np.arange(n, n * n + 1, n)).tolist()
         self._neighbors = tuple(tuple(tail[a:b]) for a, b in zip([0] + stop, stop))
@@ -137,8 +129,10 @@ class Graph:
         return self._neighbors[v]
 
     def arcs(self) -> np.ndarray:
-        """Both directions of every edge, as `neighbor_arcs` rows."""
-        return neighbor_arcs(self._neighbors)
+        """(tail, head) rows for both directions of every edge, sorted by head, then tail."""
+        head = np.repeat(np.arange(self.vertex_count), [len(ns) for ns in self._neighbors])
+        tail = np.fromiter(chain.from_iterable(self._neighbors), dtype=np.intp, count=head.size)
+        return np.stack([tail, head], axis=1)
 
     def degree(self, v: int) -> int:
         return len(self._neighbors[v])

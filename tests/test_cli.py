@@ -205,6 +205,16 @@ def test_catalog_export_raw(tmp_path, capsys):
     assert len(index["members"]) == 68
 
 
+def test_gspec_file_with_comma_in_either_operand(tmp_path, capsys):
+    f = tmp_path / "a,b.edges"
+    f.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
+    assert parse_gspec(f"lex(@{f},path:2)") == parse_gspec("lex(cycle:5,path:2)")
+    assert parse_gspec(f"lex(path:2,@{f})") == parse_gspec("lex(path:2,cycle:5)")
+    missing = tmp_path / "missing"  # no comma qualifies: split at the first
+    code, _, err = run_cli(capsys, "delta", f"lex(@{missing},x.edges,path:2)")
+    assert code == 1 and err.startswith(f"error: cannot read {str(missing)!r}")
+
+
 def test_unreadable_gspec_file(tmp_path, capsys):
     for path in (tmp_path / "missing.txt", tmp_path):
         code, out, err = run_cli(capsys, "delta", f"@{path}")

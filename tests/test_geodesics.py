@@ -8,7 +8,6 @@ from lexhyp import (GeodesicCapError, Graph, complete_graph, cycle_graph, enumer
                     induced_subgraph, path_graph, product, subdivide)
 from lexhyp.geodesics import (enumerate_paths, farthest_geodesic_profile, farthest_geodesic_table,
                               geodesic_count, interval, j_source_table)
-from lexhyp.graph import neighbor_arcs
 
 
 def test_c4_opposite_vertices_two_geodesics():
@@ -104,45 +103,6 @@ K24 = Graph(6, [(u, v) for u in (0, 1) for v in (2, 3, 4, 5)])
 K24_NEAR_THREE = Graph(7, [(u, v) for u in (0, 1) for v in (2, 3, 4, 5)] + [(2, 6), (3, 6), (4, 6)])
 
 
-def _farthest_by_enumeration(nbrs, hops, a: int, q: int) -> np.ndarray:
-    """For every p: max over a-q geodesics of min distance from p to the path."""
-    paths = np.asarray(enumerate_paths(nbrs, hops, a, q, cap=100_000))
-    return hops[:, paths].min(axis=2).max(axis=1)
-
-
-@settings(max_examples=15, deadline=None)
-@given(g=connected_graphs(), k=st.sampled_from((4, 8)))
-@example(g=cycle_graph(5), k=4)
-@example(g=product(path_graph(3), path_graph(2)).graph, k=4)
-@example(g=product(path_graph(3), path_graph(2)).graph, k=8)
-@example(g=K24, k=4)
-@example(g=K24_NEAR_THREE, k=4)
-def test_farthest_geodesic_profile_against_enumeration(g, k):
-    # every column of the table from every J-point source, on the S_k grid of g
-    s = subdivide(g, k)
-    hops = s.hops()
-    nbrs = [s.neighbors(v) for v in range(s.grid_n)]
-    if g in (K24, K24_NEAR_THREE):
-        # the DP folds past the second predecessor
-        assert max(sum(hops[a, w] == hops[a, q] - 1 for w in nbrs[q])
-                   for a in s.j_set for q in range(s.grid_n)) >= 3
-    arcs = neighbor_arcs(nbrs)
-    for a in s.j_set:
-        table = farthest_geodesic_table(hops, arcs, a)
-        assert table.shape == hops.shape
-        for q in range(s.grid_n):
-            assert np.array_equal(table[:, q], _farthest_by_enumeration(nbrs, hops, a, q)), (a, q)
-        for b in s.j_set:
-            assert np.array_equal(farthest_geodesic_profile(nbrs, hops, a, b), table[:, b])
-
-
-def _base_indegree(g: Graph) -> int:
-    """Most edges from the previous BFS layer into one vertex, over all sources."""
-    d = g.vertex_distances()
-    return max(sum(d[a, u] == d[a, v] - 1 for u in g.neighbors(v))
-               for a in range(g.vertex_count) for v in range(g.vertex_count))
-
-
 # two components: a source in one leaves the other's points unreachable.  In
 # K4_AND_K2 (two fibers of P4 o P2, and a third apart) the unreachable K4 has
 # points equidistant from both ends of an edge, where a false meeting-edge
@@ -157,6 +117,48 @@ def induced_subgraphs(max_n: int = 8):
         st.integers(0, g.vertex_count - 1), min_size=1).map(lambda keep: induced_subgraph(g, keep)))
 
 
+def _farthest_by_enumeration(nbrs, hops, a: int, q: int) -> np.ndarray:
+    """For every p: max over a-q geodesics of min distance from p to the path."""
+    paths = np.asarray(enumerate_paths(nbrs, hops, a, q, cap=100_000))
+    return hops[:, paths].min(axis=2).max(axis=1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(g=st.one_of(connected_graphs(), induced_subgraphs(max_n=6)), k=st.sampled_from((4, 8)))
+@example(g=cycle_graph(5), k=4)
+@example(g=product(path_graph(3), path_graph(2)).graph, k=4)
+@example(g=product(path_graph(3), path_graph(2)).graph, k=8)
+@example(g=K24, k=4)
+@example(g=K24_NEAR_THREE, k=4)
+@example(g=TWO_EDGES, k=4)
+@example(g=K4_AND_K2, k=4)
+def test_farthest_geodesic_profile_against_enumeration(g, k):
+    # every column of the table from every J-point source, on the S_k grid of
+    # g; the columns of points the source cannot reach are their hop columns
+    s = subdivide(g, k)
+    hops = s.hops()
+    nbrs = [s.neighbors(v) for v in range(s.grid_n)]
+    if g in (K24, K24_NEAR_THREE):
+        # some point has three or more DAG predecessors
+        assert max(sum(hops[a, w] == hops[a, q] - 1 for w in nbrs[q])
+                   for a in s.j_set for q in range(s.grid_n)) >= 3
+    for a in s.j_set:
+        table = farthest_geodesic_table(nbrs, hops, a)
+        assert table.shape == hops.shape
+        for q in range(s.grid_n):
+            want = hops[:, q] if hops[a, q] < 0 else _farthest_by_enumeration(nbrs, hops, a, q)
+            assert np.array_equal(table[:, q], want), (a, q)
+        for b in s.j_set:
+            assert np.array_equal(farthest_geodesic_profile(nbrs, hops, a, b), table[:, b])
+
+
+def _base_indegree(g: Graph) -> int:
+    """Most edges from the previous BFS layer into one vertex, over all sources."""
+    d = g.vertex_distances()
+    return max(sum(d[a, u] == d[a, v] - 1 for u in g.neighbors(v))
+               for a in range(g.vertex_count) for v in range(g.vertex_count))
+
+
 @settings(max_examples=40, deadline=None)
 @given(g=st.one_of(connected_graphs(max_n=8), induced_subgraphs()), k=st.sampled_from((2, 4, 8)))
 @example(g=K24, k=4)
@@ -168,16 +170,15 @@ def induced_subgraphs(max_n: int = 8):
 @example(g=K4_AND_K2, k=4)
 @example(g=K4_AND_K2, k=2)
 def test_j_source_table_matches_grid_dp(g, k):
-    # the base-graph DP against the grid DP's J columns, from every J-point
-    # source (vertices and midpoints), bit for bit and dtype included
+    # the base-graph DP against the reference grid DP's J columns, from every
+    # J-point source (vertices and midpoints), bit for bit and dtype included
     s = subdivide(g, k)
     hops = s.hops()
-    arcs = neighbor_arcs(s._neighbors)
     j = list(s.j_set)
     if g in (K24, K24_NEAR_THREE):
         assert _base_indegree(g) >= 3  # the layer step maxes over three or more edges
     for a in s.j_set:
-        want = np.ascontiguousarray(farthest_geodesic_table(hops, arcs, a)[:, j])
+        want = np.ascontiguousarray(farthest_geodesic_table(s._neighbors, hops, a)[:, j])
         got = j_source_table(s, a)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert np.array_equal(got, want), a
@@ -189,10 +190,9 @@ def test_tables_one_byte_on_wide_grids():
     s = subdivide(product(path_graph(3), complete_graph(6)).graph, 4)
     hops = s.hops()
     assert s.grid_n > 128 and hops.max() == 12
-    arcs = neighbor_arcs(s._neighbors)
     j = list(s.j_set)
     for a in s.j_set:
-        want = np.ascontiguousarray(farthest_geodesic_table(hops, arcs, a)[:, j])
+        want = np.ascontiguousarray(farthest_geodesic_table(s._neighbors, hops, a)[:, j])
         got = j_source_table(s, a)
         assert got.dtype == want.dtype == np.int8
         assert np.array_equal(got, want), a
