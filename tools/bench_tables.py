@@ -18,11 +18,11 @@ corpus of seed 0, every check) three times in a fresh process
 (`SubdividedGraph` constructions), the per-source tables built
 (`j_source_table` calls from the delta engine) and the geodesic
 enumerations (`enumerate_paths` calls from the delta engine), all counted
-in the first run, and the best wall time of the other two.  `--rounds`
-pairs of such processes (5 by default) run, one per checkout, alternating
-which checkout goes first.  Per checkout the record keeps the counts of its
-first process and the nearest-rank quartiles (`q1`, `median`, `q3`) of the
-processes' best wall times, `best_wall_s`.  Per-check seconds are left out:
+in the first run, and the best wall time of the other two.  `ROUNDS` (5)
+pairs of such processes run, one per checkout, alternating which checkout
+goes first.  Per checkout the record keeps the counts of its first process
+and the nearest-rank quartiles (`q1`, `median`, `q3`) of the processes'
+best wall times, `best_wall_s`.  Per-check seconds are left out:
 at this run count they are too noisy to compare single checks.
 
 "after" runs on this checkout's `src`, "before" on PARENT/src, a checkout
@@ -51,6 +51,7 @@ GRAPHS = {
     "lex(P12,C8)": lambda: product(path_graph(12), cycle_graph(8)).graph,
     "lex(P16,C8)": lambda: product(path_graph(16), cycle_graph(8)).graph,
 }
+ROUNDS = 5  # alternating suite process pairs
 
 
 def best_of(reps: int, fn) -> float:
@@ -125,11 +126,11 @@ def _fresh(src: str, *args: str) -> dict:
     return json.loads(done.stdout)
 
 
-def suite_runs(srcs: dict, rounds: int) -> dict:
-    """`suite_one` for each named `src` in `rounds` rounds of fresh processes,
+def suite_runs(srcs: dict) -> dict:
+    """`suite_one` for each named `src` in ROUNDS rounds of fresh processes,
     alternating the order: the counts of the first, the quartiles of the walls."""
     runs: dict = {name: [] for name in srcs}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         for name, src in (list(srcs.items()) if r % 2 == 0 else list(srcs.items())[::-1]):
             runs[name].append(_fresh(src, "--suite-one"))
     out = {}
@@ -150,7 +151,6 @@ def main() -> None:
     ap.add_argument("--out", help="write the BENCH json here")
     ap.add_argument("--parent", help="checkout of the parent commit, for delta_exact before")
     ap.add_argument("--parent-commit", default="", help="the parent checkout's commit id")
-    ap.add_argument("--rounds", type=int, default=5, help="suite processes per checkout")
     ap.add_argument("--delta-one", choices=GRAPHS, help="print one delta_exact run as json")
     ap.add_argument("--suite-one", action="store_true", help="print the suite record as json")
     args = ap.parse_args()
@@ -173,7 +173,7 @@ def main() -> None:
         record["parent_commit"] = args.parent_commit
         record["delta_exact_before"] = delta_runs(os.path.join(args.parent, "src"))
         suites["suite_before"] = os.path.join(args.parent, "src")
-    record.update(suite_runs(suites, args.rounds))
+    record.update(suite_runs(suites))
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
