@@ -35,22 +35,26 @@ on a-b as the max of W_a[p, b] over the same interval.
 
 The value sweep walks sides in decreasing length and stops once no side
 left can raise the running value t: a side of length d contributes at most
-d/2 (`DeltaEngine.longest_first`).  Third corners are pruned by the corner
-ceiling, max over grid points p of min(d(a, p), d(b, p), d(c, p)), which
-bounds every role value of the triple {a, b, c}.  The sweep reads it only
-thresholded: the ceiling exceeds t exactly when some p has min(d(a, p),
-d(b, p)) > t and d(c, p) > t.  For a chunk of at most 256 pairs of one
-length that is one matrix product of 0/1 float32 matrices, (min(rows of a,
-b) > t) @ (J rows > t).T > 0 (`DeltaEngine.corner_masks`), exact at any
-size because a sum of nonnegative terms is 0 only when every term is.  When t
-rises inside a chunk, the rest of the chunk is masked again at the new t,
-so a side is charged exactly the third corners whose ceiling exceeds the
-running value at that side.  A side with any left is closed by two
-contiguous row gathers, W_a[I(a, b)] and W_b[I(a, b)]: their elementwise
-min, maxed over the interval, is the role value for every third corner at
-once (`DeltaEngine.side_values`) — no geodesic enumeration at all.  Side
-values are kept per J-pair read, so the witness search reuses those the
-value sweep computed.
+d/2 (`DeltaEngine.longest_first`).  A length's J-pairs are listed only when
+the sweep reaches it, row-major, from one comparison of the int32 J metric
+(`DeltaEngine.pairs_at`), so the sweep holds the pairs of one length at a
+time and lists none below the length where it stops.  Third corners are
+pruned by the corner ceiling, max over grid points p of min(d(a, p),
+d(b, p), d(c, p)), which bounds every role value of the triple {a, b, c}.
+The sweep reads it only thresholded: the ceiling exceeds t exactly when
+some p has min(d(a, p), d(b, p)) > t and d(c, p) > t.  For a chunk of at
+most 256 pairs of one length that is one matrix product of 0/1 float32
+matrices, (min(rows of a, b) > t) @ (J rows > t).T > 0
+(`DeltaEngine.corner_masks`), exact at any size because a sum of
+nonnegative terms is 0 only when every term is.  When t rises inside a
+chunk, the rest of the chunk is masked again at the new t, so a side is
+charged exactly the third corners whose ceiling exceeds the running value
+at that side.  A side with any left is closed by two contiguous row
+gathers, W_a[I(a, b)] and W_b[I(a, b)]: their elementwise min, maxed over
+the interval, is the role value for every third corner at once
+(`DeltaEngine.side_values`) — no geodesic enumeration at all.  Side values
+are kept per J-pair read, so the witness search reuses those the value
+sweep computed.
 
 A graph that carries automorphisms (a product, see `products`) folds each
 chunk over its J-pair orbit roots.  Masks and side values are metric, so an
@@ -69,7 +73,8 @@ J-pairs fall into 135 orbits, and the sweep builds 14 tables, not 160.
 
 Tables, J rows and chain minima are stored in `table_dtype` of the grid's
 largest hop count: one byte per entry below 128 hops, which covers every
-product the benchmark and the suite build.
+product the benchmark and the suite build.  The grid hop matrix, whose rows
+are added, takes the dtype of twice that count: one byte below 64 hops.
 
 Explicit triangles serve only the witness search and `thinness`.  The
 witness search walks corner triples in lexicographic J order, skips those
@@ -141,14 +146,17 @@ class DeltaStats:
     """Counters of one engine's work since it was built.  Only the first two
     enter `to_json_dict`.
 
-    `wall_time_s` is the seconds spent in the engine, of which `grid_s`
-    went to building it (subdivision, hop matrix and chains), `value_s` to
-    the value sweep and `witness_s` to witness searches.  `table_bytes` is
-    the memory held by the `tables_built` per-source tables (one byte per
-    entry on grids below 128 hops across, see `table_dtype`), and `table_s`
-    the seconds spent building them.  `sides_visited` counts the sides the
-    value sweep closed, those whose corner mask kept some third corner, and
-    `mask_s` the seconds spent computing corner masks.  `sides_exact` counts
+    `wall_time_s` is the seconds spent in the engine.  Building it took,
+    among other things, `apsp_s` for the base graph's vertex distances
+    (none when they were cached), `hops_s` for the grid hop matrix and
+    `chains_s` for the J rows and chain minima; `value_s` went to the value sweep and
+    `witness_s` to witness searches.  `table_bytes` is the memory held by
+    the `tables_built` per-source tables (one byte per entry on grids below
+    128 hops across, see `table_dtype`), and `table_s` the seconds spent
+    building them.  `sides_visited` counts the sides the value sweep closed,
+    those whose corner mask kept some third corner, and `mask_s` the seconds
+    spent computing corner masks; `masks_recomputed` counts the mask
+    products computed again because they held a NaN.  `sides_exact` counts
     the side vectors computed from tables: on a graph carrying automorphisms
     the value sweep computes them for orbit roots only, and `orbit_s` is the
     seconds spent finding the roots.
@@ -164,7 +172,10 @@ class DeltaStats:
     mask_s: float = 0.0
     sides_exact: int = 0
     orbit_s: float = 0.0
-    grid_s: float = 0.0
+    masks_recomputed: int = 0
+    apsp_s: float = 0.0
+    hops_s: float = 0.0
+    chains_s: float = 0.0
     value_s: float = 0.0
     witness_s: float = 0.0
 
@@ -217,14 +228,19 @@ class DeltaEngine:
     def __init__(self, g: Graph, cfg: Optional[DeltaConfig] = None):
         t0 = time.perf_counter()
         self.cfg = cfg = cfg or DeltaConfig()
-        self.s = s = subdivide(g, cfg.grid_factor)
+        self.s = s = subdivide(g, cfg.grid_factor)  # fails fast above the grid cap
+        t1 = time.perf_counter()
+        g.vertex_distances()
+        t2 = time.perf_counter()
         self.D = s.hops()
+        t3 = time.perf_counter()
+        self.jrows = s.chains().jrows  # hop rows of the J-points, for corner_masks
+        t4 = time.perf_counter()
         self.j = np.asarray(s.j_set, dtype=np.int64)
         self.nj = len(self.j)
-        self.jD = self.D[np.ix_(self.j, self.j)]
+        self.jD = self.D[np.ix_(self.j, self.j)].astype(np.int32)  # = j_hops(g, k), int32 too
         self.jpos = np.full(s.grid_n, -1, dtype=np.int64)
         self.jpos[self.j] = np.arange(self.nj)
-        self.jrows = s.chains().jrows  # hop rows of the J-points, for corner_masks
         self.nbrs = s._neighbors
         self.gens = j_automorphisms(s)  # checked generators on J indices (int32), or None
         if self.gens is not None:
@@ -235,8 +251,8 @@ class DeltaEngine:
         self._sides: dict[tuple[int, int], np.ndarray] = {}
         self._far: tuple = (None, None)  # (t, jrows > t as float32), for the last t only
         self._hops: Optional[int] = None  # the value sweep's result, see delta()
-        grid_s = time.perf_counter() - t0
-        self.stats = DeltaStats(wall_time_s=grid_s, grid_s=grid_s)
+        self.stats = DeltaStats(wall_time_s=time.perf_counter() - t0, apsp_s=t2 - t1,
+                                hops_s=t3 - t2, chains_s=t4 - t3)
 
     # -- caches (grid-id keys, smaller id first for pairs) -------------------
 
@@ -263,13 +279,21 @@ class DeltaEngine:
         has min(d(a, p), d(b, p)) > t and d(c, p) > t, so the masks are one
         product of 0/1 matrices, nonzero exactly where such a p exists.  The
         corners a and b themselves are not excluded.
+
+        Such a product has been seen, rarely, to hold a NaN.  It is computed
+        once more (`stats.masks_recomputed`), and a NaN still there keeps its
+        corner, never prunes it, so the counters stay those of an exact
+        product unless the fault repeats.
         """
         t0 = time.perf_counter()
         if self._far[0] != t:
             self._far = (t, (self.jrows > t).astype(np.float32))
-        near = np.minimum(self.jrows[ii], self.jrows[jj]) > t
-        # not "> 0": a NaN from a faulty product keeps the corner, never prunes it
-        got = ~(near.astype(np.float32) @ self._far[1].T <= 0)
+        near = (np.minimum(self.jrows[ii], self.jrows[jj]) > t).astype(np.float32)
+        got = near @ self._far[1].T
+        if np.isnan(got).any():
+            self.stats.masks_recomputed += 1
+            got = near @ self._far[1].T
+        got = ~(got <= 0)  # not "> 0", which a NaN would fail
         self.stats.mask_s += time.perf_counter() - t0
         return got
 
@@ -293,14 +317,14 @@ class DeltaEngine:
         `side(ii, jj, cur)` gets index arrays of at most MASK_CHUNK pairs of
         one length, folds them in order, and returns (cur, pairs folded),
         returning as soon as a pair raises `cur`; the rest of the chunk comes
-        back in the next call, after the stop test.
+        back in the next call, after the stop test.  A length's pairs are
+        listed when the sweep reaches it (`pairs_at`).
         """
         cur = 0
-        iu = np.triu_indices(self.nj, 1)
-        dvals = self.jD[iu]
-        for d in np.unique(dvals)[::-1].tolist():
-            at = dvals == d
-            level_i, level_j = iu[0][at], iu[1][at]
+        for d in np.unique(self.jD)[::-1].tolist():
+            if d // 2 <= cur:
+                return cur
+            level_i, level_j = self.pairs_at(d)
             for lo in range(0, level_i.size, MASK_CHUNK):
                 ii, jj = level_i[lo:lo + MASK_CHUNK], level_j[lo:lo + MASK_CHUNK]
                 while ii.size:
@@ -309,6 +333,12 @@ class DeltaEngine:
                     cur, done = side(ii, jj, cur)
                     ii, jj = ii[done:], jj[done:]
         return cur
+
+    def pairs_at(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The J-pairs (i, j), i < j, at `d` hops, row-major: index arrays."""
+        i, j = np.divmod(np.flatnonzero(self.jD == d), self.nj)
+        upper = i < j
+        return i[upper], j[upper]
 
     # -- per-triple machinery ------------------------------------------------
 
@@ -340,7 +370,7 @@ class DeltaEngine:
         if got[0] >= 0:
             return got
         t0 = time.perf_counter()
-        pi, pj = np.nonzero(np.triu(self.jD == self.jD[ii[0], jj[0]], 1))  # the pairs of this length
+        pi, pj = self.pairs_at(self.jD[ii[0], jj[0]])
         label = np.arange(pi.size, dtype=np.int32)
         self._root[pi, pj] = label  # pair ids, until the roots replace them
         moved = []  # per generator: the pairs it moves, and the ids of their images
@@ -582,7 +612,7 @@ class DeltaEngine:
         n_base = self.s.base.vertex_count
         short = (self.jD >= 0) & (self.jD <= 12)  # at most 3 apart, in quarter hops
         with self._working():
-            for i, j in zip(*np.nonzero(np.triu(self.jD == 12, 1))):
+            for i, j in zip(*self.pairs_at(12)):
                 a, b = int(self.j[i]), int(self.j[j])
                 iv = interval(self.D, a, b)
                 iv = iv[iv < n_base]  # the tight point is a vertex of G

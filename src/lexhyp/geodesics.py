@@ -29,7 +29,10 @@ from .subdivision import SubdividedGraph, table_dtype
 
 
 def interval(hops: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Sorted ids of every vertex lying on some geodesic from a to b."""
+    """Sorted ids of every vertex lying on some geodesic from a to b.
+
+    Adds two rows of `hops`, so its dtype must hold the sum of two entries,
+    as the grid hop matrix's does (`subdivision.table_dtype`)."""
     return np.flatnonzero(hops[a] + hops[b] == hops[a, b])
 
 

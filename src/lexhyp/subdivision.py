@@ -12,9 +12,14 @@ a geodesic crosses whole or enters up to its midpoint, so each edge's chain
 minima of hop rows (`edge_chains`) stand in for its k-1 interior points.
 
 Maxima at J(G), the vertices and edge midpoints, need no grid: `j_hops` is
-the S_k hop matrix on J(G) from the vertex distances alone.  `diam_g` reads
-it, and so do the suite's copy-lemma checks, whose distance to a copy is a
-tent along each edge, min(i + A, k - i + B) with |A - B| <= k.
+the S_k hop matrix on J(G) from the vertex distances alone.  The suite's
+copy-lemma checks read it, whose distance to a copy is a tent along each
+edge, min(i + A, k - i + B) with |A - B| <= k, and `diam_g` takes its
+maximum one block of rows at a time, without the matrix.
+
+Every hop matrix is built in blocks of rows (`_point_hop_blocks`), and the
+grid's is stored in the narrowest dtype that holds the sum of two entries
+(see `table_dtype`).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .qdist import QDist
 
 SUBDIVISION_FACTORS = (2, 4, 8)
 DEFAULT_GRID_CAP = 4096
+HOP_BLOCK = 1 << 16  # entries of a hop matrix built at a time (whole rows, at least one)
 
 
 class SubdividedGraph:
@@ -41,7 +47,8 @@ class SubdividedGraph:
     vertices followed by the edge midpoints, in edge order.
 
     Two per-grid structures are built on first use and kept: `hops()`,
-    the hop matrix (`all_pairs_distances`), and `chains()`, its J-point
+    the read-only hop matrix (`all_pairs_distances`) in the narrowest dtype
+    that holds the sum of two of its entries, and `chains()`, its J-point
     rows and per-edge chain minima (`EdgeChains`), from which the
     bottleneck tables are built.  Neither refers back to the grid: a
     reference would make a cycle that holds every grid, with its hop
@@ -110,6 +117,14 @@ def table_dtype(max_hops: int) -> np.dtype:
     benchmark and the suite), int16 from 128.  Signed, so UNREACHABLE fits.
     The bottleneck kernels only take min and max of entries, so no
     arithmetic on them can overflow.
+
+    The grid hop matrix is read with arithmetic, so it is stored in
+    `table_dtype(2 * max_hops)`, which holds the sum of any two entries
+    (`_hop_dtype`): int8 only up to 63 hops.  Every sum taken on its rows
+    stays within that: `geodesics.interval` adds two rows, `geodesic_count`
+    adds 1 to an entry and `j_source_table` adds k, and a grid with an edge
+    is at least k hops across.  NumPy keeps the dtype of an array plus a
+    Python int, so a narrower matrix would wrap silently.
     """
     return np.min_scalar_type(-max_hops - 1)
 
@@ -159,7 +174,7 @@ def subdivide(g: Graph, k: int) -> SubdividedGraph:
 
 
 def all_pairs_distances(s: SubdividedGraph) -> np.ndarray:
-    """Exact grid hop matrix (read-only int32) from the base graph's vertex
+    """Exact grid hop matrix (read-only) from the base graph's vertex
     distances D; divide by k (`QDist.from_hops`) for edge lengths.
 
     Every grid point p has two (endpoint, offset) pairs: (v, 0) twice for a
@@ -172,13 +187,21 @@ def all_pairs_distances(s: SubdividedGraph) -> np.ndarray:
 
     while two points i and j of the same edge are |i - j| apart: leaving the
     edge costs at least min(i + j, 2k - i - j) >= |i - j|.  The minimum is
-    taken in two stages, first to every vertex, then to every point
-    (`_point_hops`).  Pairs whose endpoints lie in different components of
-    the base graph stay UNREACHABLE.
+    taken in two stages, first to every vertex, then to every point, in
+    blocks of whole rows of at most HOP_BLOCK entries (`_point_hop_blocks`),
+    so no int32 matrix of the grid's size is ever built.  Pairs whose
+    endpoints lie in different components of the base graph stay
+    UNREACHABLE.
+
+    The entries are stored in `_hop_dtype`, which holds the sum of any two
+    of them (see `table_dtype`).
     """
     g, k = s.base, s.k
     n, m = g.vertex_count, g.m
-    hops = _point_hops(g, k, np.repeat(np.arange(m), k - 1), np.tile(np.arange(1, k), m))
+    hops = np.empty((s.grid_n, s.grid_n), _hop_dtype(g, k))
+    edges, offsets = np.repeat(np.arange(m), k - 1), np.tile(np.arange(1, k), m)
+    for lo, rows in _point_hop_blocks(g, k, edges, offsets):
+        hops[lo:lo + len(rows)] = rows
     block = n + (k - 1) * np.arange(m)[:, None, None]
     i = np.arange(k - 1)
     hops[block + i[:, None], block + i[None, :]] = np.abs(i[:, None] - i[None, :])
@@ -186,12 +209,30 @@ def all_pairs_distances(s: SubdividedGraph) -> np.ndarray:
     return hops
 
 
-def _point_hops(g: Graph, k: int, edges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """S_k hop counts between the vertices of g, then for each r the point
-    offsets[r] hops along edge edges[r] (an index into g.edges) from its
-    smaller end: the min over the four endpoint choices of s_p + k*D[e_p,
-    e_q] + t_q, in int32.  Exact for points on different edges; UNREACHABLE
-    between components."""
+def _hop_dtype(g: Graph, k: int) -> np.dtype:
+    """`table_dtype(2 * max_hops)` of the S_k grid of g: the narrowest signed
+    dtype that holds the sum of any two of its hop counts, int8 up to 63
+    hops across and int16 above (the grid cap keeps hop counts below 4096).
+
+    A grid point is at most k/2 hops from a vertex, so the largest hop count
+    lies between k D and k (D + 1), D the largest vertex distance.  Only
+    when those two bounds straddle a dtype is it computed (`_max_hops`).
+    """
+    low = k * int(g.vertex_distances().max())
+    got = table_dtype(2 * (low + k))
+    return got if got == table_dtype(2 * low) else table_dtype(2 * _max_hops(g, k))
+
+
+def _point_hop_blocks(g: Graph, k: int, edges: np.ndarray, offsets: np.ndarray):
+    """S_k hop counts between the points of g: its vertices, then for each
+    r the point offsets[r] hops along edge edges[r] (an index into g.edges)
+    from its smaller end.  Each is the min over the four endpoint choices of
+    s_p + k*D[e_p, e_q] + t_q: exact for points on different edges,
+    UNREACHABLE between components.  Yields (lo, rows): rows lo ..
+    lo + len(rows) - 1 of that matrix in int32, whole rows of at most
+    HOP_BLOCK entries in all (one row if a row is longer).  Every block is
+    built in the same two buffers, so the next block overwrites it, and no
+    temporary grows with the square of the point count."""
     n = g.vertex_count
     ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
     e1 = np.concatenate([np.arange(n), ends[edges, 0]])
@@ -200,15 +241,26 @@ def _point_hops(g: Graph, k: int, edges: np.ndarray, offsets: np.ndarray) -> np.
     s2 = k - s1  # a vertex's second choice, (v, k), never wins
     unreachable = np.int32(2 ** 30)  # above any hop count, far below int32 overflow
     d = g.vertex_distances()
-    kd = np.where(d == UNREACHABLE, unreachable, k * d).astype(np.int32)
-    to_vertex = np.minimum(kd[e1] + s1[:, None], kd[e2] + s2[:, None])  # points x vertices
-    hops = to_vertex[:, e1]
-    hops += s1
-    via = to_vertex[:, e2]
-    via += s2
-    np.minimum(hops, via, out=hops)
-    hops[hops >= unreachable] = UNREACHABLE
-    return hops
+    split = d.min() == UNREACHABLE  # g is disconnected
+    step = max(1, HOP_BLOCK // e1.size)
+    buf = np.empty((2, min(step, e1.size), e1.size), np.int32)
+    for lo in range(0, e1.size, step):
+        r = slice(lo, lo + step)
+        to_vertex = k * d[e1[r]]  # points x vertices
+        to_vertex += s1[r, None]
+        np.minimum(to_vertex, k * d[e2[r]] + s2[r, None], out=to_vertex)
+        if split:
+            to_vertex[d[e1[r]] == UNREACHABLE] = unreachable  # an edge's ends share a component
+        rows, via = buf[:, :len(to_vertex)]
+        # the indices are in range, so "clip" changes nothing; it spares np.take a copy of `out`
+        np.take(to_vertex, e1, axis=1, out=rows, mode="clip")
+        np.take(to_vertex, e2, axis=1, out=via, mode="clip")
+        rows += s1
+        via += s2
+        np.minimum(rows, via, out=rows)
+        if split:
+            rows[rows >= unreachable] = UNREACHABLE
+        yield lo, rows
 
 
 @dataclass(frozen=True)
@@ -258,10 +310,27 @@ def j_hops(g: Graph, k: int = 4) -> np.ndarray:
     """The S_k hop matrix on J(G) in `j_set` order (vertex v at v, the midpoint
     of edge e at n + e), from the vertex distances D alone: k D between
     vertices, k/2 + k min(D[v, x], D[v, y]) from v to the midpoint of (x, y),
-    and k + k min over the end pairs between midpoints of different edges."""
-    hops = _point_hops(g, k, np.arange(g.m), np.full(g.m, k // 2))
+    and k + k min over the end pairs between midpoints of different edges.
+    In int32, built one row block at a time."""
+    size = g.vertex_count + g.m
+    hops = np.empty((size, size), np.int32)
+    for lo, rows in _j_hop_blocks(g, k):
+        hops[lo:lo + len(rows)] = rows
     np.fill_diagonal(hops, 0)  # a midpoint and itself, which the formula puts k apart
     return hops
+
+
+def _j_hop_blocks(g: Graph, k: int):
+    """`_point_hop_blocks` of J(G): the rows of `j_hops` but for its diagonal."""
+    return _point_hop_blocks(g, k, np.arange(g.m), np.full(g.m, k // 2))
+
+
+def _max_hops(g: Graph, k: int) -> int:
+    """The largest S_k hop count between two points of g, UNREACHABLE aside:
+    k/2 times the largest S_2 hop count on J(G) (see `diam_g`), taken one
+    row block at a time.  The diagonal a midpoint gets from the formula,
+    k hops, never raises it: the edge's two ends are k hops apart."""
+    return max(int(rows.max()) for _, rows in _j_hop_blocks(g, 2)) * k // 2
 
 
 def diam_v(g: Graph) -> QDist:
@@ -275,6 +344,8 @@ def diam_g(g: Graph) -> QDist:
     Point-to-point distance restricted to a pair of edges is a lower envelope
     of linear functions with slopes +-1 and integer offsets; its maximum over
     the two edges is attained with both endpoints at vertices or midpoints,
-    so the maximum over J(G) x J(G) is exact.  UNREACHABLE is -1.
+    so the maximum over J(G) x J(G) is exact.  UNREACHABLE is -1.  The
+    maximum is taken one row block at a time (`_max_hops`), without the
+    matrix.
     """
-    return QDist.from_hops(int(j_hops(g, 2).max()), 2)
+    return QDist.from_hops(_max_hops(g, 2), 2)

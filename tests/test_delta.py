@@ -657,3 +657,27 @@ def test_engine_j_metric_is_j_hops(k):
     engine = DeltaEngine(p, DeltaConfig(grid_factor=k))
     assert engine.jD.dtype == j_hops(p, k).dtype
     assert np.array_equal(engine.jD, j_hops(p, k))
+
+
+def test_longest_first_lists_each_length_row_major():
+    # the sweep meets the J-pairs of each length in the row-major order of
+    # np.triu_indices, and lists a length only when it reaches it
+    engine = DeltaEngine(product(path_graph(3), cycle_graph(4)).graph)
+    iu = np.triu_indices(engine.nj, 1)
+    lengths = np.unique(engine.jD[iu])[::-1].tolist()
+    seen, listed = [], []
+    real = engine.pairs_at
+    engine.pairs_at = lambda d: listed.append(d) or real(d)
+
+    def side(ii, jj, cur):
+        seen.extend(zip(ii.tolist(), jj.tolist()))
+        return cur, ii.size  # never raises the value: every pair is met
+
+    assert engine.longest_first(side) == 0
+    want = [(i, j) for d in lengths if d // 2 > 0
+            for i, j in zip(*(x[engine.jD[iu] == d].tolist() for x in iu))]
+    assert seen == want and listed == [d for d in lengths if d // 2 > 0]
+    # a sweep that stops after the first pair lists only the longest length
+    listed.clear()
+    assert engine.longest_first(lambda ii, jj, cur: (lengths[0] // 2, 1)) == lengths[0] // 2
+    assert listed == [lengths[0]]

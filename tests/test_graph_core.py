@@ -2,6 +2,7 @@
 
 import gc
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,8 +13,10 @@ from lexhyp import (Graph, ParseError, QDist, SizeCapError, ValidationError,
                     all_pairs_distances, cycle_graph, complete_graph, diam_g, diam_v,
                     induced_subgraph, is_isometric_embedding, parse_graph, path_graph,
                     product, star_graph, subdivide, trivial_graph)
+import lexhyp.subdivision as subdivision
+from lexhyp.geodesics import geodesic_count, interval
 from lexhyp.graph import UNREACHABLE
-from lexhyp.subdivision import j_hops
+from lexhyp.subdivision import HOP_BLOCK, j_hops
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +198,28 @@ def _bfs_hops(n: int, neighbors) -> np.ndarray:
 def test_grid_metric_matches_bfs_on_grid_edges(g, k):
     s = subdivide(g, k)
     hops = all_pairs_distances(s)
-    assert hops.dtype == np.int32
+    # the narrowest signed dtype that holds the sum of any two entries
+    top = int(hops.max())
+    assert hops.dtype == next(t for t in (np.int8, np.int16, np.int32) if 2 * top <= np.iinfo(t).max)
+    assert 2 * top <= np.iinfo(hops.dtype).max
     assert np.array_equal(hops, _bfs_hops(s.grid_n, s.neighbors))
 
 
 @pytest.mark.parametrize("k", (2, 4, 8))
-def test_grid_metric_matches_bfs_on_product_and_disconnected(k):
+def test_grid_metric_matches_bfs_on_product_and_disconnected(k, monkeypatch):
     lex = product(path_graph(3), cycle_graph(4)).graph
     split = induced_subgraph(cycle_graph(8), [0, 1, 3, 4, 6])  # components {0,1}, {3,4}, {6}
-    for g in (lex, split):
-        s = subdivide(g, k)
-        assert np.array_equal(all_pairs_distances(s), _bfs_hops(s.grid_n, s.neighbors))
+    # also with one row per block (a row is longer than 1 entry), and with
+    # blocks of a few rows that leave a shorter last block
+    for block in (HOP_BLOCK, 1, 40):
+        monkeypatch.setattr(subdivision, "HOP_BLOCK", block)
+        for g in (lex, split):
+            s = subdivide(g, k)
+            hops = all_pairs_distances(s)
+            assert np.array_equal(hops, _bfs_hops(s.grid_n, s.neighbors))
+            j = np.asarray(s.j_set)
+            assert np.array_equal(j_hops(g, k), hops[np.ix_(j, j)])
+            assert diam_g(g) == QDist.from_hops(int(hops.max()), k)
     s = subdivide(split, k)
     hops = all_pairs_distances(s)
     mid = {e: pts[k // 2] for e, pts in s.edge_points.items()}
@@ -213,6 +227,39 @@ def test_grid_metric_matches_bfs_on_product_and_disconnected(k):
     assert hops[mid[(0, 1)], mid[(2, 3)]] == UNREACHABLE
     assert hops[mid[(2, 3)], 4] == UNREACHABLE  # to the isolated vertex 6 of C8
     assert (np.diag(hops) == 0).all()
+
+
+@pytest.mark.parametrize("n, dtype", [(63, np.int8), (64, np.int16)])
+def test_hop_matrix_dtype_boundary(n, dtype):
+    # C_n on the S_2 grid is a 2n-cycle, n hops across: the sum of two
+    # entries, up to 2n, fits one byte for n = 63 and not for n = 64
+    s = subdivide(cycle_graph(n), 2)
+    hops = s.hops()
+    assert int(hops.max()) == n and hops.dtype == dtype
+    # both arcs to the antipode of 0 are geodesics, so every point is on one;
+    # a sum that wrapped would find none
+    far = int(hops[0].argmax())
+    assert interval(hops, 0, far).size == 2 * n
+    assert geodesic_count(s._neighbors, hops, 0, far) == 2
+
+
+def test_hop_matrix_built_a_row_block_at_a_time():
+    # building the cycle:200 hop matrix (800 points, int16) holds the matrix
+    # and the work of one block of rows: two int32 buffers of at most
+    # HOP_BLOCK entries and the block's distances to the 200 vertices, a
+    # quarter of a buffer each; never a grid x grid int32 array, of which
+    # the one-shot build held three
+    g = cycle_graph(200)
+    g.vertex_distances()  # cached on the graph, as in the engine
+    s = subdivide(g, 4)
+    tracemalloc.start()
+    try:
+        hops = all_pairs_distances(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 4 * HOP_BLOCK  # bytes of int32
+    assert peak <= hops.nbytes + 4 * block < hops.nbytes + 4 * s.grid_n ** 2
 
 
 def test_grid_size_and_jset_counts():

@@ -264,6 +264,44 @@ def test_corner_masks_keep_corners_on_nan():
     assert not clean[:, 2].all()
     rest = np.arange(sweep.nj) != 2
     assert np.array_equal(got[:, rest], clean[:, rest])
+    assert sweep.stats.masks_recomputed == 1  # the NaN came back, so it stayed
+
+
+def _nan_in_products(rows: np.ndarray, times: int) -> np.ndarray:
+    """`rows` as an engine's J rows whose corner-mask products come back with
+    a NaN at their first zero, the first `times` products that have one."""
+    left = [times]
+
+    class Faulty(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            got = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+            if ufunc is np.greater:  # jrows > t, the product's right factor
+                return got.view(Faulty)
+            if ufunc is np.matmul and left[0] and (got == 0).any():
+                left[0] -= 1
+                got[tuple(np.argwhere(got == 0)[0])] = np.nan
+            return got
+
+    return rows.view(Faulty)
+
+
+@pytest.mark.parametrize("g", [product(cycle_graph(6), path_graph(n)).graph for n in (2, 3)],
+                         ids=["lex-C6-P2", "lex-C6-P3"])
+def test_corner_masks_recompute_a_one_off_nan(g):
+    # a product that held a NaN once is computed again: the sweep's output
+    # and counters are those of a clean run; had the NaN come back, its
+    # corner would have been kept and counted
+    def run(times):
+        engine = DeltaEngine(g)
+        if times:
+            engine.jrows = _nan_in_products(engine.jrows, times)
+        res = engine.delta()
+        return res.to_json_dict(), res.stats.sides_visited, res.stats.masks_recomputed
+
+    clean, once, twice = run(0), run(1), run(2)
+    assert once == (clean[0], clean[1], 1) and clean[2] == 0
+    assert twice[2] == 1
+    assert twice[0]["stats"]["triples_examined"] > clean[0]["stats"]["triples_examined"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ Run from the root of a checkout, with `src` on the path:
 that `ru_maxrss_mb`, the process's peak resident memory, belongs to that
 graph alone: best of 3 calls, with `tables_built`, `table_bytes`,
 `sides_exact` (side vectors computed from tables) and the value.  The
+graphs are four products and `cycle:1000`, a sparse grid of 4000 points
+where the grid hop matrix outweighs the tables.  The
 factors' automorphism search runs in the first call and is cached on the
 factors, so the best of 3 leaves it out.
 
@@ -27,6 +29,9 @@ at this run count they are too noisy to compare single checks.
 
 "after" runs on this checkout's `src`, "before" on PARENT/src, a checkout
 of the commit REV; both run this script, so only the library differs.
+Every process runs with one BLAS thread (`OMP_NUM_THREADS`,
+`OPENBLAS_NUM_THREADS` and `MKL_NUM_THREADS` set to 1), as perfbench's
+workers do.
 """
 
 from __future__ import annotations
@@ -50,7 +55,9 @@ GRAPHS = {
     "lex(P8,C6)": lambda: product(path_graph(8), cycle_graph(6)).graph,
     "lex(P12,C8)": lambda: product(path_graph(12), cycle_graph(8)).graph,
     "lex(P16,C8)": lambda: product(path_graph(16), cycle_graph(8)).graph,
+    "cycle:1000": lambda: cycle_graph(1000),
 }
+ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 ROUNDS = 5  # alternating suite process pairs
 
 
@@ -121,7 +128,8 @@ def suite_one(reps: int = 3) -> dict:
 
 def _fresh(src: str, *args: str) -> dict:
     """This script's json output, run with `args` in a fresh process on `src`."""
-    done = subprocess.run([sys.executable, __file__, *args], env=dict(os.environ, PYTHONPATH=src),
+    done = subprocess.run([sys.executable, __file__, *args],
+                          env=dict(os.environ, PYTHONPATH=src, **ONE_THREAD),
                           check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
