@@ -82,15 +82,23 @@ whose longest side is below twice the value or whose side values show they
 cannot attain it (`DeltaEngine.triple_can_reach`), and enumerates the
 geodesic side choices of the rest, in lexicographic order and optionally
 only cycle triangles, until one attains the value; `thinness` evaluates a
-given triangle.  Both read every side point's distance to the other two
-sides from one kernel (`_side_distances`).  The short-triangle predicate
-enumerates no geodesic: it is a query on the tables
+given triangle, checking each step of a side on the hop matrix.  Both read
+every side point's distance to the other two sides from one kernel
+(`_side_distances`).  A side's geodesics are listed by a walk over base
+vertices, a whole edge chain per step (`enumerate_geodesics`), so neither
+walks the grid point by point.  The short-triangle predicate enumerates no
+geodesic: it is a query on the tables
 (`DeltaEngine.has_tight_short_triangle`).
+
+The sweeps log to the "lexhyp" logger at DEBUG: one line per length the
+value or bigon sweep enters, and one per triple the witness search
+examines.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -99,7 +107,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GeodesicCapError, ValidationError
-from .geodesics import enumerate_paths, interval, j_source_table
+from .geodesics import enumerate_geodesics, interval, j_source_table
 from .graph import Graph
 from .qdist import QDist
 from .subdivision import SubdividedGraph, j_automorphisms, subdivide
@@ -150,7 +158,8 @@ class DeltaStats:
     among other things, `apsp_s` for the base graph's vertex distances
     (none when they were cached), `hops_s` for the grid hop matrix and
     `chains_s` for the J rows and chain minima; `value_s` went to the value sweep and
-    `witness_s` to witness searches.  `table_bytes` is the memory held by
+    `witness_s` to witness searches, of which `geodesic_s` to enumerating
+    the geodesics of their sides.  `table_bytes` is the memory held by
     the `tables_built` per-source tables (one byte per entry on grids below
     128 hops across, see `table_dtype`), and `table_s` the seconds spent
     building them.  `sides_visited` counts the sides the value sweep closed,
@@ -178,6 +187,7 @@ class DeltaStats:
     chains_s: float = 0.0
     value_s: float = 0.0
     witness_s: float = 0.0
+    geodesic_s: float = 0.0
 
 
 @dataclass
@@ -209,6 +219,21 @@ class DeltaResult:
         }
 
 
+def _debug_logger():
+    """The "lexhyp" logger if it is enabled for DEBUG, else None.
+
+    Only a process that has imported `logging` can have configured it, so
+    one that has not gets None without importing the module, whose import
+    would add several ms to the start-up of every process that imports
+    lexhyp.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger("lexhyp")
+    return log if log.isEnabledFor(logging.DEBUG) else None
+
+
 def _side_distances(D: np.ndarray, sides) -> list[np.ndarray]:
     """For each of three sides (point arrays), every point's hop distance to
     the union of the other two sides; thinness is the max over all three."""
@@ -237,11 +262,11 @@ class DeltaEngine:
         self.jrows = s.chains().jrows  # hop rows of the J-points, for corner_masks
         t4 = time.perf_counter()
         self.j = np.asarray(s.j_set, dtype=np.int64)
+        self.J = list(s.j_set)  # the same grid ids, for scalar reads
         self.nj = len(self.j)
         self.jD = self.D[np.ix_(self.j, self.j)].astype(np.int32)  # = j_hops(g, k), int32 too
         self.jpos = np.full(s.grid_n, -1, dtype=np.int64)
         self.jpos[self.j] = np.arange(self.nj)
-        self.nbrs = s._neighbors
         self.gens = j_automorphisms(s)  # checked generators on J indices (int32), or None
         if self.gens is not None:
             self._root = np.full((self.nj, self.nj), -1, dtype=np.int32)  # see roots()
@@ -302,11 +327,13 @@ class DeltaEngine:
         key = (a, b)
         got = self._geos.get(key)
         if got is None:
-            paths = enumerate_paths(self.nbrs, self.D, a, b, self.cfg.geodesic_cap)
+            t0 = time.perf_counter()
+            paths = enumerate_geodesics(self.s, a, b, self.cfg.geodesic_cap)
             self.stats.geodesics_enumerated += len(paths)
             got = ([np.asarray(p, dtype=np.int64) for p in paths],
                    [frozenset(p) for p in paths])
             self._geos[key] = got
+            self.stats.geodesic_s += time.perf_counter() - t0
         return got
 
     def longest_first(self, side) -> int:
@@ -318,13 +345,18 @@ class DeltaEngine:
         one length, folds them in order, and returns (cur, pairs folded),
         returning as soon as a pair raises `cur`; the rest of the chunk comes
         back in the next call, after the stop test.  A length's pairs are
-        listed when the sweep reaches it (`pairs_at`).
+        listed when the sweep reaches it (`pairs_at`), and logged at DEBUG.
+        The lengths are read off a count of the J metric's entries, -1 for
+        points in different components included.
         """
         cur = 0
-        for d in np.unique(self.jD)[::-1].tolist():
+        for d in (np.flatnonzero(np.bincount(self.jD.ravel() + 1))[::-1] - 1).tolist():
             if d // 2 <= cur:
                 return cur
             level_i, level_j = self.pairs_at(d)
+            log = _debug_logger()
+            if log is not None:
+                log.debug("sweep length %d: value %d, %d pairs", d, cur, level_i.size)
             for lo in range(0, level_i.size, MASK_CHUNK):
                 ii, jj = level_i[lo:lo + MASK_CHUNK], level_j[lo:lo + MASK_CHUNK]
                 while ii.size:
@@ -390,20 +422,30 @@ class DeltaEngine:
         self.stats.orbit_s += time.perf_counter() - t0
         return self._root[ii, jj]
 
-    def triple_can_reach(self, x: int, y: int, z: int, target: int) -> bool:
-        """Whether some geodesic combination of this triple (x < y < z)
-        attains `target`.  A side is skipped unread when it is shorter than
-        2 * target (its role values are at most half its length) or when its
-        orbit root was read and reaches no `target` (automorphisms permute
-        the third corners)."""
-        return any(self.D[a, b] >= 2 * target
-                   and ((a, b) in self._sides or self._root_best(a, b) >= target)
-                   and self.side_values(a, b)[self.jpos[c]] >= target
-                   for a, b, c in ((x, y, z), (x, z, y), (y, z, x)))
+    def triple_can_reach(self, i: int, j: int, l: int, target: int) -> bool:
+        """Whether some geodesic combination of the triple of J indices
+        i < j < l attains `target`.  A side is skipped unread when it is
+        shorter than 2 * target (its role values are at most half its
+        length) or when its orbit root was read and reaches no `target`
+        (automorphisms permute the third corners)."""
+        for p, q, r in ((i, j, l), (i, l, j), (j, l, i)):
+            if self.jD[p, q] < 2 * target:
+                continue
+            a, b = self.J[p], self.J[q]
+            if (a, b) not in self._sides and self._root_best(p, q) < target:
+                continue
+            if self.side_values(a, b)[r] >= target:
+                return True
+        return False
 
-    def _root_best(self, a: int, b: int) -> float:
-        ri, rj = divmod(int(self.roots(self.jpos[[a]], self.jpos[[b]])[0]), self.nj)
-        got = self._sides.get((int(self.j[ri]), int(self.j[rj])))
+    def _root_best(self, i: int, j: int) -> float:
+        """The best role value of the orbit root of J-pair (i, j), or inf
+        when the root's side was not read."""
+        code = int(self._root[i, j]) if self.gens is not None else i * self.nj + j
+        if code < 0:  # the pair's length has no roots yet
+            code = int(self.roots(np.array([i]), np.array([j]))[0])
+        ri, rj = divmod(code, self.nj)
+        got = self._sides.get((self.J[ri], self.J[rj]))
         return np.inf if got is None else got.max()
 
     # -- value sweep ---------------------------------------------------------
@@ -478,17 +520,20 @@ class DeltaEngine:
         choices enumerated in lexicographic order.  With cycle_only, non-cycle
         choices are skipped; a cycle witness always exists for a correctly
         computed positive target because extremal triangles can be chosen to
-        be cycles.
+        be cycles.  Each triple examined is logged at DEBUG.
         """
-        J, jD = self.j.tolist(), self.jD
+        J, jD = self.J, self.jD
+        log = _debug_logger()
         for ii in range(self.nj):
             for jj in range(ii + 1, self.nj):
                 longest = np.maximum(np.maximum(jD[ii, jj + 1:], jD[jj, jj + 1:]), jD[ii, jj])
                 for kk in (jj + 1 + np.flatnonzero(longest >= 2 * target)).tolist():
-                    x, y, z = J[ii], J[jj], J[kk]
-                    if target > 0 and not self.triple_can_reach(x, y, z, target):
+                    if target > 0 and not self.triple_can_reach(ii, jj, kk, target):
                         continue
+                    x, y, z = J[ii], J[jj], J[kk]
                     self.stats.triples_examined += 1
+                    if log is not None:
+                        log.debug("witness triple (%d, %d, %d) at target %d", x, y, z, target)
                     choices = (zip(*self.geos(x, y)), zip(*self.geos(y, z)), zip(*self.geos(x, z)))
                     for (a0, f0), (a1, f1), (a2, f2) in itertools.product(*choices):
                         is_cycle = f0 & f1 == {y} and f1 & f2 == {z} and f2 & f0 == {x}
@@ -647,19 +692,19 @@ def thinness(s: SubdividedGraph, t: GeodesicTriangle) -> tuple[QDist, int]:
     """Sharp thinness of one triangle on its grid, with the witness point.
 
     Validates that each side is a geodesic between its endpoints before
-    evaluating.
+    evaluating: a path of the right length whose every step is 1 hop.
     """
     D = s.hops()
     corners = t.corners
     ends = ((corners[0], corners[1]), (corners[1], corners[2]), (corners[2], corners[0]))
-    for side, (a, b) in zip(t.sides, ends):
+    sides = [np.asarray(side, dtype=np.int64) for side in t.sides]
+    for side, (a, b) in zip(sides, ends):
         if side[0] != a or side[-1] != b:
             raise ValidationError("side endpoints do not match corners")
         if len(side) - 1 != D[a, b]:
             raise ValidationError("side is not a geodesic (wrong length)")
-        for u, v in zip(side, side[1:]):
-            if v not in s.neighbors(u):
-                raise ValidationError("side is not a grid path")
-    dists = _side_distances(D, [np.asarray(side, dtype=np.int64) for side in t.sides])
+        if not (D[side[:-1], side[1:]] == 1).all():
+            raise ValidationError("side is not a grid path")
+    dists = _side_distances(D, sides)
     i = max(range(3), key=lambda i: dists[i].max())  # first side attaining the max
     return QDist.from_hops(int(dists[i].max()), s.k), int(t.sides[i][dists[i].argmax()])

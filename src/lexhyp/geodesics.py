@@ -1,10 +1,17 @@
 """Shortest-path structure on unit graphs and subdivision grids.
 
-All functions but `j_source_table` work on a neighbor table plus a
-precomputed hop matrix, so the same code serves vertex-level graphs and S_k
-grids.  Geodesics between two points form a DAG (the union of all shortest
-paths); enumeration backtracks over that DAG in deterministic lexicographic
-order.
+The reference functions work on a neighbor table plus a precomputed hop
+matrix, so the same code serves vertex-level graphs and S_k grids:
+`geodesic_count` counts the geodesics between two points over the DAG of
+their interval, and `enumerate_paths` backtracks over that DAG in
+lexicographic order of point ids.
+
+On an S_k grid neither needs the grid's own adjacency.  A geodesic crosses
+each edge's chain of interior points whole, or enters it only at its ends,
+so it is a half-chain from its first point to a vertex, a walk over base
+vertices one whole edge (k hops) at a time, and a half-chain to its last
+point.  `enumerate_geodesics` counts and lists the geodesics by that walk,
+in the order `enumerate_paths` gives on the grid.
 
 The farthest-geodesic question ("how far from p can an a-b geodesic stay?")
 is answered for every target b at once by one (max, min) table per source a,
@@ -20,6 +27,7 @@ the midpoint columns follow in closed form.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -38,9 +46,12 @@ def interval(hops: np.ndarray, a: int, b: int) -> np.ndarray:
 
 def geodesic_count(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
                    a: int, b: int) -> int:
-    """Number of distinct geodesics from a to b (exact, arbitrary precision)."""
+    """Number of distinct geodesics from a to b (exact, arbitrary precision);
+    0 between components."""
     if a == b:
         return 1
+    if hops[a, b] < 0:
+        return 0
     da, db = hops[a], hops[b]
     nodes = interval(hops, a, b)
     count = {a: 1}
@@ -88,9 +99,81 @@ def enumerate_paths(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
 
 def enumerate_geodesics(s: SubdividedGraph, a: int, b: int,
                         cap: int = 10**6) -> list[tuple[int, ...]]:
-    """All distinct shortest a-b paths on the grid of `s` (deterministic order)."""
+    """All geodesics a..b on the grid of `s`, the list `enumerate_paths`
+    gives on the grid's neighbor tables, found by a walk over base vertices.
+
+    A geodesic between points of different edges runs from a to an end of
+    a's edge (a itself if a is a vertex), steps whole edges from vertex to
+    vertex, each k hops, and ends along b's edge.  The base vertices it
+    passes are those x with hops[a, x] + hops[b, x] == hops[a, b]; a step
+    w -> x has hops[a, x] == hops[a, w] + k.  Two points inside one edge
+    have one geodesic, the chain between them.
+
+    The order is the grid's lexicographic order for free: the chain of
+    (w, x) starts at n + i (k-1), plus k-2 when x < w, for edge i, and that
+    id grows with x, so stepping in order of w's sorted base neighbors is
+    stepping in order of grid ids.  The one exception is an interior first
+    point, where the step toward the smaller end comes first except at
+    offset k-1 (for k > 2), where the larger end is the adjacent point.
+
+    The geodesics are counted on base vertices before any path is built:
+    more than `cap` raises GeodesicCapError.  Points in different
+    components have none.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if a == b:
+        return [(a,)]
     hops = s.hops()
-    return enumerate_paths(s._neighbors, hops, a, b, cap)
+    n, k = s.base.vertex_count, s.k
+    target = int(hops[a, b])
+    if target < 0:
+        return []
+    if a >= n and b >= n and (a - n) // (k - 1) == (b - n) // (k - 1):  # inside one edge
+        return [tuple(range(a, b + 1) if a < b else range(a, b - 1, -1))]
+    on = np.flatnonzero(hops[a, :n] + hops[b, :n] == target).tolist()
+    da, db = hops[a, :n].tolist(), hops[b, :n].tolist()
+    # walks to b counted backwards: the vertices within k of b end a walk,
+    # b itself or an end of b's edge
+    count, succ = {}, {}
+    for w in sorted(on, key=da.__getitem__, reverse=True):
+        if db[w] < k:
+            count[w] = 1
+        else:
+            succ[w] = nxt = [x for x in s.base.neighbors(w) if x in count and da[x] == da[w] + k]
+            count[w] = sum(count[x] for x in nxt)
+    starts = [w for w in on if da[w] < k]  # a, or the ends of a's edge that lie on a geodesic
+    if a >= n and (a - n) % (k - 1) == k - 2 and k > 2:
+        starts.reverse()  # at offset k-1 the larger end is the adjacent point
+    if sum(count[w] for w in starts) > cap:
+        raise GeodesicCapError((a, b), cap)
+    steps = {w: [(x, (*s.chain(w, x), x)) for x in nxt] for w, nxt in succ.items()}
+    for w in count.keys() - succ.keys():  # a walk's last vertex: -1 ends the path at b
+        steps[w] = [(-1, () if w == b else _half(s, b, w)[-2::-1])]
+    out: list[tuple[int, ...]] = []
+    segs: list[tuple[int, ...]] = []
+    todo = [iter([(w, (a,) if w == a else _half(s, a, w)) for w in starts])]
+    while todo:  # no recursion limit
+        for x, seg in todo[-1]:
+            if x < 0:
+                out.append((*chain.from_iterable(segs), *seg))
+            else:
+                segs.append(seg)
+                todo.append(iter(steps[x]))
+                break
+        else:
+            todo.pop()
+            if segs:
+                segs.pop()
+    return out
+
+
+def _half(s: SubdividedGraph, p: int, end: int) -> tuple[int, ...]:
+    """The grid points from the interior point p along its edge to the edge's
+    end `end`, both included."""
+    u, v = s.base.edges[(p - s.base.vertex_count) // (s.k - 1)]
+    run = s.chain(v, u) if end == u else s.chain(u, v)
+    return (*run[run.index(p):], end)
 
 
 def farthest_geodesic_table(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
@@ -118,8 +201,8 @@ def farthest_geodesic_table(neighbors: Sequence[Sequence[int]], hops: np.ndarray
 
 def j_source_table(s: SubdividedGraph, a: int) -> np.ndarray:
     """W_a on the J(G) columns of the grid: `farthest_geodesic_table(
-    s._neighbors, s.hops(), a)[:, s.j_set]` as a C-contiguous (grid_n, |J|)
-    array, same dtype, for a source a in J(G).
+    nbrs, s.hops(), a)[:, s.j_set]`, with nbrs[v] = `s.neighbors(v)`, as a
+    C-contiguous (grid_n, |J|) array, same dtype, for a source a in J(G).
 
     Every base vertex sits at da = hops[a] congruent to da of a's end mod k
     (0 for a vertex, k/2 for a midpoint), so an edge (u, v) either meets

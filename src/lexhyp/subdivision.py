@@ -44,7 +44,12 @@ class SubdividedGraph:
     Grid ids: 0..n-1 are the original vertices; interior points of edge i
     (edges in sorted order) occupy n + i*(k-1) .. n + (i+1)*(k-1) - 1,
     ordered from the smaller endpoint to the larger one.  J(G) is the
-    vertices followed by the edge midpoints, in edge order.
+    vertices followed by the edge midpoints, in edge order.  All of it is
+    arithmetic on the base graph, so the grid keeps no per-point adjacency:
+    `chain` gives an edge's interior points, and the engine walks geodesics
+    over base vertices (`geodesics.enumerate_geodesics`).  `neighbors` and
+    `edge_points`, the grid's adjacency and each edge's points, are built
+    on first access, for callers that walk the grid point by point.
 
     Two per-grid structures are built on first use and kept: `hops()`,
     the read-only hop matrix (`all_pairs_distances`) in the narrowest dtype
@@ -55,7 +60,7 @@ class SubdividedGraph:
     matrix and chains, until the cyclic garbage collector runs.
     """
 
-    __slots__ = ("base", "k", "grid_n", "j_set", "edge_points",
+    __slots__ = ("base", "k", "grid_n", "j_set", "_edge_index", "_edge_points",
                  "_neighbors", "_hops", "_chains")
 
     def __init__(self, base: Graph, k: int):
@@ -68,29 +73,37 @@ class SubdividedGraph:
         self.base = base
         self.k = k
         self.grid_n = grid_n
-        edge_points = {}
-        nbrs = [[] for _ in range(grid_n)]
-
-        def link(a, b):
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-
-        next_id = n
-        for u, v in base.edges:
-            chain = [u, *range(next_id, next_id + k - 1), v]
-            next_id += k - 1
-            for a, b in zip(chain, chain[1:]):
-                link(a, b)
-            edge_points[(u, v)] = tuple(chain)
-        self.edge_points = edge_points
-        self._neighbors = tuple(tuple(sorted(a)) for a in nbrs)
-        half = k // 2
-        j = list(range(n)) + [pts[half] for pts in edge_points.values()]
-        self.j_set = tuple(sorted(j))
+        self.j_set = tuple(range(n)) + tuple(range(n + k // 2 - 1, grid_n, k - 1))  # midpoints
+        self._edge_index: Optional[dict[tuple[int, int], int]] = None
+        self._edge_points: Optional[dict[tuple[int, int], tuple[int, ...]]] = None
+        self._neighbors: Optional[tuple[tuple[int, ...], ...]] = None
         self._hops: Optional[np.ndarray] = None
         self._chains: Optional[EdgeChains] = None
 
+    def chain(self, u: int, v: int) -> range:
+        """The interior points of the edge between u and v, in order from u to v."""
+        if self._edge_index is None:
+            self._edge_index = {e: i for i, e in enumerate(self.base.edges)}
+        k = self.k
+        lo = self.base.vertex_count + self._edge_index[(u, v) if u < v else (v, u)] * (k - 1)
+        return range(lo, lo + k - 1) if u < v else range(lo + k - 2, lo - 1, -1)
+
+    @property
+    def edge_points(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Every edge (u, v) of the base graph and its k+1 grid points, u to v."""
+        if self._edge_points is None:
+            self._edge_points = {(u, v): (u, *self.chain(u, v), v) for u, v in self.base.edges}
+        return self._edge_points
+
     def neighbors(self, v: int) -> tuple[int, ...]:
+        """The grid points adjacent to point v, in increasing order."""
+        if self._neighbors is None:
+            nbrs: list[list[int]] = [[] for _ in range(self.grid_n)]
+            for pts in self.edge_points.values():
+                for p, q in zip(pts, pts[1:]):
+                    nbrs[p].append(q)
+                    nbrs[q].append(p)
+            self._neighbors = tuple(tuple(sorted(a)) for a in nbrs)
         return self._neighbors[v]
 
     def hops(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output stability, exit codes."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -35,11 +36,22 @@ def test_delta_stats_on_stderr(capsys):
     assert set(lines) == {"triples_examined", "geodesics_enumerated", "wall_time_s", "tables_built",
                           "table_bytes", "table_s", "sides_visited", "mask_s", "sides_exact",
                           "orbit_s", "masks_recomputed", "apsp_s", "hops_s", "chains_s",
-                          "value_s", "witness_s"}
+                          "value_s", "witness_s", "geodesic_s"}
     assert int(lines["triples_examined"]) == json.loads(out)["stats"]["triples_examined"]
     # the phase times are parts of the engine's wall time
     phases = [float(lines[k]) for k in ("apsp_s", "hops_s", "chains_s", "value_s", "witness_s")]
     assert all(t > 0 for t in phases) and sum(phases) <= float(lines["wall_time_s"])
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["plain", "json"])
+def test_debug_log_leaves_stdout(capsys, caplog, fmt):
+    spec = "lex(path:3,cycle:4)"
+    _, plain, _ = run_cli(capsys, "delta", spec, *fmt)
+    with caplog.at_level(logging.DEBUG, logger="lexhyp"):
+        code, out, _ = run_cli(capsys, "delta", spec, *fmt)
+    assert code == 0 and out == plain
+    assert any(r.msg.startswith("sweep length") for r in caplog.records)
+    assert any(r.msg.startswith("witness triple") for r in caplog.records)
 
 
 def test_delta_json(capsys):

@@ -2,7 +2,11 @@
 
 import itertools
 import json
+import logging
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lexhyp import (CARTESIAN, DeltaConfig, DeltaEngine, DeltaResult, GeodesicCapError,
                     GeodesicTriangle, Graph, QDist, ValidationError, complete_graph, cycle_graph,
-                    delta_bigon_lower_bound, delta_exact, diam_g, get_catalog,
+                    delta_bigon_lower_bound, delta_exact, diam_g, enumerate_geodesics, get_catalog,
                     has_tight_short_triangle, in_family_F, induced_subgraph,
                     is_isometric_embedding, path_graph, product, star_graph, subdivide,
                     thinness, trivial_graph)
@@ -276,6 +280,72 @@ def test_thinness_validates_sides():
         thinness(s, bad)
 
 
+@pytest.mark.parametrize("side0, message", [
+    ((4, 5, 6, 1), "side endpoints do not match corners"),  # starts past corner 0
+    ((0, 7, 8, 9, 3, 12, 11, 10, 2, 15, 14, 13, 1), "wrong length"),  # the long way round
+    ((0, 4, 6, 5, 1), "side is not a grid path"),  # right length, a 2-hop jump from 4 to 6
+], ids=["endpoints", "length", "jump"])
+def test_thinness_rejects_each_bad_side(side0, message):
+    # C4 on S_4: edge (0, 1) is the chain 0, 4, 5, 6, 1; replace the valid
+    # side 0 -> 1 of a witness-shaped triangle and keep the other two
+    s = subdivide(cycle_graph(4), 4)
+    good = tuple(enumerate_geodesics(s, 0, 1)[0])
+    assert good == (0, 4, 5, 6, 1)
+    rest = (enumerate_geodesics(s, 1, 2)[0], enumerate_geodesics(s, 2, 0)[0])
+    thinness(s, GeodesicTriangle(corners=(0, 1, 2), sides=(good, *rest), is_cycle=True))
+    bad = GeodesicTriangle(corners=(0, 1, 2), sides=(side0, *rest), is_cycle=True)
+    with pytest.raises(ValidationError, match=message):
+        thinness(s, bad)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(6), product(path_graph(3), cycle_graph(4)).graph,
+                               induced_subgraph(cycle_graph(8), [0, 1, 2, 3, 4])],
+                         ids=["C6", "lex(P3,C4)", "P5"])
+def test_engine_builds_no_grid_adjacency(g):
+    # the witness walks base vertices and thinness checks steps on the hop
+    # matrix: no entry point of the engine builds the grid's per-point tables
+    engine = DeltaEngine(g)
+    res = engine.delta()
+    engine.delta(cycle_only=False)
+    engine.bigon_lower_bound()
+    engine.has_tight_short_triangle()
+    thinness(engine.s, res.witness)
+    assert res.stats.geodesic_s > 0
+    assert engine.s._neighbors is None and engine.s._edge_points is None
+
+
+def test_sweeps_log_at_debug(caplog):
+    # one line per length the value sweep enters, one per witness triple
+    g = product(path_graph(3), cycle_graph(4)).graph
+    engine = DeltaEngine(g)
+    with caplog.at_level(logging.DEBUG, logger="lexhyp"):
+        first = engine.delta()
+    lengths = [r.args for r in caplog.records if r.msg.startswith("sweep length")]
+    ds = [d for d, _, _ in lengths]
+    assert ds[0] == engine.jD.max() and ds == sorted(set(ds), reverse=True)
+    assert [cur for _, cur, _ in lengths] == sorted(cur for _, cur, _ in lengths)
+    assert all(pairs == engine.pairs_at(d)[0].size for d, _, pairs in lengths)
+    assert all(d // 2 > cur for d, cur, _ in lengths)  # a length that cannot raise it is not entered
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="lexhyp"):
+        second = engine.delta(cycle_only=False)  # a witness search alone
+    triples = [r.args for r in caplog.records if r.msg.startswith("witness triple")]
+    assert len(caplog.records) == len(triples)
+    assert len(triples) == second.stats.triples_examined - first.stats.triples_examined > 0
+    assert triples[-1][:3] == second.witness.corners
+    assert {t[3] for t in triples} == {second.value.quarters * engine.s.k // 4}
+
+
+def test_import_leaves_logging_unloaded():
+    # the sweeps log only where logging was imported, so importing lexhyp and
+    # running a sweep do not pay for the module's import
+    code = ("import sys, lexhyp; lexhyp.delta_exact(lexhyp.cycle_graph(5)); "
+            "print('logging' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert done.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # monotonicity and structural properties
 # ---------------------------------------------------------------------------
@@ -469,8 +539,8 @@ def test_short_triangle_against_enumeration(g):
 def test_short_triangle_enumerates_no_geodesic(g, monkeypatch):
     import lexhyp.delta
     calls = []
-    real = lexhyp.delta.enumerate_paths
-    monkeypatch.setattr(lexhyp.delta, "enumerate_paths", lambda *a: calls.append(a) or real(*a))
+    real = lexhyp.delta.enumerate_geodesics
+    monkeypatch.setattr(lexhyp.delta, "enumerate_geodesics", lambda *a: calls.append(a) or real(*a))
     engine = DeltaEngine(g)
     engine.has_tight_short_triangle()
     assert calls == []

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lexhyp import (GeodesicCapError, Graph, complete_graph, cycle_graph, enumerate_geodesics,
-                    induced_subgraph, path_graph, product, subdivide)
+import lexhyp.geodesics as geodesics
+from lexhyp import (GeodesicCapError, Graph, SubdividedGraph, complete_graph, cycle_graph,
+                    enumerate_geodesics, induced_subgraph, path_graph, product, subdivide)
 from lexhyp.geodesics import (enumerate_paths, farthest_geodesic_profile, farthest_geodesic_table,
                               geodesic_count, interval, j_source_table)
 
@@ -174,11 +175,12 @@ def test_j_source_table_matches_grid_dp(g, k):
     # J-point source (vertices and midpoints), bit for bit and dtype included
     s = subdivide(g, k)
     hops = s.hops()
+    nbrs = [s.neighbors(v) for v in range(s.grid_n)]
     j = list(s.j_set)
     if g in (K24, K24_NEAR_THREE):
         assert _base_indegree(g) >= 3  # the layer step maxes over three or more edges
     for a in s.j_set:
-        want = np.ascontiguousarray(farthest_geodesic_table(s._neighbors, hops, a)[:, j])
+        want = np.ascontiguousarray(farthest_geodesic_table(nbrs, hops, a)[:, j])
         got = j_source_table(s, a)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert np.array_equal(got, want), a
@@ -189,10 +191,65 @@ def test_tables_one_byte_on_wide_grids():
     # the hop counts, so both kernels store one byte per entry
     s = subdivide(product(path_graph(3), complete_graph(6)).graph, 4)
     hops = s.hops()
+    nbrs = [s.neighbors(v) for v in range(s.grid_n)]
     assert s.grid_n > 128 and hops.max() == 12
     j = list(s.j_set)
     for a in s.j_set:
-        want = np.ascontiguousarray(farthest_geodesic_table(s._neighbors, hops, a)[:, j])
+        want = np.ascontiguousarray(farthest_geodesic_table(nbrs, hops, a)[:, j])
         got = j_source_table(s, a)
         assert got.dtype == want.dtype == np.int8
         assert np.array_equal(got, want), a
+
+
+def _grid_reference(s):
+    """The grid's neighbor tables and hop matrix, for the point-by-point reference."""
+    return [s.neighbors(v) for v in range(s.grid_n)], s.hops()
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=st.one_of(connected_graphs(max_n=5), induced_subgraphs(max_n=6)), k=st.sampled_from((2, 4, 8)))
+@example(g=cycle_graph(4), k=8)
+@example(g=K24, k=4)
+@example(g=K24, k=8)
+@example(g=TWO_EDGES, k=8)
+@example(g=K4_AND_K2, k=4)
+@example(g=product(path_graph(3), path_graph(2)).graph, k=2)
+def test_walk_matches_grid_enumeration(g, k):
+    # every ordered pair of grid points: interior points at every offset
+    # (1 and k-1 included), pairs inside one edge, and pairs in different
+    # components, which have no geodesic
+    s = subdivide(g, k)
+    nbrs, hops = _grid_reference(s)
+    for a in range(s.grid_n):
+        for b in range(s.grid_n):
+            want = enumerate_paths(nbrs, hops, a, b, cap=10**6)
+            assert enumerate_geodesics(s, a, b) == want, (a, b)
+            assert len(want) == geodesic_count(nbrs, hops, a, b)
+
+
+@pytest.mark.parametrize("k", (2, 4, 8))
+def test_walk_cap_raises_before_any_path(k, monkeypatch):
+    # the count runs on base vertices: above the cap, no chain or half-chain
+    # of a path is built, and the error names the pair and the cap
+    graphs = (cycle_graph(4), K24, product(path_graph(2), cycle_graph(4)).graph)
+    cases = []
+    for g in graphs:
+        s = subdivide(g, k)
+        nbrs, hops = _grid_reference(s)
+        cases += [(s, a, b, count) for a in range(s.grid_n) for b in range(s.grid_n)
+                  if (count := geodesic_count(nbrs, hops, a, b)) > 1]
+    n_of = {id(s): s.base.vertex_count for s, *_ in cases}
+    assert any(a >= n_of[id(s)] for s, a, _, _ in cases)  # an interior first point
+    for s, a, b, count in cases:
+        assert len(enumerate_geodesics(s, a, b, cap=count)) == count
+
+    def built(*args):
+        raise AssertionError("a path was built")
+
+    monkeypatch.setattr(SubdividedGraph, "chain", built)
+    monkeypatch.setattr(geodesics, "_half", built)
+    for s, a, b, count in cases:
+        with pytest.raises(GeodesicCapError) as err:
+            enumerate_geodesics(s, a, b, cap=count - 1)
+        assert (err.value.pair, err.value.cap) == ((a, b), count - 1)
+

@@ -155,6 +155,32 @@ def test_subdivide_c5_distance_scaling():
     assert QDist.from_hops(int(hops[1, 3]), s.k) == QDist.from_edges(2)
 
 
+@settings(max_examples=25, deadline=None)
+@given(g=st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+    unique_by=lambda e: frozenset(e)).map(lambda edges: Graph(n, edges, _allow_disconnected=True))),
+    k=st.sampled_from((2, 4, 8)))
+def test_grid_points_by_arithmetic(g, k):
+    # j_set, chains, edge points and neighbors against the eager point-by-point
+    # construction: each edge's chain of k - 1 new ids, linked end to end
+    s = subdivide(g, k)
+    n = g.vertex_count
+    points, nbrs, next_id = {}, [[] for _ in range(s.grid_n)], n
+    for u, v in g.edges:
+        chain = [u, *range(next_id, next_id + k - 1), v]
+        next_id += k - 1
+        for a, b in zip(chain, chain[1:]):
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        points[(u, v)] = tuple(chain)
+    assert s.j_set == tuple(sorted([*range(n), *(pts[k // 2] for pts in points.values())]))
+    for (u, v), pts in points.items():
+        assert tuple(s.chain(u, v)) == pts[1:-1] and tuple(s.chain(v, u)) == pts[-2:0:-1]
+    assert s._edge_points is None and s._neighbors is None  # built on first access only
+    assert s.edge_points == points
+    assert [s.neighbors(v) for v in range(s.grid_n)] == [tuple(sorted(a)) for a in nbrs]
+
+
 def test_grid_freed_without_cycle_collector():
     # the grid caches its hop matrix and chains; nothing refers back to it, so
     # dropping the last reference frees the hop matrix at once
@@ -240,7 +266,7 @@ def test_hop_matrix_dtype_boundary(n, dtype):
     # a sum that wrapped would find none
     far = int(hops[0].argmax())
     assert interval(hops, 0, far).size == 2 * n
-    assert geodesic_count(s._neighbors, hops, 0, far) == 2
+    assert geodesic_count([s.neighbors(v) for v in range(s.grid_n)], hops, 0, far) == 2
 
 
 def test_hop_matrix_built_a_row_block_at_a_time():

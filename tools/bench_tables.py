@@ -8,7 +8,11 @@ Run from the root of a checkout, with `src` on the path:
 `delta_exact` runs each graph in a fresh process (`--delta-one NAME`), so
 that `ru_maxrss_mb`, the process's peak resident memory, belongs to that
 graph alone: best of 3 calls, with `tables_built`, `table_bytes`,
-`sides_exact` (side vectors computed from tables) and the value.  The
+`sides_exact` (side vectors computed from tables), `witness_s` and
+`geodesic_s` (the witness search and its geodesic enumeration, from the
+best call; null where the library has no such field) and the value.  Each
+call's result is dropped before the next call starts, so the peak is that
+of one call, not of one call plus the grid and hop matrix of the last.  The
 graphs are four products and `cycle:1000`, a sparse grid of 4000 points
 where the grid hop matrix outweighs the tables.  The
 factors' automorphism search runs in the first call and is cached on the
@@ -19,7 +23,8 @@ corpus of seed 0, every check) three times in a fresh process
 (`--suite-one`), after building the catalog: the S_k grids built per k
 (`SubdividedGraph` constructions), the per-source tables built
 (`j_source_table` calls from the delta engine) and the geodesic
-enumerations (`enumerate_paths` calls from the delta engine), all counted
+enumerations (`enumerate_geodesics` calls from the delta engine, or
+`enumerate_paths` calls where the engine calls that), all counted
 in the first run, and the best wall time of the other two.  `ROUNDS` (5)
 pairs of such processes run, one per checkout, alternating which checkout
 goes first.  Per checkout the record keeps the counts of its first process
@@ -61,28 +66,20 @@ ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", 
 ROUNDS = 5  # alternating suite process pairs
 
 
-def best_of(reps: int, fn) -> float:
-    best = float("inf")
+def delta_one(name: str, reps: int = 3) -> dict:
+    g = GRAPHS[name]()
+    runs = []  # (seconds, stats, quarters) of each call
     for _ in range(reps):
         t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def delta_one(name: str) -> dict:
-    g = GRAPHS[name]()
-    res = []
-
-    def call():
-        res[:] = [delta_exact(g)]  # only the last result stays alive
-
-    secs = best_of(3, call)
-    st = res[-1].stats
+        res = delta_exact(g)
+        runs.append((time.perf_counter() - t0, res.stats, res.value.quarters))
+        del res  # its grid, with the hop matrix, goes before the next call
+    secs, st, quarters = min(runs, key=lambda run: run[0])
     return {"best_s": round(secs, 3), "tables_built": st.tables_built,
             "table_bytes": st.table_bytes, "sides_exact": st.sides_exact,
-            "triples_examined": st.triples_examined,
-            "quarters": res[-1].value.quarters,
+            "triples_examined": st.triples_examined, "witness_s": round(st.witness_s, 4),
+            "geodesic_s": round(st.geodesic_s, 4) if hasattr(st, "geodesic_s") else None,
+            "quarters": quarters,
             "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
@@ -93,7 +90,10 @@ def suite_one(reps: int = 3) -> dict:
     grids: dict[str, int] = {}
     tables, paths = [0], [0]
     init, table = SubdividedGraph.__init__, lexhyp.delta.j_source_table
-    enumerate_paths = lexhyp.delta.enumerate_paths
+    # the engine's enumeration entry point: the base-vertex walk, or the grid
+    # enumeration of checkouts older than it
+    walk = "enumerate_geodesics" if hasattr(lexhyp.delta, "enumerate_geodesics") else "enumerate_paths"
+    enumerate_fn = getattr(lexhyp.delta, walk)
 
     def counted_init(self, base, k):
         grids[f"S_{k}"] = grids.get(f"S_{k}", 0) + 1
@@ -103,26 +103,26 @@ def suite_one(reps: int = 3) -> dict:
         tables[0] += 1
         return table(s, a)
 
-    def counted_paths(*args):
+    def counted_enumerate(*args):
         paths[0] += 1
-        return enumerate_paths(*args)
+        return enumerate_fn(*args)
 
     get_catalog()
     corpus = generate_corpus(CorpusSpec(seed=0))
     SubdividedGraph.__init__, lexhyp.delta.j_source_table = counted_init, counted_table
-    lexhyp.delta.enumerate_paths = counted_paths
+    setattr(lexhyp.delta, walk, counted_enumerate)
     try:
         report = run_suite(corpus)
     finally:
         SubdividedGraph.__init__, lexhyp.delta.j_source_table = init, table
-        lexhyp.delta.enumerate_paths = enumerate_paths
+        setattr(lexhyp.delta, walk, enumerate_fn)
     walls = []
     for _ in range(reps - 1):
         t0 = time.perf_counter()
         run_suite(corpus)
         walls.append(time.perf_counter() - t0)
     return {"all_pass": report.all_pass, "grids_built": dict(sorted(grids.items())),
-            "tables_built": tables[0], "enumerate_paths_calls": paths[0], "best_wall_s": round(min(walls), 3),
+            "tables_built": tables[0], "enumerate_calls": paths[0], "best_wall_s": round(min(walls), 3),
             "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
