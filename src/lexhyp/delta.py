@@ -71,10 +71,10 @@ so the counters, the value and the witness are those of a graph without
 generators, where every pair is its own root.  On lex(P6, C5) the 17,020
 J-pairs fall into 135 orbits, and the sweep builds 14 tables, not 160.
 
-Tables, J rows and chain minima are stored in `table_dtype` of the grid's
-largest hop count: one byte per entry below 128 hops, which covers every
-product the benchmark and the suite build.  The grid hop matrix, whose rows
-are added, takes the dtype of twice that count: one byte below 64 hops.
+The grid hop matrix, its J rows and chain minima and the tables share one
+dtype, `table_dtype` of the grid's largest hop count: one byte per entry
+below 128 hops, which covers every product the benchmark and the suite
+build.
 
 Explicit triangles serve only the witness search and `thinness`.  The
 witness search walks corner triples in lexicographic J order, skips those
@@ -121,9 +121,8 @@ class DeltaConfig:
     witness sweep (the value sweep enumerates none: it reads per-source
     bottleneck tables); `grid_factor` is the subdivision (4, or 8 for the
     stability check).  `DEFAULT_GRID_CAP` bounds the grid's points, and with
-    it every table (points x J-points per source, each entry in the
-    narrowest signed dtype holding the grid's largest hop count: one byte
-    below 128).
+    them the hop matrix and every table (points x J-points per source), all
+    in the grid's one hop dtype (`table_dtype`).
     """
 
     geodesic_cap: int = 1_000_000
@@ -160,9 +159,9 @@ class DeltaStats:
     `chains_s` for the J rows and chain minima; `value_s` went to the value sweep and
     `witness_s` to witness searches, of which `geodesic_s` to enumerating
     the geodesics of their sides.  `table_bytes` is the memory held by
-    the `tables_built` per-source tables (one byte per entry on grids below
-    128 hops across, see `table_dtype`), and `table_s` the seconds spent
-    building them.  `sides_visited` counts the sides the value sweep closed,
+    the `tables_built` per-source tables (in the hop matrix's dtype,
+    `table_dtype`), and `table_s` the seconds spent building them.
+    `sides_visited` counts the sides the value sweep closed,
     those whose corner mask kept some third corner, and `mask_s` the seconds
     spent computing corner masks; `masks_recomputed` counts the mask
     products computed again because they held a NaN.  `sides_exact` counts
@@ -265,8 +264,6 @@ class DeltaEngine:
         self.J = list(s.j_set)  # the same grid ids, for scalar reads
         self.nj = len(self.j)
         self.jD = self.D[np.ix_(self.j, self.j)].astype(np.int32)  # = j_hops(g, k), int32 too
-        self.jpos = np.full(s.grid_n, -1, dtype=np.int64)
-        self.jpos[self.j] = np.arange(self.nj)
         self.gens = j_automorphisms(s)  # checked generators on J indices (int32), or None
         if self.gens is not None:
             self._root = np.full((self.nj, self.nj), -1, dtype=np.int32)  # see roots()
@@ -282,8 +279,8 @@ class DeltaEngine:
     # -- caches (grid-id keys, smaller id first for pairs) -------------------
 
     def table(self, a: int) -> np.ndarray:
-        """W_a on the J(G) columns: [p, jpos[c]] is the farthest p can be from
-        some a-c geodesic."""
+        """W_a on the J(G) columns: [p, i] is the farthest p can be from some
+        a-c geodesic, c the i-th J-point."""
         got = self._tables.get(a)
         if got is None:
             t0 = time.perf_counter()

@@ -39,9 +39,11 @@ from .subdivision import SubdividedGraph, table_dtype
 def interval(hops: np.ndarray, a: int, b: int) -> np.ndarray:
     """Sorted ids of every vertex lying on some geodesic from a to b.
 
-    Adds two rows of `hops`, so its dtype must hold the sum of two entries,
-    as the grid hop matrix's does (`subdivision.table_dtype`)."""
-    return np.flatnonzero(hops[a] + hops[b] == hops[a, b])
+    The one sum of two hop rows, taken in `np.intp` so that it is exact
+    whatever the hop matrix's width (`subdivision.table_dtype`).  The other
+    readers here only compare entries, or offset them by 1 within the range
+    of hop counts."""
+    return np.flatnonzero(np.add(hops[a], hops[b], dtype=np.intp) == hops[a, b])
 
 
 def geodesic_count(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
@@ -105,8 +107,8 @@ def enumerate_geodesics(s: SubdividedGraph, a: int, b: int,
     A geodesic between points of different edges runs from a to an end of
     a's edge (a itself if a is a vertex), steps whole edges from vertex to
     vertex, each k hops, and ends along b's edge.  The base vertices it
-    passes are those x with hops[a, x] + hops[b, x] == hops[a, b]; a step
-    w -> x has hops[a, x] == hops[a, w] + k.  Two points inside one edge
+    passes are the base vertices of `interval(hops, a, b)`; a step w -> x
+    has hops[a, x] == hops[a, w] + k.  Two points inside one edge
     have one geodesic, the chain between them.
 
     The order is the grid's lexicographic order for free: the chain of
@@ -131,7 +133,8 @@ def enumerate_geodesics(s: SubdividedGraph, a: int, b: int,
         return []
     if a >= n and b >= n and (a - n) // (k - 1) == (b - n) // (k - 1):  # inside one edge
         return [tuple(range(a, b + 1) if a < b else range(a, b - 1, -1))]
-    on = np.flatnonzero(hops[a, :n] + hops[b, :n] == target).tolist()
+    on = interval(hops, a, b)
+    on = on[on < n].tolist()
     da, db = hops[a, :n].tolist(), hops[b, :n].tolist()
     # walks to b counted backwards: the vertices within k of b end a walk,
     # b itself or an end of b's edge
@@ -227,7 +230,7 @@ def j_source_table(s: SubdividedGraph, a: int) -> np.ndarray:
     c = s.chains()
     t = c.jrows.copy()  # column q of W_a, for q in j_set order, starts as hops[q]
     tv, tm = t[:n], t[n:]  # vertex columns T, midpoint columns
-    da = s.hops()[a, :n]
+    da = s.hops()[a, :n].astype(np.intp)  # da + k would wrap in one byte
     u, v = c.ends.T
     du, dv = da[u], da[v]
     own = (a - n) // (k - 1) if a >= n else -1  # the source's edge, if any

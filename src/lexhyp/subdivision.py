@@ -17,9 +17,9 @@ copy-lemma checks read it, whose distance to a copy is a tent along each
 edge, min(i + A, k - i + B) with |A - B| <= k, and `diam_g` takes its
 maximum one block of rows at a time, without the matrix.
 
-Every hop matrix is built in blocks of rows (`_point_hop_blocks`), and the
-grid's is stored in the narrowest dtype that holds the sum of two entries
-(see `table_dtype`).
+Every hop matrix is built in blocks of rows (`_point_hop_blocks`).  The
+grid's, its J rows, its chain minima and the tables built from them all
+share one dtype, `table_dtype` of the grid's largest hop count.
 """
 
 from __future__ import annotations
@@ -52,10 +52,9 @@ class SubdividedGraph:
     on first access, for callers that walk the grid point by point.
 
     Two per-grid structures are built on first use and kept: `hops()`,
-    the read-only hop matrix (`all_pairs_distances`) in the narrowest dtype
-    that holds the sum of two of its entries, and `chains()`, its J-point
-    rows and per-edge chain minima (`EdgeChains`), from which the
-    bottleneck tables are built.  Neither refers back to the grid: a
+    the read-only hop matrix (`all_pairs_distances`) in `table_dtype` of
+    its largest entry, and `chains()`, its J-point rows and per-edge chain
+    minima (`EdgeChains`), from which the bottleneck tables are built.  Neither refers back to the grid: a
     reference would make a cycle that holds every grid, with its hop
     matrix and chains, until the cyclic garbage collector runs.
     """
@@ -128,16 +127,8 @@ def table_dtype(max_hops: int) -> np.dtype:
     Keyed on a grid's largest hop count, not its point count: int8 up to
     127 hops (an S_4 grid of diameter below 32 edges, every product of the
     benchmark and the suite), int16 from 128.  Signed, so UNREACHABLE fits.
-    The bottleneck kernels only take min and max of entries, so no
-    arithmetic on them can overflow.
-
-    The grid hop matrix is read with arithmetic, so it is stored in
-    `table_dtype(2 * max_hops)`, which holds the sum of any two entries
-    (`_hop_dtype`): int8 only up to 63 hops.  Every sum taken on its rows
-    stays within that: `geodesics.interval` adds two rows, `geodesic_count`
-    adds 1 to an entry and `j_source_table` adds k, and a grid with an edge
-    is at least k hops across.  NumPy keeps the dtype of an array plus a
-    Python int, so a narrower matrix would wrap silently.
+    The grid hop matrix, its J rows and chain minima and the bottleneck
+    tables all take this dtype.
     """
     return np.min_scalar_type(-max_hops - 1)
 
@@ -206,8 +197,9 @@ def all_pairs_distances(s: SubdividedGraph) -> np.ndarray:
     endpoints lie in different components of the base graph stay
     UNREACHABLE.
 
-    The entries are stored in `_hop_dtype`, which holds the sum of any two
-    of them (see `table_dtype`).
+    The entries are stored in `table_dtype` of the largest of them
+    (`_hop_dtype`), so a sum of entries can wrap: code that adds to them
+    widens first (`geodesics.interval`).
     """
     g, k = s.base, s.k
     n, m = g.vertex_count, g.m
@@ -223,17 +215,17 @@ def all_pairs_distances(s: SubdividedGraph) -> np.ndarray:
 
 
 def _hop_dtype(g: Graph, k: int) -> np.dtype:
-    """`table_dtype(2 * max_hops)` of the S_k grid of g: the narrowest signed
-    dtype that holds the sum of any two of its hop counts, int8 up to 63
-    hops across and int16 above (the grid cap keeps hop counts below 4096).
+    """`table_dtype` of the largest hop count of the S_k grid of g: int8 up
+    to 127 hops across and int16 above (the grid cap keeps hop counts below
+    4096).
 
     A grid point is at most k/2 hops from a vertex, so the largest hop count
     lies between k D and k (D + 1), D the largest vertex distance.  Only
     when those two bounds straddle a dtype is it computed (`_max_hops`).
     """
     low = k * int(g.vertex_distances().max())
-    got = table_dtype(2 * (low + k))
-    return got if got == table_dtype(2 * low) else table_dtype(2 * _max_hops(g, k))
+    got = table_dtype(low + k)
+    return got if got == table_dtype(low) else table_dtype(_max_hops(g, k))
 
 
 def _point_hop_blocks(g: Graph, k: int, edges: np.ndarray, offsets: np.ndarray):
@@ -286,9 +278,9 @@ class EdgeChains:
     midpoint x_{k/2} (a view of `jrows`), `left` the min of the rows of x_1
     .. x_{k/2-1} and `right` the min of x_{k/2+1} .. x_{k-1}; `u_mid` =
     min(left, mid), `v_mid` = min(right, mid) and `whole` = min(left, mid,
-    right).  All are in `table_dtype` of the grid's largest hop count; for
-    k = 2, `left` and `right` are empty chains and hold the dtype's maximum,
-    the identity of min.
+    right).  All are in the hop matrix's dtype; for k = 2, `left` and
+    `right` are empty chains and hold the dtype's maximum, the identity of
+    min.
     """
 
     ends: np.ndarray
@@ -305,12 +297,11 @@ def edge_chains(s: SubdividedGraph) -> EdgeChains:
     """The J rows and chain minima of `s`, read off its hop matrix."""
     n, k, m = s.base.vertex_count, s.k, s.base.m
     hops = s.hops()
-    dtype = table_dtype(int(hops.max()))
-    jrows = hops[list(s.j_set)].astype(dtype)
+    jrows = hops[list(s.j_set)]
     rows = hops[n:].reshape(m, k - 1, s.grid_n)  # edge, offset - 1, point
-    h, top = k // 2, np.iinfo(dtype).max
-    left = rows[:, :h - 1].min(axis=1, initial=top).astype(dtype)
-    right = rows[:, h:].min(axis=1, initial=top).astype(dtype)
+    h, top = k // 2, np.iinfo(hops.dtype).max
+    left = rows[:, :h - 1].min(axis=1, initial=top)
+    right = rows[:, h:].min(axis=1, initial=top)
     mid = jrows[n:]
     u_mid = np.minimum(left, mid)
     v_mid = np.minimum(right, mid)

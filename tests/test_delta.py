@@ -168,13 +168,15 @@ def test_lex_p6_c5_pinned():
     assert (res.stats.tables_built, res.stats.sides_exact) == (14, 20)
 
 
-@pytest.mark.parametrize("n, dtype", [(63, np.int8), (64, np.int16)])
+@pytest.mark.parametrize("n, dtype", [(32, np.int8), (63, np.int8), (64, np.int16)])
 def test_table_dtype_boundary(n, dtype):
-    # C_n on the S_4 grid is 2n hops across: 126 fits one byte, 128 does not
+    # C_n on the S_4 grid is 2n hops across: 126 fits one byte, 128 does not;
+    # the hop matrix takes the same dtype as the tables (64 hops: one byte)
     res = delta_exact(cycle_graph(n))
     assert res.value.quarters == n
     s, stats = res.grid, res.stats
-    assert s.chains().jrows.dtype == dtype
+    assert s.hops().dtype == s.chains().jrows.dtype == dtype
+    assert thinness(s, res.witness) == (res.value, res.witness_point)
     assert stats.table_bytes == stats.tables_built * s.grid_n * len(s.j_set) * np.dtype(dtype).itemsize
 
 
@@ -558,6 +560,7 @@ def test_side_values_against_enumeration(g, k):
     sweep = DeltaEngine(g, DeltaConfig(grid_factor=k))
     s = sweep.s
     hops, geos = _geodesic_arrays(s)
+    jpos = {c: i for i, c in enumerate(s.j_set)}
     for a, b in itertools.combinations(s.j_set, 2):
         got = sweep.side_values(a, b)
         for c in s.j_set:
@@ -568,7 +571,7 @@ def test_side_values_against_enumeration(g, k):
                                                 geos(min(b, c), max(b, c))):
                 far = hops[:, np.concatenate([g_ac, g_bc])].min(axis=1)
                 best = max(best, max(int(far[g_ab].max()) for g_ab in geos(a, b)))
-            assert got[sweep.jpos[c]] == best, (a, b, c)
+            assert got[jpos[c]] == best, (a, b, c)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from lexhyp import (Graph, ParseError, QDist, SizeCapError, ValidationError,
                     induced_subgraph, is_isometric_embedding, parse_graph, path_graph,
                     product, star_graph, subdivide, trivial_graph)
 import lexhyp.subdivision as subdivision
-from lexhyp.geodesics import geodesic_count, interval
+from lexhyp.geodesics import (enumerate_geodesics, enumerate_paths, farthest_geodesic_table,
+                              geodesic_count, interval, j_source_table)
 from lexhyp.graph import UNREACHABLE
 from lexhyp.subdivision import HOP_BLOCK, j_hops
 
@@ -224,10 +225,9 @@ def _bfs_hops(n: int, neighbors) -> np.ndarray:
 def test_grid_metric_matches_bfs_on_grid_edges(g, k):
     s = subdivide(g, k)
     hops = all_pairs_distances(s)
-    # the narrowest signed dtype that holds the sum of any two entries
+    # the narrowest signed dtype that holds every entry
     top = int(hops.max())
-    assert hops.dtype == next(t for t in (np.int8, np.int16, np.int32) if 2 * top <= np.iinfo(t).max)
-    assert 2 * top <= np.iinfo(hops.dtype).max
+    assert hops.dtype == next(t for t in (np.int8, np.int16, np.int32) if top <= np.iinfo(t).max)
     assert np.array_equal(hops, _bfs_hops(s.grid_n, s.neighbors))
 
 
@@ -255,18 +255,26 @@ def test_grid_metric_matches_bfs_on_product_and_disconnected(k, monkeypatch):
     assert (np.diag(hops) == 0).all()
 
 
-@pytest.mark.parametrize("n, dtype", [(63, np.int8), (64, np.int16)])
+@pytest.mark.parametrize("n, dtype", [(127, np.int8), (128, np.int16)])
 def test_hop_matrix_dtype_boundary(n, dtype):
-    # C_n on the S_2 grid is a 2n-cycle, n hops across: the sum of two
-    # entries, up to 2n, fits one byte for n = 63 and not for n = 64
+    # C_n on the S_2 grid is a 2n-cycle, n hops across: its hop counts fit
+    # one byte for n = 127 and not for n = 128
     s = subdivide(cycle_graph(n), 2)
     hops = s.hops()
     assert int(hops.max()) == n and hops.dtype == dtype
-    # both arcs to the antipode of 0 are geodesics, so every point is on one;
-    # a sum that wrapped would find none
+    # both arcs to the antipode of 0 are geodesics, so every point is on one
     far = int(hops[0].argmax())
     assert interval(hops, 0, far).size == 2 * n
-    assert geodesic_count([s.neighbors(v) for v in range(s.grid_n)], hops, 0, far) == 2
+    nbrs = [s.neighbors(v) for v in range(s.grid_n)]
+    assert geodesic_count(nbrs, hops, 0, far) == 2
+    paths = enumerate_paths(nbrs, hops, 0, far, cap=2)
+    assert len(paths) == 2 and enumerate_geodesics(s, 0, far, cap=2) == paths
+    # every point of S_2 is a J-point: the kernel against the reference DP,
+    # from a vertex source and from a midpoint source
+    for a in (0, far, n):
+        want = farthest_geodesic_table(nbrs, hops, a)[:, list(s.j_set)]
+        got = j_source_table(s, a)
+        assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
 
 
 def test_hop_matrix_built_a_row_block_at_a_time():

@@ -7,30 +7,33 @@ Run from the root of a checkout, with `src` on the path:
 
 `delta_exact` runs each graph in a fresh process (`--delta-one NAME`), so
 that `ru_maxrss_mb`, the process's peak resident memory, belongs to that
-graph alone: best of 3 calls, with `tables_built`, `table_bytes`,
+graph alone: best of 3 calls, `best_s`, with `tables_built`, `table_bytes`,
 `sides_exact` (side vectors computed from tables), `witness_s` and
 `geodesic_s` (the witness search and its geodesic enumeration, from the
-best call; null where the library has no such field) and the value.  Each
+best call), `hop_dtype` (the grid hop matrix's dtype) and the value.  Each
 call's result is dropped before the next call starts, so the peak is that
 of one call, not of one call plus the grid and hop matrix of the last.  The
 graphs are four products and `cycle:1000`, a sparse grid of 4000 points
-where the grid hop matrix outweighs the tables.  The
-factors' automorphism search runs in the first call and is cached on the
-factors, so the best of 3 leaves it out.
+where the grid hop matrix outweighs the tables.  The factors' automorphism
+search runs in the first call and is cached on the factors, so the best of
+3 leaves it out.
 
 The suite record runs `lexhyp verify --seed 0` (`run_suite` on the default
 corpus of seed 0, every check) three times in a fresh process
 (`--suite-one`), after building the catalog: the S_k grids built per k
 (`SubdividedGraph` constructions), the per-source tables built
 (`j_source_table` calls from the delta engine) and the geodesic
-enumerations (`enumerate_geodesics` calls from the delta engine, or
-`enumerate_paths` calls where the engine calls that), all counted
-in the first run, and the best wall time of the other two.  `ROUNDS` (5)
-pairs of such processes run, one per checkout, alternating which checkout
-goes first.  Per checkout the record keeps the counts of its first process
-and the nearest-rank quartiles (`q1`, `median`, `q3`) of the processes'
-best wall times, `best_wall_s`.  Per-check seconds are left out:
-at this run count they are too noisy to compare single checks.
+enumerations (`enumerate_geodesics` calls from the delta engine), all
+counted in the first run, and the best wall time of the other two,
+`best_wall_s`.
+
+Each record, per graph and for the suite, comes from `ROUNDS` (5) pairs
+of fresh processes, one per checkout, alternating which checkout goes
+first, so that drift on a shared machine falls on both.  Per checkout it
+keeps the first process's record, with its time replaced by the
+nearest-rank quartiles (`q1`, `median`, `q3`) of all the processes'.
+Per-check seconds are left out: at this run count they are too noisy to
+compare single checks.
 
 "after" runs on this checkout's `src`, "before" on PARENT/src, a checkout
 of the commit REV; both run this script, so only the library differs.
@@ -63,7 +66,7 @@ GRAPHS = {
     "cycle:1000": lambda: cycle_graph(1000),
 }
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-ROUNDS = 5  # alternating suite process pairs
+ROUNDS = 5  # alternating process pairs per record
 
 
 def delta_one(name: str, reps: int = 3) -> dict:
@@ -73,13 +76,13 @@ def delta_one(name: str, reps: int = 3) -> dict:
         t0 = time.perf_counter()
         res = delta_exact(g)
         runs.append((time.perf_counter() - t0, res.stats, res.value.quarters))
+        hop_dtype = str(res.grid.hops().dtype)
         del res  # its grid, with the hop matrix, goes before the next call
     secs, st, quarters = min(runs, key=lambda run: run[0])
     return {"best_s": round(secs, 3), "tables_built": st.tables_built,
             "table_bytes": st.table_bytes, "sides_exact": st.sides_exact,
             "triples_examined": st.triples_examined, "witness_s": round(st.witness_s, 4),
-            "geodesic_s": round(st.geodesic_s, 4) if hasattr(st, "geodesic_s") else None,
-            "quarters": quarters,
+            "geodesic_s": round(st.geodesic_s, 4), "hop_dtype": hop_dtype, "quarters": quarters,
             "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
@@ -90,10 +93,7 @@ def suite_one(reps: int = 3) -> dict:
     grids: dict[str, int] = {}
     tables, paths = [0], [0]
     init, table = SubdividedGraph.__init__, lexhyp.delta.j_source_table
-    # the engine's enumeration entry point: the base-vertex walk, or the grid
-    # enumeration of checkouts older than it
-    walk = "enumerate_geodesics" if hasattr(lexhyp.delta, "enumerate_geodesics") else "enumerate_paths"
-    enumerate_fn = getattr(lexhyp.delta, walk)
+    enumerate_fn = lexhyp.delta.enumerate_geodesics
 
     def counted_init(self, base, k):
         grids[f"S_{k}"] = grids.get(f"S_{k}", 0) + 1
@@ -110,12 +110,12 @@ def suite_one(reps: int = 3) -> dict:
     get_catalog()
     corpus = generate_corpus(CorpusSpec(seed=0))
     SubdividedGraph.__init__, lexhyp.delta.j_source_table = counted_init, counted_table
-    setattr(lexhyp.delta, walk, counted_enumerate)
+    lexhyp.delta.enumerate_geodesics = counted_enumerate
     try:
         report = run_suite(corpus)
     finally:
         SubdividedGraph.__init__, lexhyp.delta.j_source_table = init, table
-        setattr(lexhyp.delta, walk, enumerate_fn)
+        lexhyp.delta.enumerate_geodesics = enumerate_fn
     walls = []
     for _ in range(reps - 1):
         t0 = time.perf_counter()
@@ -134,24 +134,20 @@ def _fresh(src: str, *args: str) -> dict:
     return json.loads(done.stdout)
 
 
-def suite_runs(srcs: dict) -> dict:
-    """`suite_one` for each named `src` in ROUNDS rounds of fresh processes,
-    alternating the order: the counts of the first, the quartiles of the walls."""
+def paired_runs(srcs: dict, args: tuple, key: str) -> dict:
+    """This script's record for `args` from each named `src`, in ROUNDS rounds
+    of fresh processes, alternating the order: per name, the record of its
+    first process with `key` replaced by the quartiles of every process's."""
     runs: dict = {name: [] for name in srcs}
     for r in range(ROUNDS):
         for name, src in (list(srcs.items()) if r % 2 == 0 else list(srcs.items())[::-1]):
-            runs[name].append(_fresh(src, "--suite-one"))
+            runs[name].append(_fresh(src, *args))
     out = {}
     for name, got in runs.items():
-        walls = sorted(run["best_wall_s"] for run in got)
-        q1, median, q3 = (walls[math.ceil(len(walls) * i / 4) - 1] for i in (1, 2, 3))
-        out[name] = dict(got[0], best_wall_s={"q1": q1, "median": median, "q3": q3})
+        vals = sorted(run[key] for run in got)
+        q1, median, q3 = (vals[math.ceil(len(vals) * i / 4) - 1] for i in (1, 2, 3))
+        out[name] = dict(got[0], **{key: {"q1": q1, "median": median, "q3": q3}})
     return out
-
-
-def delta_runs(src: str) -> dict:
-    """`delta_one` for every graph of GRAPHS, each in a fresh process on `src`."""
-    return {name: _fresh(src, "--delta-one", name) for name in GRAPHS}
 
 
 def main() -> None:
@@ -168,20 +164,21 @@ def main() -> None:
     if args.suite_one:
         print(json.dumps(suite_one()))
         return
-    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    srcs = {"after": os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")}
     record = {
         "command": (f"PYTHONPATH=src python3 tools/bench_tables.py --out {args.out or '-'}"
                     " --parent PARENT --parent-commit REV"),
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "processor": platform.machine()},
-        "delta_exact_after": delta_runs(here),
     }
-    suites = {"suite_after": here}
     if args.parent:
         record["parent_commit"] = args.parent_commit
-        record["delta_exact_before"] = delta_runs(os.path.join(args.parent, "src"))
-        suites["suite_before"] = os.path.join(args.parent, "src")
-    record.update(suite_runs(suites))
+        srcs["before"] = os.path.join(args.parent, "src")
+    deltas = {name: paired_runs(srcs, ("--delta-one", name), "best_s") for name in GRAPHS}
+    suites = paired_runs(srcs, ("--suite-one",), "best_wall_s")
+    for side in srcs:
+        record[f"delta_exact_{side}"] = {name: got[side] for name, got in deltas.items()}
+        record[f"suite_{side}"] = suites[side]
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
