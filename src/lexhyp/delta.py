@@ -71,6 +71,27 @@ so the counters, the value and the witness are those of a graph without
 generators, where every pair is its own root.  On lex(P6, C5) the 17,020
 J-pairs fall into 135 orbits, and the sweep builds 14 tables, not 160.
 
+A graph with a cut vertex is swept block by block, in the same engine.
+Its delta is the largest delta of its biconnected blocks (Rodriguez and
+Touris, "Gromov hyperbolicity through decomposition of metric spaces",
+2004; Bermudo, Rodriguez, Sigarreta and Vilaire, "Gromov hyperbolic
+graphs", 2013), and the engine reads each block off its own grid: a block
+is convex, since a path that leaves it through a cut vertex comes back
+through the same vertex, so the geodesics, intervals, side values and
+thinness between its points are the same in G as in the block alone.  So
+the value sweep lists only the J-pairs that share a block of at least three
+vertices (`in_block`, from `Graph.blocks`) and keeps only the third corners
+in that block; a bridge's block has delta 0, and a tree sweeps nothing.  At
+a positive value the witness search walks only the triples whose three
+corners share a block, in the same lexicographic order.  The tables, the
+masks, the orbit roots (automorphisms map blocks to blocks), the bigon
+bound and the short-triangle predicate are unchanged, and a graph without a
+cut vertex, `in_block` None, runs the whole-graph sweep.  On a graph with a
+cut vertex the value is the whole-graph sweep's, but `triples_examined`
+counts in-block triples only, and the witness is the first attaining
+in-block triangle: the whole-graph sweep's where its first attaining triple
+lies in one block, a later one where that triple crosses blocks.
+
 The grid hop matrix, its J rows and chain minima and the tables share one
 dtype, `table_dtype` of the grid's largest hop count: one byte per entry
 below 128 hops, which covers every product the benchmark and the suite
@@ -90,9 +111,9 @@ walks the grid point by point.  The short-triangle predicate enumerates no
 geodesic: it is a query on the tables
 (`DeltaEngine.has_tight_short_triangle`).
 
-The sweeps log to the "lexhyp" logger at DEBUG: one line per length the
-value or bigon sweep enters, and one per triple the witness search
-examines.
+The sweeps log to the "lexhyp" logger at DEBUG: one line per value sweep
+with its block count, one per length the value or bigon sweep enters, and
+one per triple the witness search examines.
 """
 
 from __future__ import annotations
@@ -110,7 +131,7 @@ from .errors import GeodesicCapError, ValidationError
 from .geodesics import enumerate_geodesics, interval, j_source_table
 from .graph import Graph
 from .qdist import QDist
-from .subdivision import SubdividedGraph, j_automorphisms, subdivide
+from .subdivision import SubdividedGraph, j_automorphisms, j_block_pairs, subdivide
 
 
 @dataclass(frozen=True)
@@ -167,7 +188,11 @@ class DeltaStats:
     products computed again because they held a NaN.  `sides_exact` counts
     the side vectors computed from tables: on a graph carrying automorphisms
     the value sweep computes them for orbit roots only, and `orbit_s` is the
-    seconds spent finding the roots.
+    seconds spent finding the roots.  `blocks` counts the blocks of at least
+    three vertices the value sweep ran over: 0 for a tree, 1 for a graph of
+    three or more vertices without a cut vertex.  On a graph with a cut
+    vertex the sweeps read in-block triples only, so every counter counts
+    those.
     """
 
     triples_examined: int = 0
@@ -187,6 +212,7 @@ class DeltaStats:
     value_s: float = 0.0
     witness_s: float = 0.0
     geodesic_s: float = 0.0
+    blocks: int = 0
 
 
 @dataclass
@@ -265,6 +291,7 @@ class DeltaEngine:
         self.nj = len(self.j)
         self.jD = self.D[np.ix_(self.j, self.j)].astype(np.int32)  # = j_hops(g, k), int32 too
         self.gens = j_automorphisms(s)  # checked generators on J indices (int32), or None
+        self.in_block = j_block_pairs(s, g.blocks())  # pairs in one block of >= 3 vertices, or None
         if self.gens is not None:
             self._root = np.full((self.nj, self.nj), -1, dtype=np.int32)  # see roots()
         self._known: tuple = (None, None, {})  # (length, cur, {root: (count, best)}): _close_sides
@@ -333,7 +360,7 @@ class DeltaEngine:
             self.stats.geodesic_s += time.perf_counter() - t0
         return got
 
-    def longest_first(self, side) -> int:
+    def longest_first(self, side, jD: Optional[np.ndarray] = None) -> int:
         """Fold the J-pairs, longest first, into a running value `cur` from 0
         until no pair left can raise it: every quantity swept here (a role
         value or a bigon thinness) is at most half its side's length.
@@ -344,13 +371,15 @@ class DeltaEngine:
         back in the next call, after the stop test.  A length's pairs are
         listed when the sweep reaches it (`pairs_at`), and logged at DEBUG.
         The lengths are read off a count of the J metric's entries, -1 for
-        points in different components included.
+        points in different components included.  `jD` replaces the J
+        metric for the sweep: the value sweep's holds -1 outside the blocks.
         """
+        jD = self.jD if jD is None else jD
         cur = 0
-        for d in (np.flatnonzero(np.bincount(self.jD.ravel() + 1))[::-1] - 1).tolist():
+        for d in (np.flatnonzero(np.bincount(jD.ravel() + 1))[::-1] - 1).tolist():
             if d // 2 <= cur:
                 return cur
-            level_i, level_j = self.pairs_at(d)
+            level_i, level_j = self.pairs_at(d, jD)
             log = _debug_logger()
             if log is not None:
                 log.debug("sweep length %d: value %d, %d pairs", d, cur, level_i.size)
@@ -363,9 +392,10 @@ class DeltaEngine:
                     ii, jj = ii[done:], jj[done:]
         return cur
 
-    def pairs_at(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """The J-pairs (i, j), i < j, at `d` hops, row-major: index arrays."""
-        i, j = np.divmod(np.flatnonzero(self.jD == d), self.nj)
+    def pairs_at(self, d: int, jD: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+        """The J-pairs (i, j), i < j, at `d` hops, row-major: index arrays.
+        `jD` replaces the J metric, as in `longest_first`."""
+        i, j = np.divmod(np.flatnonzero((self.jD if jD is None else jD) == d), self.nj)
         upper = i < j
         return i[upper], j[upper]
 
@@ -455,9 +485,19 @@ class DeltaEngine:
         length (a side of length d contributes at most d/2), third corners are
         filtered by the corner masks at the running value, and survivors get
         their exact role value from the bottleneck tables in one batched
-        min/max.
+        min/max.  On a graph with a cut vertex only the J-pairs that share a
+        block of at least three vertices are sides, and only the third
+        corners in that block are kept (`in_block`): a tree sweeps nothing.
         """
-        return self.longest_first(self._close_sides) if self.nj >= 3 else 0
+        self.stats.blocks = sum(len(b) >= 3 for b in self.s.base.blocks())
+        log = _debug_logger()
+        if log is not None:
+            log.debug("value sweep over %d blocks of 3 or more vertices%s", self.stats.blocks,
+                      "" if self.in_block is None else ", in-block triples only")
+        if self.nj < 3:
+            return 0
+        jD = None if self.in_block is None else np.where(self.in_block, self.jD, -1)
+        return self.longest_first(self._close_sides, jD)
 
     def _close_sides(self, ii: np.ndarray, jj: np.ndarray, cur: int) -> tuple[int, int]:
         """Fold the roles distinguished at sides (ii[r], jj[r]), in order, into
@@ -487,6 +527,8 @@ class DeltaEngine:
             masks = self.corner_masks(fi, fj, cur)
             rows = np.arange(len(fresh))
             masks[rows, fi] = masks[rows, fj] = False  # corners must be distinct
+            if self.in_block is not None:  # and in the pair's block
+                masks &= self.in_block[fi] & self.in_block[fj]
             counts = masks.sum(axis=1).tolist()
         value, done, k = cur, len(codes), 0
         for r in order:
@@ -517,14 +559,22 @@ class DeltaEngine:
         choices enumerated in lexicographic order.  With cycle_only, non-cycle
         choices are skipped; a cycle witness always exists for a correctly
         computed positive target because extremal triangles can be chosen to
-        be cycles.  Each triple examined is logged at DEBUG.
+        be cycles.  At a positive target on a graph with a cut vertex, only
+        triples whose three corners share a block are walked (`in_block`).
+        Each triple examined is logged at DEBUG.
         """
         J, jD = self.J, self.jD
+        within = self.in_block if target > 0 else None
         log = _debug_logger()
         for ii in range(self.nj):
-            for jj in range(ii + 1, self.nj):
+            partners = range(ii + 1, self.nj) if within is None else \
+                (ii + 1 + np.flatnonzero(within[ii, ii + 1:])).tolist()
+            for jj in partners:
                 longest = np.maximum(np.maximum(jD[ii, jj + 1:], jD[jj, jj + 1:]), jD[ii, jj])
-                for kk in (jj + 1 + np.flatnonzero(longest >= 2 * target)).tolist():
+                reach = longest >= 2 * target
+                if within is not None:
+                    reach &= within[ii, jj + 1:] & within[jj, jj + 1:]
+                for kk in (jj + 1 + np.flatnonzero(reach)).tolist():
                     if target > 0 and not self.triple_can_reach(ii, jj, kk, target):
                         continue
                     x, y, z = J[ii], J[jj], J[kk]
@@ -565,7 +615,10 @@ class DeltaEngine:
 
         The value is exact (integer quarter-units).  The witness is the first
         attaining triangle in lexicographic (x, y, z, geodesic) order and,
-        unless `cycle_only` is off or the value is 0, a cycle triangle.  The
+        unless `cycle_only` is off or the value is 0, a cycle triangle.  On a
+        graph with a cut vertex and a positive value it is the first among
+        the triangles whose corners share a block, which may come after a
+        triangle across blocks that attains the value as well.  The
         value sweep runs on the first call only; each call runs the witness
         search.  The result holds a copy of `stats`.
         A disconnected graph raises ValidationError before the sweep.

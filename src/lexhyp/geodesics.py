@@ -39,11 +39,13 @@ from .subdivision import SubdividedGraph, table_dtype
 def interval(hops: np.ndarray, a: int, b: int) -> np.ndarray:
     """Sorted ids of every vertex lying on some geodesic from a to b.
 
-    The one sum of two hop rows, taken in `np.intp` so that it is exact
-    whatever the hop matrix's width (`subdivision.table_dtype`).  The other
-    readers here only compare entries, or offset them by 1 within the range
-    of hop counts."""
-    return np.flatnonzero(np.add(hops[a], hops[b], dtype=np.intp) == hops[a, b])
+    The sum of two hop rows is taken in the hop matrix's own dtype
+    (`subdivision.table_dtype`), where it can wrap, and is still exact as a
+    test: entries lie in [-1, M], M the dtype's maximum, so a sum that
+    passes M wraps to at most 2M - 2^b <= -2 for a b-bit dtype, and never
+    equals an entry.  The other readers here only compare entries, or offset
+    them within the range of hop counts."""
+    return np.flatnonzero(hops[a] + hops[b] == hops[a, b])
 
 
 def geodesic_count(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
@@ -221,7 +223,10 @@ def j_source_table(s: SubdividedGraph, a: int) -> np.ndarray:
         min(mid, max(min(T[u], left), min(T[v], right))).
 
     Points the source cannot reach (da = -1) keep their hop rows, as in the
-    reference; two such ends do not make a meeting edge.  A layer's forward
+    reference; two such ends do not make a meeting edge.  da stays in the
+    hop dtype: da + k wraps only past its maximum M, to at most
+    M + k - 2^b < -1 for a b-bit dtype (k <= 8), which no da equals, so the
+    forward-edge test is exact as it is for `interval`.  A layer's forward
     edges are sorted by head; where a head has several, their values are
     scattered into a (head, rank) block padded with the dtype's minimum and
     maxed over the rank.
@@ -230,7 +235,7 @@ def j_source_table(s: SubdividedGraph, a: int) -> np.ndarray:
     c = s.chains()
     t = c.jrows.copy()  # column q of W_a, for q in j_set order, starts as hops[q]
     tv, tm = t[:n], t[n:]  # vertex columns T, midpoint columns
-    da = s.hops()[a, :n].astype(np.intp)  # da + k would wrap in one byte
+    da = s.hops()[a, :n]
     u, v = c.ends.T
     du, dv = da[u], da[v]
     own = (a - n) // (k - 1) if a >= n else -1  # the source's edge, if any

@@ -85,7 +85,7 @@ class Graph:
     """
 
     __slots__ = ("vertex_count", "edges", "_edge_keys", "_neighbors", "_dist",
-                 "_automorphisms", "_aut_search")
+                 "_automorphisms", "_aut_search", "_blocks")
 
     def __init__(
         self,
@@ -118,6 +118,7 @@ class Graph:
         self._dist: Optional[np.ndarray] = None
         self._automorphisms: Optional[np.ndarray] = None
         self._aut_search: Optional[np.ndarray] = None
+        self._blocks: Optional[tuple[tuple[int, ...], ...]] = None
         if not _allow_disconnected and not self.is_connected():
             raise ValidationError("disconnected graph")
 
@@ -171,6 +172,50 @@ class Graph:
             self._dist = _seidel_apsp(closed)
             self._dist.setflags(write=False)
         return self._dist
+
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The biconnected blocks, each a sorted vertex tuple, in sorted order
+        (cached): the maximal subgraphs without a cut vertex of their own, a
+        bridge's two ends included.  An isolated vertex is in none.
+
+        Found by Hopcroft and Tarjan's lowpoint DFS, run with an explicit
+        stack so that no path's depth meets the recursion limit: when the
+        DFS leaves a child u of p with low(u) >= disc(p), p and the vertices
+        from u up on the vertex stack form one block.
+        """
+        if self._blocks is None:
+            n, nbrs = self.vertex_count, self._neighbors
+            disc, low = [-1] * n, [0] * n
+            found, clock = [], 0
+            for root in range(n):
+                if disc[root] >= 0:
+                    continue
+                disc[root] = low[root] = clock
+                clock += 1
+                stack = [root]  # vertices in DFS order whose block is still open
+                todo = [(root, -1, iter(nbrs[root]))]  # (vertex, parent, untried neighbors)
+                while todo:
+                    u, parent, rest = todo[-1]
+                    for w in rest:
+                        if disc[w] < 0:
+                            disc[w] = low[w] = clock
+                            clock += 1
+                            stack.append(w)
+                            todo.append((w, u, iter(nbrs[w])))
+                            break
+                        if w != parent:  # a back edge: a simple graph has one edge to the parent
+                            low[u] = min(low[u], disc[w])
+                    else:
+                        todo.pop()
+                        if parent >= 0:
+                            low[parent] = min(low[parent], low[u])
+                            if low[u] >= disc[parent]:  # parent cuts off u's subtree: a block
+                                block = [parent]
+                                while block[-1] != u:
+                                    block.append(stack.pop())
+                                found.append(tuple(sorted(block)))
+            self._blocks = tuple(sorted(found))
+        return self._blocks
 
     def automorphism_generators(self) -> np.ndarray:
         """Automorphisms generating Aut(G) or a subgroup of it, one vertex

@@ -162,6 +162,35 @@ def j_automorphisms(s: SubdividedGraph) -> Optional[np.ndarray]:
     return np.concatenate([perms, n + at], axis=1).astype(np.int32)
 
 
+def j_block_pairs(s: SubdividedGraph, blocks) -> Optional[np.ndarray]:
+    """Whether J-points i and j lie in one block of at least three vertices,
+    as a (|J|, |J|) bool matrix, for the base graph's `blocks`
+    (`Graph.blocks`); None when there is at most one block, as on every
+    graph without a cut vertex.
+
+    A vertex lies in every block that contains it, and an edge's midpoint
+    in the one block that holds both its ends (a block is an induced
+    subgraph).  Two blocks share at most one vertex, so two distinct
+    J-points share at most one block, and a third J-point shares a block
+    with each of them exactly when it lies in theirs: otherwise the three
+    blocks would close a cycle in the tree of blocks and cut vertices.
+    """
+    if len(blocks) <= 1:
+        return None
+    n = s.base.vertex_count
+    ends = np.asarray(s.base.edges, dtype=np.intp).reshape(-1, 2)
+    out = np.zeros((len(s.j_set), len(s.j_set)), dtype=bool)
+    inside = np.zeros(n, dtype=bool)
+    for block in blocks:
+        if len(block) < 3:
+            continue
+        inside[:] = False
+        inside[list(block)] = True
+        pts = np.concatenate([block, n + np.flatnonzero(inside[ends[:, 0]] & inside[ends[:, 1]])])
+        out[np.ix_(pts, pts)] = True
+    return out
+
+
 def edge_ids(g: Graph, a, b) -> np.ndarray:
     """Index in `g.edges` (not empty) of each pair (a, b), or -1 for a non-edge."""
     n = g.vertex_count
@@ -198,8 +227,9 @@ def all_pairs_distances(s: SubdividedGraph) -> np.ndarray:
     UNREACHABLE.
 
     The entries are stored in `table_dtype` of the largest of them
-    (`_hop_dtype`), so a sum of entries can wrap: code that adds to them
-    widens first (`geodesics.interval`).
+    (`_hop_dtype`), so a sum of entries can wrap; a wrapped sum is below
+    -1 and never equals an entry, so a test for equality stays exact
+    (`geodesics.interval`).
     """
     g, k = s.base, s.k
     n, m = g.vertex_count, g.m

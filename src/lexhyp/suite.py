@@ -531,6 +531,27 @@ def _check_bigon(corpus: Corpus, ctx: SuiteContext):
     return instances, failures
 
 
+@_register("block_decomposition")
+def _check_blocks(corpus: Corpus, ctx: SuiteContext):
+    """delta of a graph with a cut vertex is the largest delta of its blocks
+    (Rodriguez and Touris, "Gromov hyperbolicity through decomposition of
+    metric spaces", 2004), and 0 when no block has three vertices, as in a
+    tree.  The engine sweeps such a graph only inside its blocks; each block
+    here is an induced subgraph without a cut vertex, swept whole."""
+    instances, failures = 0, []
+    for g in corpus.graphs:
+        blocks = g.blocks()
+        if len(blocks) <= 1:
+            continue
+        want = max((ctx.delta(induced_subgraph(g, b)) for b in blocks if len(b) >= 3),
+                   default=QDist(0))
+        instances += 1
+        if ctx.delta(g) != want:
+            _fail(failures, {"graph": repr(g), "blocks": [list(b) for b in blocks]},
+                  f"largest block delta {want}", ctx.delta(g))
+    return instances, failures
+
+
 @_register("isometric_monotonicity")
 def _check_monotonicity(corpus: Corpus, ctx: SuiteContext):
     instances, failures = 0, []

@@ -36,7 +36,7 @@ def test_delta_stats_on_stderr(capsys):
     assert set(lines) == {"triples_examined", "geodesics_enumerated", "wall_time_s", "tables_built",
                           "table_bytes", "table_s", "sides_visited", "mask_s", "sides_exact",
                           "orbit_s", "masks_recomputed", "apsp_s", "hops_s", "chains_s",
-                          "value_s", "witness_s", "geodesic_s"}
+                          "value_s", "witness_s", "geodesic_s", "blocks"}
     assert int(lines["triples_examined"]) == json.loads(out)["stats"]["triples_examined"]
     # the phase times are parts of the engine's wall time
     phases = [float(lines[k]) for k in ("apsp_s", "hops_s", "chains_s", "value_s", "witness_s")]

@@ -259,7 +259,8 @@ def test_copy_lemma_checks_build_no_grid(monkeypatch):
     assert report.all_pass and all(r.instances > 0 for r in report.results.values())
     assert grids == Counter()
     assert run_suite(corpus).all_pass
-    assert grids == Counter({4: 91, 8: 73})
+    # 91 sweeps, and 3 blocks of singles that block_decomposition sweeps whole
+    assert grids == Counter({4: 94, 8: 73})
 
 
 def test_suite_context_without_singles_keeps_no_engine():
@@ -267,3 +268,21 @@ def test_suite_context_without_singles_keeps_no_engine():
     ctx = SuiteContext(product_cap=24)
     assert ctx.delta(cycle_graph(5)) == ctx.delta(cycle_graph(5))
     assert ctx._engines == {} and ctx._results == {}
+
+
+def test_block_decomposition_fails_when_the_engine_drops_a_block(monkeypatch):
+    # C5 and a triangle share vertex 0, with a pendant edge: delta is 5/4,
+    # from the C5 block.  An engine whose block matrix loses the largest
+    # block sweeps only the triangle and finds 3/4, which the check's
+    # block-by-block sweep rejects
+    import lexhyp.delta
+    from test_blocks import C5_K3_PENDANT
+    corpus = Corpus(spec=CorpusSpec(), graphs=(C5_K3_PENDANT,), pairs=())
+    check = CHECKS["block_decomposition"]
+    assert check(corpus, SuiteContext(product_cap=24)) == (1, [])
+    real = lexhyp.delta.j_block_pairs
+    monkeypatch.setattr(lexhyp.delta, "j_block_pairs",
+                        lambda s, blocks: real(s, [b for b in blocks if b != max(blocks, key=len)]))
+    instances, failures = check(corpus, SuiteContext(product_cap=24))
+    assert instances == 1 and len(failures) == 1
+    assert (failures[0]["expected"], failures[0]["actual"]) == ("largest block delta 5/4", "3/4")

@@ -100,28 +100,45 @@ def test_cycle_only_modes_agree():
             DeltaEngine(g).delta(cycle_only=False).value
 
 
-# The unrestricted witness of this graph is not a cycle triangle, so the two
-# modes return different witnesses: their `to_json_dict`, pinned.
-NON_CYCLE_WITNESS_EDGES = [(0, 1), (1, 2), (1, 4), (2, 3), (2, 4)]
+# The unrestricted witness of this 2-connected graph is not a cycle triangle,
+# so the two modes return different witnesses: their `to_json_dict`, pinned.
+NON_CYCLE_WITNESS_EDGES = [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 PINNED_CYCLE_WITNESS = {
-    "grid_factor": 4, "quarters": 3, "value": "3/4",
-    "stats": {"geodesics_enumerated": 30, "triples_examined": 109},
-    "witness": {"corners": [1, 2, 12], "is_cycle": True,
-                "sides": [[1, 8, 9, 10, 2], [2, 17, 18, 19, 4, 13, 12], [12, 11, 1]],
-                "witness_point": 19, "witness_side": 1}}
+    "grid_factor": 4, "quarters": 4, "value": "1",
+    "stats": {"geodesics_enumerated": 8, "triples_examined": 12},
+    "witness": {"corners": [0, 1, 3], "is_cycle": True,
+                "sides": [[0, 8, 9, 10, 4, 16, 15, 14, 1], [1, 11, 12, 13, 3], [3, 7, 6, 5, 0]],
+                "witness_point": 4, "witness_side": 0}}
 PINNED_FREE_WITNESS = {
-    "grid_factor": 4, "quarters": 3, "value": "3/4",
-    "stats": {"geodesics_enumerated": 5, "triples_examined": 97},
-    "witness": {"corners": [0, 1, 18], "is_cycle": False,
-                "sides": [[0, 5, 6, 7, 1], [1, 8, 9, 10, 2, 17, 18],
-                          [18, 19, 4, 13, 12, 11, 1, 7, 6, 5, 0]],
-                "witness_point": 10, "witness_side": 1}}
+    "grid_factor": 4, "quarters": 4, "value": "1",
+    "stats": {"geodesics_enumerated": 6, "triples_examined": 11},
+    "witness": {"corners": [0, 1, 2], "is_cycle": False,
+                "sides": [[0, 5, 6, 7, 3, 13, 12, 11, 1], [1, 11, 12, 13, 3, 19, 18, 17, 2],
+                          [2, 20, 21, 22, 4, 10, 9, 8, 0]],
+                "witness_point": 4, "witness_side": 2}}
 
 
 def test_witness_non_cycle_branch_pinned():
     g = Graph(5, NON_CYCLE_WITNESS_EDGES)
     assert DeltaEngine(g).delta(cycle_only=True).to_json_dict() == PINNED_CYCLE_WITNESS
     assert DeltaEngine(g).delta(cycle_only=False).to_json_dict() == PINNED_FREE_WITNESS
+
+
+# A triangle on 1, 2, 4 with pendant edges at 1 and 2: the sweeps read only
+# triples inside the triangle, so both modes return the same cycle witness.
+CUT_VERTEX_EDGES = [(0, 1), (1, 2), (1, 4), (2, 3), (2, 4)]
+PINNED_CUT_VERTEX_WITNESS = {
+    "grid_factor": 4, "quarters": 3, "value": "3/4",
+    "stats": {"geodesics_enumerated": 4, "triples_examined": 5},
+    "witness": {"corners": [1, 2, 12], "is_cycle": True,
+                "sides": [[1, 8, 9, 10, 2], [2, 17, 18, 19, 4, 13, 12], [12, 11, 1]],
+                "witness_point": 19, "witness_side": 1}}
+
+
+def test_witness_with_cut_vertices_pinned():
+    g = Graph(5, CUT_VERTEX_EDGES)
+    for cycle_only in (True, False):
+        assert DeltaEngine(g).delta(cycle_only).to_json_dict() == PINNED_CUT_VERTEX_WITNESS
 
 
 def test_table_counters():
@@ -603,18 +620,41 @@ def test_corner_masks_match_brute_ceiling(g):
         assert np.array_equal(sweep.corner_masks(ii, jj, t), ceil > t), t
 
 
+def _shared_blocks(s):
+    """For each J-point of `s`, the set of blocks of at least three vertices
+    (networkx's biconnected components) that hold it; None when the base
+    graph has at most one block."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(s.base.edges)
+    h.add_nodes_from(range(s.base.vertex_count))
+    blocks = list(nx.biconnected_components(h))
+    if len(blocks) <= 1:
+        return None
+    blocks = [b for b in blocks if len(b) >= 3]
+    ends = [(v, v) for v in range(s.base.vertex_count)] + list(s.base.edges)
+    return [{i for i, b in enumerate(blocks) if u in b and v in b} for u, v in ends]
+
+
 def _per_side_sweep(s):
     """The value sweep one side at a time, longest first, with the brute-force
-    ceiling at the running value: (value, triples examined, sides visited)."""
+    ceiling at the running value: (value, triples examined, sides visited).
+    On a graph with a cut vertex, a side's ends and its third corners share
+    a block of at least three vertices."""
     sweep = DeltaEngine(s.base)
     hops, j = s.hops(), s.j_set
-    pairs = sorted(itertools.combinations(range(len(j)), 2), key=lambda p: -hops[j[p[0]], j[p[1]]])
+    held = _shared_blocks(s)
+
+    def share(*pts):
+        return held is None or bool(set.intersection(*(held[p] for p in pts)))
+
+    pairs = sorted((p for p in itertools.combinations(range(len(j)), 2) if share(*p)),
+                   key=lambda p: -hops[j[p[0]], j[p[1]]])
     cur = examined = visited = 0
     for ii, jj in pairs:
         if hops[j[ii], j[jj]] // 2 <= cur:
             break
-        cs = [kk for kk in range(len(j))
-              if kk not in (ii, jj) and _brute_ceiling(hops, j[ii], j[jj], j[kk]) > cur]
+        cs = [kk for kk in range(len(j)) if kk not in (ii, jj) and share(ii, jj, kk)
+              and _brute_ceiling(hops, j[ii], j[jj], j[kk]) > cur]
         if cs:
             visited += 1
             examined += len(cs)
@@ -740,7 +780,7 @@ def test_longest_first_lists_each_length_row_major():
     lengths = np.unique(engine.jD[iu])[::-1].tolist()
     seen, listed = [], []
     real = engine.pairs_at
-    engine.pairs_at = lambda d: listed.append(d) or real(d)
+    engine.pairs_at = lambda d, *metric: listed.append(d) or real(d, *metric)
 
     def side(ii, jj, cur):
         seen.extend(zip(ii.tolist(), jj.tolist()))

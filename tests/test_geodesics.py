@@ -253,3 +253,28 @@ def test_walk_cap_raises_before_any_path(k, monkeypatch):
             enumerate_geodesics(s, a, b, cap=count - 1)
         assert (err.value.pair, err.value.cap) == ((a, b), count - 1)
 
+
+
+@pytest.mark.parametrize("n, k", [(127, 2), (63, 4)])
+def test_wrapped_sums_at_the_int8_boundary(n, k):
+    # C_n on S_k is 127 or 126 hops across, one byte per entry: sums of two
+    # hop rows, and a layer's hop count plus k, wrap in int8, and a wrapped
+    # sum never matches an entry, so both kernels agree with references
+    # that add in Python ints
+    s = subdivide(cycle_graph(n), k)
+    hops = s.hops()
+    wide = hops.astype(np.int64)
+    assert hops.dtype == np.int8 and wide.max() >= 126
+    assert (wide[0] + wide[1] > 127).any()  # near points: their row sums wrap at the far side
+    for a in range(s.grid_n):
+        on = wide[a][None, :] + wide == wide[a][:, None]  # [b, p]: p on an a-b geodesic
+        for b in range(s.grid_n):
+            assert np.array_equal(interval(hops, a, b), np.flatnonzero(on[b])), (a, b)
+    nbrs = [s.neighbors(v) for v in range(s.grid_n)]
+    j = list(s.j_set)
+    wraps = 0
+    for a in j:
+        wraps += int((wide[a, :n] + k > 127).any())  # some forward-edge test wraps
+        want = farthest_geodesic_table(nbrs, hops, a)[:, j]
+        assert np.array_equal(j_source_table(s, a), want), a
+    assert wraps > 0

@@ -73,6 +73,23 @@ def _rotated_p2_c5() -> Graph:
     return p
 
 
+def _two_products_at_a_cut_vertex() -> Graph:
+    """Two copies of lex(P3, C4) sharing their vertex 0, a cut vertex.  It
+    carries the swap of the copies and the first copy's generators that fix
+    0: the sweeps read only in-block triples, and the generators map blocks
+    to blocks."""
+    p = product(path_graph(3), cycle_graph(4)).graph
+    n = p.vertex_count
+    second = np.concatenate([[0], np.arange(n, 2 * n - 1)])  # copy two's id of each vertex of p
+    g = Graph(2 * n - 1, list(p.edges) + [(int(second[u]), int(second[v])) for u, v in p.edges])
+    swap = np.arange(2 * n - 1)
+    swap[1:n], swap[second[1:]] = second[1:], np.arange(1, n)
+    fixing = [np.concatenate([perm, np.arange(n, 2 * n - 1)])
+              for perm in p.automorphism_generators() if perm[0] == 0]
+    g._automorphisms = np.array([swap, *fixing], dtype=np.int32)
+    return g
+
+
 _FOLD_CASES = {
     "lex-P3-C4": product(path_graph(3), cycle_graph(4)).graph,
     "lex-P2-K3": product(path_graph(2), complete_graph(3)).graph,
@@ -81,6 +98,7 @@ _FOLD_CASES = {
     "cart-P3-C4": product(path_graph(3), cycle_graph(4), CARTESIAN).graph,
     "strong-C4-P2": product(cycle_graph(4), path_graph(2), STRONG).graph,
     "lex-P2-C5-rotations": _rotated_p2_c5(),
+    "two-lex-P3-C4-cut-vertex": _two_products_at_a_cut_vertex(),
 }
 
 

@@ -8,15 +8,17 @@ Run from the root of a checkout, with `src` on the path:
 `delta_exact` runs each graph in a fresh process (`--delta-one NAME`), so
 that `ru_maxrss_mb`, the process's peak resident memory, belongs to that
 graph alone: best of 3 calls, `best_s`, with `tables_built`, `table_bytes`,
-`sides_exact` (side vectors computed from tables), `witness_s` and
-`geodesic_s` (the witness search and its geodesic enumeration, from the
-best call), `hop_dtype` (the grid hop matrix's dtype) and the value.  Each
+`sides_exact` (side vectors computed from tables), `value_s`, `witness_s`
+and `geodesic_s` (the value sweep, the witness search and its geodesic
+enumeration, from the best call), `hop_dtype` (the grid hop matrix's
+dtype) and the value.  Each
 call's result is dropped before the next call starts, so the peak is that
 of one call, not of one call plus the grid and hop matrix of the last.  The
-graphs are four products and `cycle:1000`, a sparse grid of 4000 points
-where the grid hop matrix outweighs the tables.  The factors' automorphism
-search runs in the first call and is cached on the factors, so the best of
-3 leaves it out.
+graphs are four products, `cycle:1000`, a sparse grid of 4000 points
+where the grid hop matrix outweighs the tables, and `random(450,7)`,
+`random_connected(450, Random(7))`, whose cut vertices hang long pendant
+trees off its blocks.  The factors' automorphism search runs in the first
+call and is cached on the factors, so the best of 3 leaves it out.
 
 The suite record runs `lexhyp verify --seed 0` (`run_suite` on the default
 corpus of seed 0, every check) three times in a fresh process
@@ -49,6 +51,7 @@ import json
 import math
 import os
 import platform
+import random
 import resource
 import subprocess
 import sys
@@ -56,7 +59,7 @@ import time
 
 import numpy as np
 
-from lexhyp import cycle_graph, delta_exact, path_graph, product
+from lexhyp import cycle_graph, delta_exact, path_graph, product, random_connected
 
 GRAPHS = {
     "lex(P6,C5)": lambda: product(path_graph(6), cycle_graph(5)).graph,
@@ -64,6 +67,7 @@ GRAPHS = {
     "lex(P12,C8)": lambda: product(path_graph(12), cycle_graph(8)).graph,
     "lex(P16,C8)": lambda: product(path_graph(16), cycle_graph(8)).graph,
     "cycle:1000": lambda: cycle_graph(1000),
+    "random(450,7)": lambda: random_connected(450, random.Random(7)),
 }
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 ROUNDS = 5  # alternating process pairs per record
@@ -81,7 +85,8 @@ def delta_one(name: str, reps: int = 3) -> dict:
     secs, st, quarters = min(runs, key=lambda run: run[0])
     return {"best_s": round(secs, 3), "tables_built": st.tables_built,
             "table_bytes": st.table_bytes, "sides_exact": st.sides_exact,
-            "triples_examined": st.triples_examined, "witness_s": round(st.witness_s, 4),
+            "triples_examined": st.triples_examined, "value_s": round(st.value_s, 4),
+            "witness_s": round(st.witness_s, 4),
             "geodesic_s": round(st.geodesic_s, 4), "hop_dtype": hop_dtype, "quarters": quarters,
             "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
