@@ -42,14 +42,13 @@ time and lists none below the length where it stops.  Third corners are
 pruned by the corner ceiling, max over grid points p of min(d(a, p),
 d(b, p), d(c, p)), which bounds every role value of the triple {a, b, c}.
 The sweep reads it only thresholded: the ceiling exceeds t exactly when
-some p has min(d(a, p), d(b, p)) > t and d(c, p) > t.  For a chunk of at
-most 256 pairs of one length that is one matrix product of 0/1 float32
-matrices, (min(rows of a, b) > t) @ (J rows > t).T > 0
-(`DeltaEngine.corner_masks`), exact at any size because a sum of
-nonnegative terms is 0 only when every term is.  When t rises inside a
-chunk, the rest of the chunk is masked again at the new t, so a side is
-charged exactly the third corners whose ceiling exceeds the running value
-at that side.  A side with any left is closed by two contiguous row
+some p has min(d(a, p), d(b, p)) > t and d(c, p) > t.  For at most 256
+pairs of one length that is one matrix product of 0/1 float32 matrices,
+(min(rows of a, b) > t) @ (J rows > t).T > 0 (`DeltaEngine.corner_masks`),
+exact at any size because a sum of nonnegative terms is 0 only when every
+term is.  When t rises at a side, the length's later sides are masked
+again at the new t, so a side is charged exactly the third corners whose
+ceiling exceeds the running value at that side.  A side with any left is closed by two contiguous row
 gathers, W_a[I(a, b)] and W_b[I(a, b)]: their elementwise min, maxed over
 the interval, is the role value for every third corner at once
 (`DeltaEngine.side_values`) — no geodesic enumeration at all.  Side values
@@ -57,7 +56,7 @@ are kept per J-pair read, so the witness search reuses those the value
 sweep computed.
 
 A graph that carries automorphisms (a product, see `products`) folds each
-chunk over its J-pair orbit roots.  Masks and side values are metric, so an
+length over its J-pair orbit roots.  Masks and side values are metric, so an
 automorphism g maps them along, mask(g a, g b, t)[g c] = mask(a, b, t)[c]:
 every side of an orbit keeps as many third corners as the orbit's root,
 with the same best role value.  The generators are lifted to J(G), vertex v
@@ -65,32 +64,32 @@ to g(v) and the midpoint of edge e to the midpoint of g(e), and checked
 against the edge set before use (`j_automorphisms`).  Each J-pair's root,
 the first pair of its orbit, is found one length at a time by min-label
 propagation (`DeltaEngine.roots`), after the length's first pair, which is
-its own root, has been folded.  A chunk masks and reads only its distinct
-roots and charges every side its root's count (`DeltaEngine._close_sides`),
+its own root, has been folded.  The sweep masks and reads only a length's
+distinct roots and charges every side its root's count (`_close_sides`),
 so the counters, the value and the witness are those of a graph without
 generators, where every pair is its own root.  On lex(P6, C5) the 17,020
 J-pairs fall into 135 orbits, and the sweep builds 14 tables, not 160.
 
-A graph with a cut vertex is swept block by block, in the same engine.
-Its delta is the largest delta of its biconnected blocks (Rodriguez and
-Touris, "Gromov hyperbolicity through decomposition of metric spaces",
-2004; Bermudo, Rodriguez, Sigarreta and Vilaire, "Gromov hyperbolic
-graphs", 2013), and the engine reads each block off its own grid: a block
-is convex, since a path that leaves it through a cut vertex comes back
-through the same vertex, so the geodesics, intervals, side values and
-thinness between its points are the same in G as in the block alone.  So
-the value sweep lists only the J-pairs that share a block of at least three
-vertices (`in_block`, from `Graph.blocks`) and keeps only the third corners
-in that block; a bridge's block has delta 0, and a tree sweeps nothing.  At
-a positive value the witness search walks only the triples whose three
-corners share a block, in the same lexicographic order.  The tables, the
-masks, the orbit roots (automorphisms map blocks to blocks), the bigon
-bound and the short-triangle predicate are unchanged, and a graph without a
-cut vertex, `in_block` None, runs the whole-graph sweep.  On a graph with a
-cut vertex the value is the whole-graph sweep's, but `triples_examined`
-counts in-block triples only, and the witness is the first attaining
-in-block triangle: the whole-graph sweep's where its first attaining triple
-lies in one block, a later one where that triple crosses blocks.
+A graph with a cut vertex is swept block by block, on the engine's one J
+metric.  Its delta is the largest delta of its biconnected blocks
+(Rodriguez and Touris, "Gromov hyperbolicity through decomposition of
+metric spaces", 2004; Bermudo, Rodriguez, Sigarreta and Vilaire, "Gromov
+hyperbolic graphs", 2013), and a block is convex: a path that leaves it
+through a cut vertex comes back through the same vertex, so geodesics,
+intervals, side values and thinness between its points are those of the
+block alone.  So `DeltaEngine.jD` holds the hop count between two J-points
+that share a block of at least three vertices and -1 otherwise, as between
+components (`subdivision.restrict_to_blocks`), and every sweep reads only
+pairs and third corners at entries of at least 0: a tree sweeps nothing,
+and a graph without a cut vertex keeps every entry.  `triples_examined`
+counts in-block triples, and the witness is the first attaining in-block
+triangle: a later one than the whole graph's first where that one crosses
+blocks.
+The bigon bound stays exact: two a-b geodesics cross the same cut vertices
+in the same order, and a point of one between consecutive cut vertices x
+and y is no nearer the other outside that block than x or y, which lie on
+both.  So does the short-triangle predicate: its tight configuration
+contains a cycle triangle (a, b, w), and a cycle lies in one block.
 
 The grid hop matrix, its J rows and chain minima and the tables share one
 dtype, `table_dtype` of the grid's largest hop count: one byte per entry
@@ -131,7 +130,7 @@ from .errors import GeodesicCapError, ValidationError
 from .geodesics import enumerate_geodesics, interval, j_source_table
 from .graph import Graph
 from .qdist import QDist
-from .subdivision import SubdividedGraph, j_automorphisms, j_block_pairs, subdivide
+from .subdivision import SubdividedGraph, j_automorphisms, restrict_to_blocks, subdivide
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,8 @@ class DeltaStats:
     three vertices the value sweep ran over: 0 for a tree, 1 for a graph of
     three or more vertices without a cut vertex.  On a graph with a cut
     vertex the sweeps read in-block triples only, so every counter counts
-    those.
+    those; a bigon sweep there also builds fewer tables than one over the
+    whole graph, as it skips the pairs across blocks.
     """
 
     triples_examined: int = 0
@@ -266,7 +266,7 @@ def _side_distances(D: np.ndarray, sides) -> list[np.ndarray]:
             .min(axis=1) for i in range(3)]
 
 
-MASK_CHUNK = 256  # J-pairs per value-sweep chunk; its distinct orbit roots share one mask product
+MASK_CHUNK = 256  # orbit roots per corner-mask product of the value sweep
 
 
 class DeltaEngine:
@@ -286,15 +286,15 @@ class DeltaEngine:
         t3 = time.perf_counter()
         self.jrows = s.chains().jrows  # hop rows of the J-points, for corner_masks
         t4 = time.perf_counter()
-        self.j = np.asarray(s.j_set, dtype=np.int64)
-        self.J = list(s.j_set)  # the same grid ids, for scalar reads
-        self.nj = len(self.j)
-        self.jD = self.D[np.ix_(self.j, self.j)].astype(np.int32)  # = j_hops(g, k), int32 too
+        self.J = J = list(s.j_set)  # grid ids of the J-points
+        self.nj = len(J)
+        # j_hops(g, k) in int32, but -1 between J-points sharing no block of >= 3 vertices
+        self.jD = self.D[np.ix_(J, J)].astype(np.int32)
+        restrict_to_blocks(s, g.blocks(), self.jD)
         self.gens = j_automorphisms(s)  # checked generators on J indices (int32), or None
-        self.in_block = j_block_pairs(s, g.blocks())  # pairs in one block of >= 3 vertices, or None
         if self.gens is not None:
             self._root = np.full((self.nj, self.nj), -1, dtype=np.int32)  # see roots()
-        self._known: tuple = (None, None, {})  # (length, cur, {root: (count, best)}): _close_sides
+        self._length: Optional[int] = None  # the length _close_sides last folded
         self._tables: dict[int, np.ndarray] = {}
         self._geos: dict[tuple[int, int], tuple] = {}
         self._sides: dict[tuple[int, int], np.ndarray] = {}
@@ -360,42 +360,36 @@ class DeltaEngine:
             self.stats.geodesic_s += time.perf_counter() - t0
         return got
 
-    def longest_first(self, side, jD: Optional[np.ndarray] = None) -> int:
+    def longest_first(self, side) -> int:
         """Fold the J-pairs, longest first, into a running value `cur` from 0
         until no pair left can raise it: every quantity swept here (a role
         value or a bigon thinness) is at most half its side's length.
 
-        `side(ii, jj, cur)` gets index arrays of at most MASK_CHUNK pairs of
-        one length, folds them in order, and returns (cur, pairs folded),
-        returning as soon as a pair raises `cur`; the rest of the chunk comes
-        back in the next call, after the stop test.  A length's pairs are
-        listed when the sweep reaches it (`pairs_at`), and logged at DEBUG.
-        The lengths are read off a count of the J metric's entries, -1 for
-        points in different components included.  `jD` replaces the J
-        metric for the sweep: the value sweep's holds -1 outside the blocks.
+        `side(ii, jj, cur)` gets index arrays of the pairs of one length not
+        yet folded, folds them in order, and returns (cur, pairs folded),
+        returning as soon as a pair raises `cur`; the rest come back in the
+        next call, after the stop test.  A length's pairs are listed when the
+        sweep reaches it (`pairs_at`), and logged at DEBUG.  The lengths are
+        read off a count of the J metric's entries, so the sweep meets only
+        J-pairs that share a block, and -1, the entry of every other pair,
+        ends it.
         """
-        jD = self.jD if jD is None else jD
         cur = 0
-        for d in (np.flatnonzero(np.bincount(jD.ravel() + 1))[::-1] - 1).tolist():
+        for d in (np.flatnonzero(np.bincount(self.jD.ravel() + 1))[::-1] - 1).tolist():
             if d // 2 <= cur:
                 return cur
-            level_i, level_j = self.pairs_at(d, jD)
+            ii, jj = self.pairs_at(d)
             log = _debug_logger()
             if log is not None:
-                log.debug("sweep length %d: value %d, %d pairs", d, cur, level_i.size)
-            for lo in range(0, level_i.size, MASK_CHUNK):
-                ii, jj = level_i[lo:lo + MASK_CHUNK], level_j[lo:lo + MASK_CHUNK]
-                while ii.size:
-                    if d // 2 <= cur:
-                        return cur
-                    cur, done = side(ii, jj, cur)
-                    ii, jj = ii[done:], jj[done:]
+                log.debug("sweep length %d: value %d, %d pairs", d, cur, ii.size)
+            while ii.size and d // 2 > cur:
+                cur, done = side(ii, jj, cur)
+                ii, jj = ii[done:], jj[done:]
         return cur
 
-    def pairs_at(self, d: int, jD: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-        """The J-pairs (i, j), i < j, at `d` hops, row-major: index arrays.
-        `jD` replaces the J metric, as in `longest_first`."""
-        i, j = np.divmod(np.flatnonzero((self.jD if jD is None else jD) == d), self.nj)
+    def pairs_at(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The J-pairs (i, j), i < j, at `d` hops, row-major: index arrays."""
+        i, j = np.divmod(np.flatnonzero(self.jD == d), self.nj)
         upper = i < j
         return i[upper], j[upper]
 
@@ -451,10 +445,14 @@ class DeltaEngine:
 
     def triple_can_reach(self, i: int, j: int, l: int, target: int) -> bool:
         """Whether some geodesic combination of the triple of J indices
-        i < j < l attains `target`.  A side is skipped unread when it is
-        shorter than 2 * target (its role values are at most half its
-        length) or when its orbit root was read and reaches no `target`
-        (automorphisms permute the third corners)."""
+        i < j < l attains `target`, where i and j share a block.  A triple
+        whose corners share no block is rejected unread (the J metric holds
+        -1 across blocks).  A side is skipped unread when it is shorter than
+        2 * target (its role values are at most half its length) or when its
+        orbit root was read and reaches no `target` (automorphisms permute
+        the third corners)."""
+        if self.jD[i, l] < 0 or self.jD[j, l] < 0:
+            return False
         for p, q, r in ((i, j, l), (i, l, j), (j, l, i)):
             if self.jD[p, q] < 2 * target:
                 continue
@@ -485,118 +483,111 @@ class DeltaEngine:
         length (a side of length d contributes at most d/2), third corners are
         filtered by the corner masks at the running value, and survivors get
         their exact role value from the bottleneck tables in one batched
-        min/max.  On a graph with a cut vertex only the J-pairs that share a
-        block of at least three vertices are sides, and only the third
-        corners in that block are kept (`in_block`): a tree sweeps nothing.
+        min/max.  Only the J-pairs that share a block of at least three
+        vertices are sides, and only the third corners in that block are
+        kept (the J metric holds -1 elsewhere): a tree sweeps nothing.
         """
         self.stats.blocks = sum(len(b) >= 3 for b in self.s.base.blocks())
         log = _debug_logger()
         if log is not None:
-            log.debug("value sweep over %d blocks of 3 or more vertices%s", self.stats.blocks,
-                      "" if self.in_block is None else ", in-block triples only")
-        if self.nj < 3:
-            return 0
-        jD = None if self.in_block is None else np.where(self.in_block, self.jD, -1)
-        return self.longest_first(self._close_sides, jD)
+            log.debug("value sweep over %d blocks of 3 or more vertices", self.stats.blocks)
+        return self.longest_first(self._close_sides)
 
     def _close_sides(self, ii: np.ndarray, jj: np.ndarray, cur: int) -> tuple[int, int]:
-        """Fold the roles distinguished at sides (ii[r], jj[r]), in order, into
-        the running max; stop after the first side that raises it.
+        """Fold the roles distinguished at sides (ii[r], jj[r]), all of one
+        length, in order, into the running max; stop after the first side
+        that raises it.
 
         Masks and side values are orbit-invariant, so each side is charged
         its root's count of kept third corners and has its root's best role
-        value.  The chunk's distinct roots are masked once per length and
-        `cur`, and read in the order they first appear, up to the first
-        whose best exceeds `cur`.  A length's first pair is its own root, so
-        on a graph with generators it is folded alone, before the length's
-        roots are found: a sweep that stops after it never searches them.
+        value.  The distinct roots are masked MASK_CHUNK at a time and read
+        in the order they first appear, up to the first whose best exceeds
+        `cur`.  A length's first pair is its own root, so on a graph with
+        generators it is folded alone, before the length's roots are found:
+        a sweep that stops after it never searches them.
         """
         d = int(self.jD[ii[0], jj[0]])
-        if d != self._known[0] and self.gens is not None:  # a length is entered at its first pair
+        if d != self._length and self.gens is not None:  # a length is entered at its first pair
             ii, jj = ii[:1], jj[:1]
             codes = (ii * self.nj + jj).tolist()
         else:
             codes = self.roots(ii, jj).tolist()
-        if self._known[:2] != (d, cur):
-            self._known = (d, cur, {})
-        known = self._known[2]
-        order = list(dict.fromkeys(codes))  # distinct roots, in the order they first appear
-        fresh = [r for r in order if r not in known]
-        if fresh:
-            fi, fj = np.divmod(fresh, self.nj)
+        self._length = d
+        order = list(dict.fromkeys(codes))  # the distinct roots, in the order they first appear
+        counts: dict[int, int] = {}
+        value, done = cur, len(codes)
+        for lo in range(0, len(order), MASK_CHUNK):
+            chunk = order[lo:lo + MASK_CHUNK]
+            fi, fj = np.divmod(chunk, self.nj)
             masks = self.corner_masks(fi, fj, cur)
-            rows = np.arange(len(fresh))
+            rows = np.arange(len(chunk))
             masks[rows, fi] = masks[rows, fj] = False  # corners must be distinct
-            if self.in_block is not None:  # and in the pair's block
-                masks &= self.in_block[fi] & self.in_block[fj]
-            counts = masks.sum(axis=1).tolist()
-        value, done, k = cur, len(codes), 0
-        for r in order:
-            got = known.get(r)
-            if got is None:  # the k-th fresh root
-                best = -1
-                if counts[k]:  # read lazily: never ahead of the first raising root
-                    vals = self.side_values(int(self.j[fi[k]]), int(self.j[fj[k]]))
-                    best = int(vals[masks[k]].max())
-                got = known[r] = (counts[k], best)
-                k += 1
-            if got[1] > cur:
-                value, done = got[1], codes.index(r) + 1
+            masks &= np.minimum(self.jD[fi], self.jD[fj]) >= 0  # and in the pair's block
+            counts.update(zip(chunk, masks.sum(axis=1).tolist()))
+            for k, r in enumerate(chunk):
+                if counts[r]:  # read lazily: never past the first raising root
+                    best = int(self.side_values(self.J[fi[k]], self.J[fj[k]])[masks[k]].max())
+                    if best > cur:
+                        value, done = best, codes.index(r) + 1
+                        break
+            if value > cur:
                 break
-        charged = [known[r][0] for r in codes[:done]]
+        charged = [counts[r] for r in codes[:done]]
         self.stats.sides_visited += done - charged.count(0)
         self.stats.triples_examined += sum(charged)
         return value, done
 
     # -- witness sweep ---------------------------------------------------------
 
+    def _candidate_triples(self, target: int):
+        """The triples of J indices i < j < l, in lexicographic order, whose
+        longest side is at least 2 * target and that `triple_can_reach` it.
+        A target of 0 is a tree's, which every triangle attains: the first
+        triple, (0, 1, 2), is the only one."""
+        if target == 0:
+            yield 0, 1, 2
+            return
+        jD = self.jD
+        for i in range(self.nj):
+            for j in (i + 1 + np.flatnonzero(jD[i, i + 1:] >= 0)).tolist():
+                longest = np.maximum(np.maximum(jD[i, j + 1:], jD[j, j + 1:]), jD[i, j])
+                for l in (j + 1 + np.flatnonzero(longest >= 2 * target)).tolist():
+                    if self.triple_can_reach(i, j, l, target):
+                        yield i, j, l
+
     def witness_search(self, target: int, cycle_only: bool):
         """First triangle attaining `target`, in lexicographic corner order.
 
-        Returns (triangle, side, point) or None.  Triples whose longest side
-        is below 2 * target, or whose side values show they cannot attain it
-        (`triple_can_reach`), are skipped; the rest have their geodesic side
-        choices enumerated in lexicographic order.  With cycle_only, non-cycle
-        choices are skipped; a cycle witness always exists for a correctly
-        computed positive target because extremal triangles can be chosen to
-        be cycles.  At a positive target on a graph with a cut vertex, only
-        triples whose three corners share a block are walked (`in_block`).
-        Each triple examined is logged at DEBUG.
+        Returns (triangle, side, point) or None.  Only the triples that may
+        attain it (`_candidate_triples`) are examined; each has its geodesic
+        side choices enumerated in lexicographic order.  With cycle_only,
+        non-cycle choices are skipped; a cycle witness always exists for a
+        correctly computed positive target because extremal triangles can be
+        chosen to be cycles.  Each triple examined is logged at DEBUG.
         """
-        J, jD = self.J, self.jD
-        within = self.in_block if target > 0 else None
+        J = self.J
         log = _debug_logger()
-        for ii in range(self.nj):
-            partners = range(ii + 1, self.nj) if within is None else \
-                (ii + 1 + np.flatnonzero(within[ii, ii + 1:])).tolist()
-            for jj in partners:
-                longest = np.maximum(np.maximum(jD[ii, jj + 1:], jD[jj, jj + 1:]), jD[ii, jj])
-                reach = longest >= 2 * target
-                if within is not None:
-                    reach &= within[ii, jj + 1:] & within[jj, jj + 1:]
-                for kk in (jj + 1 + np.flatnonzero(reach)).tolist():
-                    if target > 0 and not self.triple_can_reach(ii, jj, kk, target):
-                        continue
-                    x, y, z = J[ii], J[jj], J[kk]
-                    self.stats.triples_examined += 1
-                    if log is not None:
-                        log.debug("witness triple (%d, %d, %d) at target %d", x, y, z, target)
-                    choices = (zip(*self.geos(x, y)), zip(*self.geos(y, z)), zip(*self.geos(x, z)))
-                    for (a0, f0), (a1, f1), (a2, f2) in itertools.product(*choices):
-                        is_cycle = f0 & f1 == {y} and f1 & f2 == {z} and f2 & f0 == {x}
-                        if cycle_only and not is_cycle:
-                            continue
-                        sides = (a0, a1, a2)
-                        dists = _side_distances(self.D, sides)
-                        if max(int(v.max()) for v in dists) != target:
-                            continue
-                        side = next(i for i, v in enumerate(dists) if v.max() == target)
-                        tri = GeodesicTriangle(
-                            corners=(x, y, z),
-                            sides=(tuple(a0.tolist()), tuple(a1.tolist()),
-                                   tuple(a2[::-1].tolist())),  # stored z -> x
-                            is_cycle=is_cycle)
-                        return tri, side, int(sides[side][dists[side].argmax()])
+        for ii, jj, kk in self._candidate_triples(target):
+            x, y, z = J[ii], J[jj], J[kk]
+            self.stats.triples_examined += 1
+            if log is not None:
+                log.debug("witness triple (%d, %d, %d) at target %d", x, y, z, target)
+            choices = (zip(*self.geos(x, y)), zip(*self.geos(y, z)), zip(*self.geos(x, z)))
+            for (a0, f0), (a1, f1), (a2, f2) in itertools.product(*choices):
+                is_cycle = f0 & f1 == {y} and f1 & f2 == {z} and f2 & f0 == {x}
+                if cycle_only and not is_cycle:
+                    continue
+                sides = (a0, a1, a2)
+                dists = _side_distances(self.D, sides)
+                if max(int(v.max()) for v in dists) != target:
+                    continue
+                side = next(i for i, v in enumerate(dists) if v.max() == target)
+                tri = GeodesicTriangle(
+                    corners=(x, y, z),
+                    sides=(tuple(a0.tolist()), tuple(a1.tolist()),
+                           tuple(a2[::-1].tolist())),  # stored z -> x
+                    is_cycle=is_cycle)
+                return tri, side, int(sides[side][dists[side].argmax()])
         return None
 
     # -- entry points ----------------------------------------------------------
@@ -638,7 +629,7 @@ class DeltaEngine:
     def _witness(self, value: QDist, cycle_only: bool):
         """(triangle, side, point) of the first triangle attaining the swept value."""
         if self.nj < 3:  # no triangle with distinct corners: one point attains 0
-            p = int(self.j[0])
+            p = self.J[0]
             return GeodesicTriangle(corners=(p, p, p), sides=((p,), (p,), (p,)), is_cycle=True), 0, p
         # delta = 0 admits no cycle triangle (the graph is a tree), so the cycle
         # restriction is waived for the witness there; any triangle attains 0.
@@ -667,7 +658,7 @@ class DeltaEngine:
             # a pair with one geodesic has that geodesic as its interval, so its
             # points score 0 here and cannot raise the bound
             for r, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
-                a, b = int(self.j[i]), int(self.j[j])
+                a, b = self.J[i], self.J[j]
                 got = int(self.table(a)[interval(self.D, a, b), j].max())
                 if got > cur:
                     return got, r + 1
@@ -708,7 +699,7 @@ class DeltaEngine:
         short = (self.jD >= 0) & (self.jD <= 12)  # at most 3 apart, in quarter hops
         with self._working():
             for i, j in zip(*self.pairs_at(12)):
-                a, b = int(self.j[i]), int(self.j[j])
+                a, b = self.J[i], self.J[j]
                 iv = interval(self.D, a, b)
                 iv = iv[iv < n_base]  # the tight point is a vertex of G
                 if not iv.size:

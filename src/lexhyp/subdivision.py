@@ -162,24 +162,29 @@ def j_automorphisms(s: SubdividedGraph) -> Optional[np.ndarray]:
     return np.concatenate([perms, n + at], axis=1).astype(np.int32)
 
 
-def j_block_pairs(s: SubdividedGraph, blocks) -> Optional[np.ndarray]:
-    """Whether J-points i and j lie in one block of at least three vertices,
-    as a (|J|, |J|) bool matrix, for the base graph's `blocks`
-    (`Graph.blocks`); None when there is at most one block, as on every
-    graph without a cut vertex.
+def restrict_to_blocks(s: SubdividedGraph, blocks, jD: np.ndarray) -> None:
+    """Set to -1, in place, every entry of the J metric `jD` (J-points in
+    `j_set` order) between two J-points that share no block of at least
+    three vertices among the base graph's `blocks` (`Graph.blocks`).  So
+    the diagonal entry of a J-point in no such block, a vertex of degree
+    one or a bridge's midpoint, is -1 too, and a tree's metric is -1
+    everywhere.  Nothing changes when there is at most one block, as on
+    every graph without a cut vertex.
 
     A vertex lies in every block that contains it, and an edge's midpoint
     in the one block that holds both its ends (a block is an induced
     subgraph).  Two blocks share at most one vertex, so two distinct
     J-points share at most one block, and a third J-point shares a block
     with each of them exactly when it lies in theirs: otherwise the three
-    blocks would close a cycle in the tree of blocks and cut vertices.
+    blocks would close a cycle in the tree of blocks and cut vertices.  So
+    the triples whose three pairs hold entries of at least 0 are exactly
+    those whose corners lie in one block.
     """
     if len(blocks) <= 1:
-        return None
+        return
     n = s.base.vertex_count
     ends = np.asarray(s.base.edges, dtype=np.intp).reshape(-1, 2)
-    out = np.zeros((len(s.j_set), len(s.j_set)), dtype=bool)
+    shared = np.zeros(jD.shape, dtype=bool)
     inside = np.zeros(n, dtype=bool)
     for block in blocks:
         if len(block) < 3:
@@ -187,8 +192,8 @@ def j_block_pairs(s: SubdividedGraph, blocks) -> Optional[np.ndarray]:
         inside[:] = False
         inside[list(block)] = True
         pts = np.concatenate([block, n + np.flatnonzero(inside[ends[:, 0]] & inside[ends[:, 1]])])
-        out[np.ix_(pts, pts)] = True
-    return out
+        shared[np.ix_(pts, pts)] = True
+    jD[~shared] = -1
 
 
 def edge_ids(g: Graph, a, b) -> np.ndarray:

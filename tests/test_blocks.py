@@ -50,7 +50,18 @@ def _whole_graph(g: Graph, cycle_only: bool):
         return DeltaEngine(g).delta(cycle_only)
 
 
+def _whole_graph_engine(g: Graph) -> DeltaEngine:
+    """An engine built while its block finder reports one block, so that
+    its J metric holds every J-pair, as on a 2-connected graph."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Graph, "blocks", lambda self: (tuple(range(self.vertex_count)),))
+        return DeltaEngine(g)
+
+
 def _check_against_whole_graph(g: Graph) -> None:
+    blocked, whole_graph = DeltaEngine(g), _whole_graph_engine(g)
+    assert blocked.bigon_lower_bound() == whole_graph.bigon_lower_bound(), g.edges
+    assert blocked.has_tight_short_triangle() == whole_graph.has_tight_short_triangle(), g.edges
     for cycle_only in (True, False):
         engine = DeltaEngine(g)
         got, whole = engine.delta(cycle_only), _whole_graph(g, cycle_only)
@@ -58,12 +69,15 @@ def _check_against_whole_graph(g: Graph) -> None:
         assert thinness(got.grid, got.witness) == (got.value, got.witness_point)
         if cycle_only and got.value.quarters > 0:
             assert got.witness.is_cycle
-        if engine.in_block is None:  # no cut vertex: today's sweep, output for output
+        if got.value.quarters > 0:  # a positive value's witness lies in one block
+            ids = [engine.J.index(c) for c in got.witness.corners]
+            assert all(engine.jD[i, j] >= 0 for i, j in itertools.combinations(ids, 2)), g.edges
+        if len(g.blocks()) <= 1:  # no cut vertex: today's sweep, output for output
             assert got.to_json_dict() == whole.to_json_dict()
             continue
         # the first attaining triple is the same when the whole-graph one lies in a block
         corners = [engine.J.index(c) for c in whole.witness.corners]
-        if all(engine.in_block[i, j] for i, j in itertools.combinations(corners, 2)):
+        if all(engine.jD[i, j] >= 0 for i, j in itertools.combinations(corners, 2)):
             assert got.to_json_dict()["witness"] == whole.to_json_dict()["witness"], g.edges
 
 
@@ -79,6 +93,16 @@ def test_block_sweep_matches_whole_graph_on_the_atlas():
 @example(n=40, seed=1)
 def test_block_sweep_matches_whole_graph_on_random_graphs(n, seed):
     _check_against_whole_graph(random_connected(n, random.Random(seed)))
+
+
+def test_bigon_sweeps_blocks_only():
+    # random n=120 hangs long pendant trees off its blocks: the bigon sweep
+    # skips the pairs across blocks and builds fewer tables for the same bound
+    g = random_connected(120, random.Random(7))
+    assert len(g.blocks()) > 1
+    engine, whole = DeltaEngine(g), _whole_graph_engine(g)
+    assert engine.bigon_lower_bound() == whole.bigon_lower_bound()
+    assert engine.stats.tables_built < whole.stats.tables_built
 
 
 @pytest.mark.parametrize("g", [path_graph(7), star_graph(5), random_tree(20, random.Random(1))],

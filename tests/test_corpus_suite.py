@@ -272,7 +272,7 @@ def test_suite_context_without_singles_keeps_no_engine():
 
 def test_block_decomposition_fails_when_the_engine_drops_a_block(monkeypatch):
     # C5 and a triangle share vertex 0, with a pendant edge: delta is 5/4,
-    # from the C5 block.  An engine whose block matrix loses the largest
+    # from the C5 block.  An engine whose J metric loses the largest
     # block sweeps only the triangle and finds 3/4, which the check's
     # block-by-block sweep rejects
     import lexhyp.delta
@@ -280,9 +280,10 @@ def test_block_decomposition_fails_when_the_engine_drops_a_block(monkeypatch):
     corpus = Corpus(spec=CorpusSpec(), graphs=(C5_K3_PENDANT,), pairs=())
     check = CHECKS["block_decomposition"]
     assert check(corpus, SuiteContext(product_cap=24)) == (1, [])
-    real = lexhyp.delta.j_block_pairs
-    monkeypatch.setattr(lexhyp.delta, "j_block_pairs",
-                        lambda s, blocks: real(s, [b for b in blocks if b != max(blocks, key=len)]))
+    real = lexhyp.delta.restrict_to_blocks
+    monkeypatch.setattr(lexhyp.delta, "restrict_to_blocks",
+                        lambda s, blocks, jD: real(s, [b for b in blocks if b != max(blocks, key=len)],
+                                                   jD))
     instances, failures = check(corpus, SuiteContext(product_cap=24))
     assert instances == 1 and len(failures) == 1
     assert (failures[0]["expected"], failures[0]["actual"]) == ("largest block delta 5/4", "3/4")

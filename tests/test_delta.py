@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lexhyp.delta
 from lexhyp import (CARTESIAN, DeltaConfig, DeltaEngine, DeltaResult, GeodesicCapError,
                     GeodesicTriangle, Graph, QDist, ValidationError, complete_graph, cycle_graph,
                     delta_bigon_lower_bound, delta_exact, diam_g, enumerate_geodesics, get_catalog,
                     has_tight_short_triangle, in_family_F, induced_subgraph,
-                    is_isometric_embedding, path_graph, product, star_graph, subdivide,
-                    thinness, trivial_graph)
+                    is_isometric_embedding, path_graph, product, random_connected, random_tree,
+                    star_graph, subdivide, thinness, trivial_graph)
 from lexhyp.geodesics import enumerate_paths
 from lexhyp.subdivision import all_pairs_distances, j_hops
+from test_blocks import C5_K3_PENDANT, _networkx_blocks
 from test_symmetry import _rotated_p2_c5
 
 
@@ -683,6 +685,27 @@ def test_chunked_sweep_counts_match_per_side_sweep(g):
     assert sweep.stats.sides_exact <= sweep.stats.sides_visited
 
 
+@pytest.mark.parametrize("g", [
+    product(path_graph(4), cycle_graph(6)).graph,
+    product(Graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (2, 3)]), complete_graph(3), CARTESIAN).graph,
+    random_connected(40, random.Random(1)),
+], ids=["lex-P4-C6", "cart-G5-K3", "random-40"])
+def test_value_sweep_does_not_depend_on_the_mask_chunk(g, monkeypatch):
+    # a length's roots are masked MASK_CHUNK at a time: with chunks of one
+    # root the last two graphs see rises in the 2nd and 8th chunk of a call,
+    # and nothing may change
+    def run():
+        sweep = DeltaEngine(g)
+        st = sweep.stats
+        return (sweep.value_sweep(), st.triples_examined, st.sides_visited, st.sides_exact,
+                st.tables_built)
+
+    want = run()
+    for size in (1, 3):
+        monkeypatch.setattr(lexhyp.delta, "MASK_CHUNK", size)
+        assert run() == want, size
+
+
 # ---------------------------------------------------------------------------
 # one engine per graph: every entry point, in every order
 # ---------------------------------------------------------------------------
@@ -770,6 +793,20 @@ def test_engine_j_metric_is_j_hops(k):
     engine = DeltaEngine(p, DeltaConfig(grid_factor=k))
     assert engine.jD.dtype == j_hops(p, k).dtype
     assert np.array_equal(engine.jD, j_hops(p, k))
+    # with cut vertices: j_hops between J-points that share a block of at
+    # least three vertices (networkx's blocks), -1 elsewhere, the diagonal too
+    for g in (C5_K3_PENDANT, random_tree(12, random.Random(2))):
+        engine = DeltaEngine(g, DeltaConfig(grid_factor=k))
+        blocks = [set(b) for b in _networkx_blocks(g) if len(b) >= 3]
+        member = [{i for i, b in enumerate(blocks) if v in b} for v in range(g.vertex_count)] + \
+            [{i for i, b in enumerate(blocks) if {u, v} <= b} for u, v in g.edges]
+        shared = np.array([[bool(x & y) for y in member] for x in member])
+        assert np.array_equal(engine.jD, np.where(shared, j_hops(g, k), -1)), g.edges
+    assert (engine.jD == -1).all()  # a tree has no block of three vertices
+    # C5_K3_PENDANT's vertex 7 and the midpoint of its edge (6, 7), the last
+    # edge, lie in no block of three vertices; vertex 6 lies in the triangle
+    jD = DeltaEngine(C5_K3_PENDANT, DeltaConfig(grid_factor=k)).jD
+    assert jD[7, 7] == jD[-1, -1] == -1 and jD[6, 6] == 0
 
 
 def test_longest_first_lists_each_length_row_major():
