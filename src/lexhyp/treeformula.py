@@ -45,10 +45,14 @@ def tree_lex_delta(g1: Graph, g2: Graph) -> TreeLexCase:
 
     Tree-ness is validated structurally (connected with n-1 edges) so the
     answer never leans on the exact engine, except for the trivial-g1 row
-    where the product is isomorphic to g2 itself.
+    where the product is isomorphic to g2 itself.  The table assumes a
+    connected g2 (P3 o 2K1 is K_{2,4}, with delta 1, which no row gives),
+    so a disconnected one raises ValidationError.
     """
     if not g1.is_tree():
         raise ValidationError("first factor must be a tree")
+    if not g2.is_connected():
+        raise ValidationError("second factor must be connected")
 
     TWO = QDist.from_edges(2)
     summary: dict = {"g1_trivial": g1.is_trivial(), "g2_trivial": g2.is_trivial()}
@@ -107,10 +111,14 @@ def bound_check(g1: Graph, g2: Graph, delta_product: QDist, delta_g1: QDist) -> 
     """Audit the sandwich and every applicable lower bound for one pair.
 
     `delta_product` and `delta_g1` are supplied by the caller (usually the
-    exact engine) so the audit itself stays engine-independent.
+    exact engine) so the audit itself stays engine-independent.  Both
+    factors must be connected, as the diameters it reads skip unreachable
+    pairs.
     """
     if g1.is_trivial():
         raise ValidationError("bound audit needs a non-trivial first factor")
+    if not (g1.is_connected() and g2.is_connected()):
+        raise ValidationError("bound audit needs connected factors")
     TWO = QDist.from_edges(2)
     THREE = QDist.from_edges(3)
     dv1 = diam_v(g1)

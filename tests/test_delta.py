@@ -21,7 +21,7 @@ from lexhyp import (CARTESIAN, DeltaConfig, DeltaEngine, DeltaResult, GeodesicCa
                     star_graph, subdivide, thinness, trivial_graph)
 from lexhyp.geodesics import enumerate_paths
 from lexhyp.subdivision import all_pairs_distances, j_hops
-from test_blocks import C5_K3_PENDANT, _networkx_blocks
+from test_blocks import C5_K3_PENDANT, _atlas, _networkx_blocks
 from test_symmetry import _rotated_p2_c5
 
 
@@ -567,6 +567,43 @@ def test_short_triangle_enumerates_no_geodesic(g, monkeypatch):
     assert calls == []
     engine.delta()  # the witness search is enumeration's one caller
     assert calls
+
+
+def test_short_triangle_skips_vertex_pairs():
+    # the only J-pair 3 apart is the vertex pair (0, 3), whose middle is an
+    # edge midpoint: no tight point, and no table to read
+    g = Graph(6, [(0, 1), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (4, 5)])
+    engine = DeltaEngine(g)
+    ii, jj = engine.pairs_at(12)
+    assert list(zip(ii.tolist(), jj.tolist())) == [(0, 3)]
+    assert not engine.has_tight_short_triangle()
+    assert engine.stats.tables_built == 0
+
+
+def test_short_triangle_reads_midpoint_tables_only(monkeypatch):
+    # every connected networkx atlas graph with n <= 6, on a fresh engine
+    graphs = _atlas(6)
+    assert len(graphs) == 143
+    sources = []
+    real = lexhyp.delta.j_source_table
+    monkeypatch.setattr(lexhyp.delta, "j_source_table", lambda s, a: sources.append(a) or real(s, a))
+    for g in graphs:
+        sources.clear()
+        DeltaEngine(g).has_tight_short_triangle()
+        assert all(a >= g.vertex_count for a in sources), g.edges
+
+
+def test_bigon_is_the_side_vector_diagonal():
+    # W_a[p, b] <= d(p, b) = W_b[p, b], so entry b of side_values(a, b) is the
+    # farthest bigon point on a-b
+    graphs = _atlas(5)
+    assert len(graphs) == 31
+    for g in graphs + [C5_K3_PENDANT, product(path_graph(3), cycle_graph(4)).graph]:
+        engine = DeltaEngine(g)
+        i, j = np.nonzero(np.triu(engine.jD >= 0, 1))
+        want = max((int(engine.side_values(engine.J[a], engine.J[b])[b])
+                    for a, b in zip(i.tolist(), j.tolist())), default=0)
+        assert engine.bigon_lower_bound().quarters == want, g.edges
 
 
 @settings(max_examples=10, deadline=None)

@@ -3,8 +3,8 @@
 import pytest
 
 from lexhyp import (Graph, QDist, ValidationError, bound_check, complete_graph,
-                    cycle_graph, delta_exact, path_graph, product, star_graph,
-                    tree_lex_delta, trivial_graph)
+                    cycle_graph, delta_exact, induced_subgraph, path_graph, product,
+                    star_graph, tree_lex_delta, trivial_graph)
 
 ONE = QDist.from_edges(1)
 FIVE_Q = QDist(5)
@@ -64,6 +64,20 @@ def test_non_tree_rejected():
         tree_lex_delta(cycle_graph(4), path_graph(2))
 
 
+@pytest.mark.parametrize("g1, keep, quarters", [
+    (path_graph(2), [0, 1, 4], 5),  # an edge and a vertex: the "diam G2 <= 2" row said 1
+    (path_graph(3), [0, 4], 4),  # 2K1, so K_{2,4}: no row fired
+], ids=["P2-K2+K1", "P3-2K1"])
+def test_disconnected_second_factor_rejected(g1, keep, quarters):
+    # the diameters skip unreachable pairs, so the table would read a
+    # disconnected G2 as one of finite diameter
+    g2 = induced_subgraph(cycle_graph(8), keep)
+    assert not g2.is_connected()
+    assert delta_exact(product(g1, g2).graph).value == QDist(quarters)
+    with pytest.raises(ValidationError, match="connected"):
+        tree_lex_delta(g1, g2)
+
+
 def test_rows_match_engine_on_small_cases():
     pairs = [
         (path_graph(2), cycle_graph(3)),
@@ -117,3 +131,10 @@ def test_bound_check_flags_violations():
 def test_bound_check_rejects_trivial_g1():
     with pytest.raises(ValidationError):
         bound_check(trivial_graph(), path_graph(2), QDist(0), QDist(0))
+
+
+def test_bound_check_rejects_disconnected_factors():
+    apart = induced_subgraph(cycle_graph(8), [0, 1, 4])
+    for g1, g2 in ((path_graph(2), apart), (apart, path_graph(2))):
+        with pytest.raises(ValidationError, match="connected"):
+            bound_check(g1, g2, QDist(5), QDist(0))

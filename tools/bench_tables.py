@@ -1,4 +1,4 @@
-"""Time `delta_exact` and the verification suite, and write a BENCH json.
+"""Time `delta_exact`, the short-triangle predicate and `verify`; write a BENCH json.
 
 Run from the root of a checkout, with `src` on the path:
 
@@ -19,6 +19,13 @@ where the grid hop matrix outweighs the tables, and `random(450,7)`,
 `random_connected(450, Random(7))`, whose cut vertices hang long pendant
 trees off its blocks.  The factors' automorphism search runs in the first
 call and is cached on the factors, so the best of 3 leaves it out.
+
+The short-triangle record (`--short-one NAME`) times
+`has_tight_short_triangle()` on a fresh `DeltaEngine` per call, the
+engine's construction left out: best of 3, `best_s`, with that call's
+`tables_built`, `table_bytes` and answer, and `ru_maxrss_mb`.  It runs on
+every graph but `cycle:1000`, where the predicate keeps a 16 MB table for
+each of the 1000 edge midpoints.
 
 The suite record runs `lexhyp verify --seed 0` (`run_suite` on the default
 corpus of seed 0, every check) three times in a fresh process
@@ -59,7 +66,7 @@ import time
 
 import numpy as np
 
-from lexhyp import cycle_graph, delta_exact, path_graph, product, random_connected
+from lexhyp import DeltaEngine, cycle_graph, delta_exact, path_graph, product, random_connected
 
 GRAPHS = {
     "lex(P6,C5)": lambda: product(path_graph(6), cycle_graph(5)).graph,
@@ -69,6 +76,7 @@ GRAPHS = {
     "cycle:1000": lambda: cycle_graph(1000),
     "random(450,7)": lambda: random_connected(450, random.Random(7)),
 }
+SHORT_GRAPHS = [name for name in GRAPHS if name != "cycle:1000"]  # see --short-one
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 ROUNDS = 5  # alternating process pairs per record
 
@@ -88,6 +96,22 @@ def delta_one(name: str, reps: int = 3) -> dict:
             "triples_examined": st.triples_examined, "value_s": round(st.value_s, 4),
             "witness_s": round(st.witness_s, 4),
             "geodesic_s": round(st.geodesic_s, 4), "hop_dtype": hop_dtype, "quarters": quarters,
+            "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
+def short_one(name: str, reps: int = 3) -> dict:
+    g = GRAPHS[name]()
+    runs = []  # (seconds, tables built, table bytes, answer) of each call
+    for _ in range(reps):
+        engine = DeltaEngine(g)
+        t0 = time.perf_counter()
+        got = engine.has_tight_short_triangle()
+        runs.append((time.perf_counter() - t0, engine.stats.tables_built,
+                     engine.stats.table_bytes, got))
+        del engine  # its grid and tables go before the next call
+    secs, tables, nbytes, got = min(runs, key=lambda run: run[0])
+    return {"best_s": round(secs, 4), "tables_built": tables, "table_bytes": nbytes,
+            "answer": got,
             "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
@@ -161,10 +185,15 @@ def main() -> None:
     ap.add_argument("--parent", help="checkout of the parent commit, for delta_exact before")
     ap.add_argument("--parent-commit", default="", help="the parent checkout's commit id")
     ap.add_argument("--delta-one", choices=GRAPHS, help="print one delta_exact run as json")
+    ap.add_argument("--short-one", choices=SHORT_GRAPHS,
+                    help="print one short-triangle predicate run as json")
     ap.add_argument("--suite-one", action="store_true", help="print the suite record as json")
     args = ap.parse_args()
     if args.delta_one:
         print(json.dumps(delta_one(args.delta_one)))
+        return
+    if args.short_one:
+        print(json.dumps(short_one(args.short_one)))
         return
     if args.suite_one:
         print(json.dumps(suite_one()))
@@ -180,9 +209,11 @@ def main() -> None:
         record["parent_commit"] = args.parent_commit
         srcs["before"] = os.path.join(args.parent, "src")
     deltas = {name: paired_runs(srcs, ("--delta-one", name), "best_s") for name in GRAPHS}
+    shorts = {name: paired_runs(srcs, ("--short-one", name), "best_s") for name in SHORT_GRAPHS}
     suites = paired_runs(srcs, ("--suite-one",), "best_wall_s")
     for side in srcs:
         record[f"delta_exact_{side}"] = {name: got[side] for name, got in deltas.items()}
+        record[f"short_triangle_{side}"] = {name: got[side] for name, got in shorts.items()}
         record[f"suite_{side}"] = suites[side]
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.out:
