@@ -16,6 +16,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
+import numpy as np
+
 from .graph import UNREACHABLE, Graph, cycle_graph
 
 # (variant tag, cycle length, chord pool in 1-based cycle naming)
@@ -105,63 +107,105 @@ class FWitness:
     family_tag: str
 
 
-def _find_induced(pattern: Graph, target: Graph) -> Optional[dict]:
+class _TargetBits:
+    """A target graph's vertex sets as integer bitsets, bit t for vertex t:
+    `adj[t]` the neighbors of t, `far[r][t]` for r up to `reach` the
+    vertices within r of t but not adjacent to it (and those t cannot
+    reach, which no distance bound excludes), and `deg_ge[d]` the vertices
+    of degree at least d.  A last row of `far` holds every vertex not
+    adjacent to t, for larger distances and UNREACHABLE, so the rows stay
+    as many as the patterns need whatever the target's diameter."""
+
+    __slots__ = ("adj", "far", "deg_ge")
+
+    def __init__(self, target: Graph, reach: int):
+        dist = target.vertex_distances()
+        adj = dist == 1
+        apart = ~adj
+        self.adj = _bit_rows(adj)
+        self.far = [_bit_rows((dist <= r) & apart) for r in range(reach + 1)] + [_bit_rows(apart)]
+        degs = adj.sum(axis=1)
+        self.deg_ge = _bit_rows(degs >= np.arange(int(degs.max()) + 2)[:, None])
+
+    def within(self, r: int) -> list[int]:
+        """`far[r]` for a pattern distance r: past `reach`, and for
+        UNREACHABLE, which bounds nothing, every vertex not adjacent."""
+        return self.far[-1 if r == UNREACHABLE else min(r, len(self.far) - 1)]
+
+    def degree_at_least(self, d: int) -> int:
+        return self.deg_ge[min(d, len(self.deg_ge) - 1)]
+
+
+def _reach(pattern: Graph) -> int:
+    """The largest finite distance between two vertices of `pattern`."""
+    return int(pattern.vertex_distances().max())
+
+
+def _bit_rows(flags: np.ndarray) -> list[int]:
+    """The bitset of every row of the bool array `flags` (rows along its
+    last axis, in C order): bit t set where entry t holds."""
+    packed = np.packbits(flags, axis=-1, bitorder="little")
+    width, data = packed.shape[-1], packed.tobytes()
+    return [int.from_bytes(data[lo:lo + width], "little") for lo in range(0, len(data), width)]
+
+
+def _find_induced(pattern: Graph, target: Graph,
+                  bits: Optional[_TargetBits] = None) -> Optional[dict]:
     """First induced embedding of `pattern` into `target` under a fixed
-    deterministic search order (rarest-candidates-first, ascending images)."""
+    deterministic search order (rarest-candidates-first, ascending images).
+
+    A vertex's candidates are those of high enough degree; placed in order,
+    each one keeps the unused candidates that match every placed vertex:
+    adjacent exactly where the pattern is, and within the pattern's
+    distance, as ambient distances never exceed induced-subgraph ones (a
+    pattern pair in two components bounds nothing).  The sets are integer
+    bitsets of the target (`_TargetBits`, built here unless `bits` brings
+    them), and the images are tried in ascending order.
+    """
     np_, nt = pattern.vertex_count, target.vertex_count
     if np_ > nt:
         return None
-    tdeg = [target.degree(t) for t in range(nt)]
-    padj = [set(pattern.neighbors(u)) for u in range(np_)]
-    tadj = [set(target.neighbors(t)) for t in range(nt)]
-    pdist = pattern.vertex_distances()
-    tdist = target.vertex_distances()
-    cands = {u: [t for t in range(nt) if tdeg[t] >= pattern.degree(u)] for u in range(np_)}
-    if any(not c for c in cands.values()):
+    if bits is None:
+        bits = _TargetBits(target, _reach(pattern))
+    pdeg = [pattern.degree(u) for u in range(np_)]
+    cands = [bits.degree_at_least(d) for d in pdeg]
+    if not all(cands):
         return None
+    size = [c.bit_count() for c in cands]
+    padj = [set(pattern.neighbors(u)) for u in range(np_)]
+    pdist = pattern.vertex_distances().tolist()
 
     # rarest vertex first, then grow along pattern adjacency
-    order = [min(range(np_), key=lambda u: (len(cands[u]), u))]
+    order = [min(range(np_), key=lambda u: (size[u], u))]
     placed = set(order)
     while len(order) < np_:
         frontier = [u for u in range(np_) if u not in placed and padj[u] & placed]
         pick = min(frontier or [u for u in range(np_) if u not in placed],
-                   key=lambda u: (len(cands[u]), u))
+                   key=lambda u: (size[u], u))
         order.append(pick)
         placed.add(pick)
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+    # per search depth, the bitsets that each earlier image leaves free
+    masks = [[bits.adj if u2 in padj[u] else bits.within(pdist[u][u2]) for u2 in order[:i]]
+             for i, u in enumerate(order)]
+    images: list[int] = []
 
-    def extend(i: int) -> bool:
+    def extend(i: int, used: int) -> bool:
         if i == np_:
             return True
-        u = order[i]
-        for t in cands[u]:
-            if t in used:
-                continue
-            ok = True
-            for u2, t2 in mapping.items():
-                adj_p = u2 in padj[u]
-                if adj_p != (t2 in tadj[t]):
-                    ok = False
-                    break
-                # ambient distances never exceed induced-subgraph distances;
-                # a pattern pair in two components bounds nothing
-                if not adj_p and pdist[u, u2] != UNREACHABLE and tdist[t, t2] > pdist[u, u2]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[u] = t
-            used.add(t)
-            if extend(i + 1):
+        free = cands[order[i]] & ~used
+        for mask, t2 in zip(masks[i], images):
+            free &= mask[t2]
+        while free:
+            low = free & -free
+            images.append(low.bit_length() - 1)
+            if extend(i + 1, used | low):
                 return True
-            del mapping[u]
-            used.remove(t)
+            images.pop()
+            free ^= low
         return False
 
-    return mapping if extend(0) else None
+    return dict(zip(order, images)) if extend(0, 0) else None
 
 
 def in_family_F(g: Graph) -> tuple[bool, Optional[FWitness]]:
@@ -170,8 +214,9 @@ def in_family_F(g: Graph) -> tuple[bool, Optional[FWitness]]:
     catalog = get_catalog()
     if g.vertex_count < 6:
         return False, None
+    bits = _TargetBits(g, max(_reach(m) for m in catalog.members))
     for idx, member in enumerate(catalog.members):
-        mapping = _find_induced(member, g)
+        mapping = _find_induced(member, g, bits)
         if mapping is not None:
             subset = tuple(sorted(mapping.values()))
             return True, FWitness(subset=subset, member_index=idx,

@@ -12,9 +12,10 @@ argument.
 
 One engine per graph and config (`DeltaEngine`) serves the value sweep, the
 bigon bound, the short-triangle predicate and the witness search.  It builds
-the grid, its hop matrix and chains once, and keeps every per-source table,
-side vector and geodesic list it computes for the calls that follow; the
-value sweep runs once, and each `delta()` call runs only a witness search.
+the grid, its hop matrix and chains once, and keeps every per-source table
+(but those the short-triangle predicate builds), side vector and geodesic
+list it computes for the calls that follow; the value sweep runs once, and
+each `delta()` call runs only a witness search.
 `DeltaConfig` holds the geodesic cap and the grid factor; the witness kind
 is chosen per call, `delta(cycle_only=True)`.  `delta_exact` builds a fresh
 engine for its config, the bigon bound and the short-triangle predicate a
@@ -178,9 +179,11 @@ class DeltaStats:
     (none when they were cached), `hops_s` for the grid hop matrix and
     `chains_s` for the J rows and chain minima; `value_s` went to the value sweep and
     `witness_s` to witness searches, of which `geodesic_s` to enumerating
-    the geodesics of their sides.  `table_bytes` is the memory held by
-    the `tables_built` per-source tables (in the hop matrix's dtype,
-    `table_dtype`), and `table_s` the seconds spent building them.
+    the geodesics of their sides.  `table_bytes` counts the bytes of the
+    `tables_built` per-source tables built (in the hop matrix's dtype,
+    `table_dtype`), and `table_s` the seconds spent building them; they
+    are the bytes the engine holds except after the short-triangle
+    predicate, which drops the tables it builds and may build one again.
     `sides_visited` counts the sides the value sweep closed,
     those whose corner mask kept some third corner, and `mask_s` the seconds
     spent computing corner masks; `masks_recomputed` counts the mask
@@ -702,6 +705,16 @@ class DeltaEngine:
           interior points have two neighbors, at its ends, or ends at its
           midpoint, so two geodesics cannot first meet inside one.
         It enumerates no geodesic, so it cannot raise GeodesicCapError.
+        On a graph that carries automorphisms it reads one pair per orbit
+        (`roots`): they carry the pair, its third corners and its side
+        vector along.  It reads the pairs in a chain where it can, each
+        sharing a source with the one before (`_chained`), and holds a table
+        it builds only while the pair it reads uses it; the side vectors,
+        and the tables it found built, stay.  So it holds at most two tables
+        more than the engine held before, where keeping them all would hold
+        one per edge midpoint (about 16 GB on `cycle:1000`).  On
+        `cycle:1000` the pairs form one chain, so it builds one table per
+        midpoint and the first one again.
         """
         if self.s.k != 4:
             raise ValidationError("the short-triangle predicate runs on the S_4 grid only")
@@ -709,12 +722,62 @@ class DeltaEngine:
         with self._working():
             ii, jj = self.pairs_at(12)
             mid = ii >= self.s.base.vertex_count  # i < j, so both ends are edge midpoints
-            for i, j in zip(ii[mid].tolist(), jj[mid].tolist()):
-                cs = short[i] & short[j]
-                cs[[i, j]] = False
-                if (self.side_values(self.J[i], self.J[j])[cs] >= 6).any():
-                    return True
-            return False
+            if not mid.any():
+                return False
+            pi, pj = ii[mid], jj[mid]
+
+            def pairs():
+                # the first midpoint pair is its orbit's root: it is read before
+                # the length's roots are found, which a True answer there spares
+                first = (int(pi[0]), int(pj[0]))
+                yield first
+                roots = (divmod(c, self.nj) for c in dict.fromkeys(self.roots(pi, pj).tolist()))
+                yield from _chained([p for p in roots if p != first], first)
+
+            built: set = set()  # the tables this call built and still holds
+            try:
+                for i, j in pairs():
+                    ab = {self.J[i], self.J[j]}
+                    for x in built - ab:
+                        self._tables.pop(x, None)
+                    built = (built & ab) | (ab - self._tables.keys())
+                    cs = short[i] & short[j]
+                    cs[[i, j]] = False
+                    if (self.side_values(self.J[i], self.J[j])[cs] >= 6).any():
+                        return True
+                return False
+            finally:
+                for x in built:
+                    self._tables.pop(x, None)
+
+
+def _chained(pairs: list[tuple[int, int]], last: tuple[int, int]):
+    """`pairs` in an order where each shares an end with the pair before it
+    where it can: after the pair `last`, the first unread pair at its newer
+    end (the one it does not share with its own predecessor), else at its
+    other end, else the first unread pair of `pairs`."""
+    at: dict[int, list] = {}
+    for p in reversed(pairs):  # so that pop() gives each end's pairs in order
+        for end in p:
+            at.setdefault(end, []).append(p)
+    left, first, ends = set(pairs), 0, last[::-1]
+    while left:
+        nxt = None
+        for end in ends:
+            stack = at.get(end, [])
+            while stack and stack[-1] not in left:
+                stack.pop()
+            if stack:
+                nxt = stack.pop()
+                break
+        if nxt is None:
+            while pairs[first] not in left:
+                first += 1
+            nxt = pairs[first]
+        left.remove(nxt)
+        yield nxt
+        ends = nxt if nxt[1] in last else nxt[::-1]  # the newer end first
+        last = nxt
 
 
 def delta_exact(g: Graph, cfg: Optional[DeltaConfig] = None) -> DeltaResult:

@@ -51,15 +51,17 @@ def interval(hops: np.ndarray, a: int, b: int) -> np.ndarray:
 def geodesic_count(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
                    a: int, b: int) -> int:
     """Number of distinct geodesics from a to b (exact, arbitrary precision);
-    0 between components."""
+    0 between components.  The loop reads the two hop rows as Python lists,
+    as indexing an array for one entry costs more than the lookup."""
     if a == b:
         return 1
     if hops[a, b] < 0:
         return 0
-    da, db = hops[a], hops[b]
     nodes = interval(hops, a, b)
+    order = nodes[np.argsort(hops[a, nodes], kind="stable")]
+    da, db = hops[a].tolist(), hops[b].tolist()
     count = {a: 1}
-    for q in nodes[np.argsort(da[nodes], kind="stable")][1:].tolist():
+    for q in order[1:].tolist():
         # a neighbor one step closer to a and one farther from b is on the interval
         count[q] = sum(count[w] for w in neighbors[q]
                        if da[w] == da[q] - 1 and db[w] == db[q] + 1)
@@ -236,7 +238,7 @@ def j_source_table(s: SubdividedGraph, a: int) -> np.ndarray:
     t = c.jrows.copy()  # column q of W_a, for q in j_set order, starts as hops[q]
     tv, tm = t[:n], t[n:]  # vertex columns T, midpoint columns
     da = s.hops()[a, :n]
-    u, v = c.ends.T
+    u, v = s.ends.T
     du, dv = da[u], da[v]
     own = (a - n) // (k - 1) if a >= n else -1  # the source's edge, if any
     if own >= 0:

@@ -56,10 +56,13 @@ class SubdividedGraph:
     its largest entry, and `chains()`, its J-point rows and per-edge chain
     minima (`EdgeChains`), from which the bottleneck tables are built.  Neither refers back to the grid: a
     reference would make a cycle that holds every grid, with its hop
-    matrix and chains, until the cyclic garbage collector runs.
+    matrix and chains, until the cyclic garbage collector runs.  `ends`
+    holds the base edges as an (m, 2) array (`edge_ends`), made once per
+    grid for every reader of the edge list: the hop matrix, the chains,
+    the lifted automorphisms and the block restriction.
     """
 
-    __slots__ = ("base", "k", "grid_n", "j_set", "_edge_index", "_edge_points",
+    __slots__ = ("base", "k", "grid_n", "j_set", "ends", "_edge_index", "_edge_points",
                  "_neighbors", "_hops", "_chains")
 
     def __init__(self, base: Graph, k: int):
@@ -73,6 +76,7 @@ class SubdividedGraph:
         self.k = k
         self.grid_n = grid_n
         self.j_set = tuple(range(n)) + tuple(range(n + k // 2 - 1, grid_n, k - 1))  # midpoints
+        self.ends = edge_ends(base)
         self._edge_index: Optional[dict[tuple[int, int], int]] = None
         self._edge_points: Optional[dict[tuple[int, int], tuple[int, ...]]] = None
         self._neighbors: Optional[tuple[tuple[int, ...], ...]] = None
@@ -152,9 +156,8 @@ def j_automorphisms(s: SubdividedGraph) -> Optional[np.ndarray]:
     n = s.base.vertex_count
     if perms.shape[1] != n or not (np.sort(perms, axis=1) == np.arange(n)).all():
         raise ValidationError("a carried automorphism is not a vertex permutation")
-    ends = np.asarray(s.base.edges, dtype=np.intp).reshape(-1, 2)
-    a, b = perms[:, ends[:, 0]], perms[:, ends[:, 1]]
-    at = edge_ids(s.base, a, b)
+    a, b = perms[:, s.ends[:, 0]], perms[:, s.ends[:, 1]]
+    at = edge_ids(s.ends, n, a, b)
     if (at < 0).any():
         g, e = (int(x) for x in np.argwhere(at < 0)[0])
         raise ValidationError(f"carried automorphism {g} maps edge {s.base.edges[e]} to "
@@ -182,8 +185,7 @@ def restrict_to_blocks(s: SubdividedGraph, blocks, jD: np.ndarray) -> None:
     """
     if len(blocks) <= 1:
         return
-    n = s.base.vertex_count
-    ends = np.asarray(s.base.edges, dtype=np.intp).reshape(-1, 2)
+    n, ends = s.base.vertex_count, s.ends
     shared = np.zeros(jD.shape, dtype=bool)
     inside = np.zeros(n, dtype=bool)
     for block in blocks:
@@ -196,10 +198,15 @@ def restrict_to_blocks(s: SubdividedGraph, blocks, jD: np.ndarray) -> None:
     jD[~shared] = -1
 
 
-def edge_ids(g: Graph, a, b) -> np.ndarray:
-    """Index in `g.edges` (not empty) of each pair (a, b), or -1 for a non-edge."""
-    n = g.vertex_count
-    keys = np.asarray(g.edges, dtype=np.int64) @ np.array([n, 1])  # ascending: edges are sorted
+def edge_ends(g: Graph) -> np.ndarray:
+    """The edges of g as an (m, 2) array of intp, in `g.edges` order."""
+    return np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
+
+
+def edge_ids(ends: np.ndarray, n: int, a, b) -> np.ndarray:
+    """Index in `ends` (not empty), the `edge_ends` of a graph on n vertices,
+    of each pair (a, b), or -1 for a non-edge."""
+    keys = ends[:, 0].astype(np.int64) * n + ends[:, 1]  # ascending: edges are sorted
     pair = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
     at = np.minimum(np.searchsorted(keys, pair), len(keys) - 1)
     return np.where(keys[at] == pair, at, -1)
@@ -240,7 +247,7 @@ def all_pairs_distances(s: SubdividedGraph) -> np.ndarray:
     n, m = g.vertex_count, g.m
     hops = np.empty((s.grid_n, s.grid_n), _hop_dtype(g, k))
     edges, offsets = np.repeat(np.arange(m), k - 1), np.tile(np.arange(1, k), m)
-    for lo, rows in _point_hop_blocks(g, k, edges, offsets):
+    for lo, rows in _point_hop_blocks(g, k, s.ends, edges, offsets):
         hops[lo:lo + len(rows)] = rows
     block = n + (k - 1) * np.arange(m)[:, None, None]
     i = np.arange(k - 1)
@@ -263,18 +270,19 @@ def _hop_dtype(g: Graph, k: int) -> np.dtype:
     return got if got == table_dtype(low) else table_dtype(_max_hops(g, k))
 
 
-def _point_hop_blocks(g: Graph, k: int, edges: np.ndarray, offsets: np.ndarray):
-    """S_k hop counts between the points of g: its vertices, then for each
-    r the point offsets[r] hops along edge edges[r] (an index into g.edges)
-    from its smaller end.  Each is the min over the four endpoint choices of
-    s_p + k*D[e_p, e_q] + t_q: exact for points on different edges,
-    UNREACHABLE between components.  Yields (lo, rows): rows lo ..
-    lo + len(rows) - 1 of that matrix in int32, whole rows of at most
-    HOP_BLOCK entries in all (one row if a row is longer).  Every block is
-    built in the same two buffers, so the next block overwrites it, and no
-    temporary grows with the square of the point count."""
+def _point_hop_blocks(g: Graph, k: int, ends: np.ndarray, edges: np.ndarray,
+                      offsets: np.ndarray):
+    """S_k hop counts between the points of g, whose `edge_ends` are `ends`:
+    its vertices, then for each r the point offsets[r] hops along edge
+    edges[r] (an index into g.edges) from its smaller end.  Each is the min
+    over the four endpoint choices of s_p + k*D[e_p, e_q] + t_q: exact for
+    points on different edges, UNREACHABLE between components.  Yields
+    (lo, rows): rows lo .. lo + len(rows) - 1 of that matrix in int32,
+    whole rows of at most HOP_BLOCK entries in all (one row if a row is
+    longer).  Every block is built in the same two buffers, so the next
+    block overwrites it, and no temporary grows with the square of the
+    point count."""
     n = g.vertex_count
-    ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
     e1 = np.concatenate([np.arange(n), ends[edges, 0]])
     e2 = np.concatenate([np.arange(n), ends[edges, 1]])
     s1 = np.concatenate([np.zeros(n, np.int32), offsets]).astype(np.int32)
@@ -308,17 +316,16 @@ class EdgeChains:
     """The hop rows of J(G) and their minima along each base edge's chain.
 
     `jrows` holds the grid hop row of every J-point, in `j_set` order.  Row
-    i of the other arrays belongs to edge i = (u, v) of `ends`, whose
-    interior points x_1 .. x_{k-1} run from u to v: `mid` is the row of the
-    midpoint x_{k/2} (a view of `jrows`), `left` the min of the rows of x_1
-    .. x_{k/2-1} and `right` the min of x_{k/2+1} .. x_{k-1}; `u_mid` =
-    min(left, mid), `v_mid` = min(right, mid) and `whole` = min(left, mid,
-    right).  All are in the hop matrix's dtype; for k = 2, `left` and
-    `right` are empty chains and hold the dtype's maximum, the identity of
-    min.
+    i of the other arrays belongs to edge i = (u, v) of the grid's `ends`,
+    whose interior points x_1 .. x_{k-1} run from u to v: `mid` is the row
+    of the midpoint x_{k/2} (a view of `jrows`), `left` the min of the rows
+    of x_1 .. x_{k/2-1} and `right` the min of x_{k/2+1} .. x_{k-1};
+    `u_mid` = min(left, mid), `v_mid` = min(right, mid) and `whole` =
+    min(left, mid, right).  All are in the hop matrix's dtype; for k = 2,
+    `left` and `right` are empty chains and hold the dtype's maximum, the
+    identity of min.
     """
 
-    ends: np.ndarray
     jrows: np.ndarray
     mid: np.ndarray
     left: np.ndarray
@@ -340,8 +347,7 @@ def edge_chains(s: SubdividedGraph) -> EdgeChains:
     mid = jrows[n:]
     u_mid = np.minimum(left, mid)
     v_mid = np.minimum(right, mid)
-    return EdgeChains(ends=np.asarray(s.base.edges, dtype=np.intp).reshape(m, 2), jrows=jrows,
-                      mid=mid, left=left, right=right, u_mid=u_mid, v_mid=v_mid,
+    return EdgeChains(jrows=jrows, mid=mid, left=left, right=right, u_mid=u_mid, v_mid=v_mid,
                       whole=np.minimum(u_mid, right))
 
 
@@ -361,20 +367,30 @@ def j_hops(g: Graph, k: int = 4) -> np.ndarray:
 
 def _j_hop_blocks(g: Graph, k: int):
     """`_point_hop_blocks` of J(G): the rows of `j_hops` but for its diagonal."""
-    return _point_hop_blocks(g, k, np.arange(g.m), np.full(g.m, k // 2))
+    return _point_hop_blocks(g, k, edge_ends(g), np.arange(g.m), np.full(g.m, k // 2))
 
 
 def _max_hops(g: Graph, k: int) -> int:
     """The largest S_k hop count between two points of g, UNREACHABLE aside:
     k/2 times the largest S_2 hop count on J(G) (see `diam_g`), taken one
     row block at a time.  The diagonal a midpoint gets from the formula,
-    k hops, never raises it: the edge's two ends are k hops apart."""
+    k hops, never raises it: the edge's two ends are k hops apart.  It
+    serves disconnected graphs too (`_hop_dtype`), unlike `diam_g`."""
     return max(int(rows.max()) for _, rows in _j_hop_blocks(g, 2)) * k // 2
 
 
+def _connected_distances(g: Graph) -> np.ndarray:
+    """The vertex distances of g; ValidationError when g is disconnected,
+    whose diameter is infinite."""
+    d = g.vertex_distances()
+    if d.min() == UNREACHABLE:
+        raise ValidationError("a disconnected graph has no finite diameter")
+    return d
+
+
 def diam_v(g: Graph) -> QDist:
-    """Diameter over vertices only."""
-    return QDist.from_edges(int(g.vertex_distances().max()))
+    """Diameter over vertices only; ValidationError for a disconnected graph."""
+    return QDist.from_edges(int(_connected_distances(g).max()))
 
 
 def diam_g(g: Graph) -> QDist:
@@ -383,8 +399,9 @@ def diam_g(g: Graph) -> QDist:
     Point-to-point distance restricted to a pair of edges is a lower envelope
     of linear functions with slopes +-1 and integer offsets; its maximum over
     the two edges is attained with both endpoints at vertices or midpoints,
-    so the maximum over J(G) x J(G) is exact.  UNREACHABLE is -1.  The
-    maximum is taken one row block at a time (`_max_hops`), without the
-    matrix.
+    so the maximum over J(G) x J(G) is exact.  The maximum is taken one row
+    block at a time (`_max_hops`), without the matrix.  A disconnected
+    graph raises ValidationError.
     """
+    _connected_distances(g)
     return QDist.from_hops(_max_hops(g, 2), 2)

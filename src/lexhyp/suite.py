@@ -7,7 +7,11 @@ aborts the run; failures become replayable report entries.
 
 The copy-lemma checks (`neighborhood_3_2`, `geodesic_copy_5_2`,
 `geodesic_copy_gt3`) read the S_4 metric of J(G) from `j_hops` and build no
-grid: their extremes sit at vertices and edge midpoints (`_check_neighborhood`).
+grid: their extremes sit at vertices and edge midpoints (`_copy_lemmas`).
+All three come from one pass per product, which the first of them to run
+pays for, and `SuiteContext` keeps each product's instance counts and
+failures, not its matrices.  `SuiteContext` likewise decides family
+membership once per graph for `F_characterization` and `f_triangle_lemma`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .geodesics import geodesic_count
 from .graph import Graph, complete_graph, cycle_graph, induced_subgraph, is_isometric_embedding, path_graph
 from .products import LEXICOGRAPHIC, ProductGraph, lex_distance_matrix, product
 from .qdist import ONE, THREE_HALVES, QDist
-from .subdivision import diam_g, diam_v, edge_ids, j_hops
+from .subdivision import diam_g, diam_v, edge_ends, edge_ids, j_hops
 from .treeformula import bound_check, tree_lex_delta
 
 
@@ -65,18 +69,25 @@ class SuiteReport:
 
 
 class SuiteContext:
-    """Shared memoization across checks (exact deltas are the hot item).
+    """Shared memoization across checks, whatever order they run in.
 
-    Each of the `singles`, the corpus graphs, keeps one default S_4
-    `DeltaEngine` for the whole run, with its grid, tables and default
-    result: the value checks, the witness, cycle-only, bigon and
-    short-triangle checks all sweep these graphs, and share that engine
-    whatever order they run in.  Every other graph, the products above all,
-    keeps only its value: each is swept once, and keeping their engines as
-    well raised the peak RSS of a `lexhyp verify --seed 0` run from 62.5 to
-    90.0 MB, for the same grid and table counts.  The copy-lemma checks keep
-    nothing: they read `j_hops`, exact for them as their extremes sit at J
-    points.
+    One run keeps:
+    - the engines of the `singles`, the corpus graphs: one default S_4
+      `DeltaEngine` each, with its grid, tables and default result.  The
+      value checks, the witness, cycle-only, bigon and short-triangle
+      checks all sweep these graphs and share that engine;
+    - the exact value of every other graph swept, the products above all;
+    - the products, `lex`, one per corpus pair;
+    - the copy-lemma results per product (`copy_lemmas`): each check's
+      instance count and failures, from one pass over the product's J(G)
+      metric;
+    - family membership per graph (`in_family`).
+
+    It deliberately keeps no J metric, of a product or of its factors, and
+    no engine but the singles': keeping the products' engines as well
+    raised the peak RSS of a `lexhyp verify --seed 0` run from 62.5 to
+    90.0 MB, for the same grid and table counts, and each J metric is read
+    by one pass only.
     """
 
     def __init__(self, product_cap: int, singles: Iterable[Graph] = ()):
@@ -86,6 +97,8 @@ class SuiteContext:
         self._results: dict[Graph, DeltaResult] = {}
         self._delta: dict[Graph, QDist] = {}
         self._products: dict[tuple[Graph, Graph], ProductGraph] = {}
+        self._copies: dict[tuple[Graph, Graph], dict[str, tuple[int, list]]] = {}
+        self._family: dict[Graph, bool] = {}
 
     def engine(self, g: Graph) -> DeltaEngine:
         """The default engine of g, built on first use and kept."""
@@ -112,6 +125,20 @@ class SuiteContext:
         if key not in self._products:
             self._products[key] = product(g1, g2, LEXICOGRAPHIC)
         return self._products[key]
+
+    def copy_lemmas(self, g1: Graph, g2: Graph) -> dict[str, tuple[int, list]]:
+        """(instances, failures) of each copy-lemma check on `lex(g1, g2)`,
+        by check id (`_copy_lemmas`), from one pass kept per product."""
+        key = (g1, g2)
+        if key not in self._copies:
+            self._copies[key] = _copy_lemmas(self.lex(g1, g2), g1, g2)
+        return self._copies[key]
+
+    def in_family(self, g: Graph) -> bool:
+        """Whether g is in the family F (`in_family_F`), decided once."""
+        if g not in self._family:
+            self._family[g] = in_family_F(g)[0]
+        return self._family[g]
 
     def delta_pairs(self, corpus: Corpus):
         """Pairs whose lexicographic product fits the engine budget."""
@@ -153,15 +180,69 @@ def _fits_s4(g: Graph) -> bool:
     return g.vertex_count + 3 * g.m <= 2000
 
 
-def _lift(p: ProductGraph, g: Graph, vid: Callable[[int], int]) -> np.ndarray:
-    """Product J(G) indices of J(g), in J order, lifted by the vertex map
-    `vid`; the midpoint of (a, b) goes to that of the product edge (vid(a), vid(b))."""
-    ids = np.array([vid(v) for v in range(g.vertex_count)], dtype=np.intp)
-    ends = ids[np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)]
-    at = edge_ids(p.graph, ends[:, 0], ends[:, 1])
+def _lift(p: ProductGraph, g: Graph, ids: np.ndarray) -> np.ndarray:
+    """Product J(G) indices of J(g), in J order, for each copy of g in the
+    product: row r of `ids` holds the product vertex of each vertex of g in
+    copy r, and the midpoint of (a, b) goes to that of the product edge
+    (ids[r, a], ids[r, b]).  One edge lookup serves every copy."""
+    n = p.graph.vertex_count
+    pairs = ids[:, edge_ends(g)]  # copy, edge of g, end
+    at = edge_ids(edge_ends(p.graph), n, pairs[..., 0], pairs[..., 1])
     if (at < 0).any():
-        raise LexhypError(f"edge {g.edges[int(np.argmax(at < 0))]} does not lift to a product edge")
-    return np.concatenate([ids, p.graph.vertex_count + at])
+        raise LexhypError(f"edge {g.edges[int(np.argwhere(at < 0)[0, 1])]} "
+                          "does not lift to a product edge")
+    return np.concatenate([ids, n + at], axis=1)
+
+
+def _copy_lemmas(p: ProductGraph, g1: Graph, g2: Graph) -> dict[str, tuple[int, list]]:
+    """(instances, failures) of the three copy-lemma checks on the product
+    `p` of g1 and g2, by check id, from one `j_hops` of the product and one
+    of g2; empty when the product's S_4 grid is over `_fits_s4`, and without
+    the geodesic-copy checks when g2 has no edge.
+
+    `neighborhood_3_2`: every point of G1 o G2 lies within 3/2 of each copy
+    G1 x {w}.  Exact on J points alone.  A vertex's nearest point on a
+    closed edge is an end, so the distance f to the copy is a multiple of
+    k = 4 hops at every vertex; along any other edge f is the tent
+    min(i + A, k - i + B), |A - B| <= k, which peaks at i in {0, k/2, k}.
+    No J point is nearer to a point inside a copy edge than to its ends or
+    midpoint, so the copy's J points stand for the whole copy.
+
+    `geodesic_copy_5_2` and `geodesic_copy_gt3` compare, for each copy
+    {x0} x G2 and each pair of J(G2) points named by `keys`, ("v", v) and
+    ("m", (a, b)), the `j_hops` distance in G2 with that in the product:
+    equal up to 5/2 (and for two midpoints 3 apart), shorter beyond 3.
+    """
+    g = p.graph
+    if not _fits_s4(g):
+        return {}
+    pair = _pair_tag(g1, g2)
+    hops = j_hops(g)
+    ids = np.arange(g1.vertex_count * g2.vertex_count).reshape(g1.vertex_count, g2.vertex_count)
+    failures: list = []
+    for w, copy in enumerate(_lift(p, g1, ids.T)):  # the copies G1 x {w}
+        worst = int(hops[:, copy].min(axis=1).max())
+        if worst > 6:
+            _fail(failures, {"pair": pair, "w": w}, "every point within 3/2 of the copy",
+                  f"{worst}/4")
+    out = {"neighborhood_3_2": (g2.vertex_count, failures)}
+    if not g2.m:
+        return out
+    keys = [("v", v) for v in range(g2.vertex_count)] + [("m", e) for e in g2.edges]
+    i, j = np.triu_indices(len(keys), 1)
+    lift = _lift(p, g2, ids)  # the copies {x0} x G2
+    dprod = hops[lift[:, i], lift[:, j]]  # row x0: the key pairs' distances in its copy
+    d2 = j_hops(g2)[i, j]
+    mid = np.array([key[0] == "m" for key in keys])
+    for cid, kept, wrong, want in (
+            ("geodesic_copy_5_2", (d2 <= 10) | (mid[i] & mid[j] & (d2 == 12)), dprod != d2, "{}/4"),
+            ("geodesic_copy_gt3", d2 > 12, dprod >= d2, "< {}/4")):
+        failures = []
+        for x0, r in np.argwhere(kept & wrong).tolist():
+            _fail(failures, {"pair": pair, "x0": x0, "y1": keys[i[r]], "y2": keys[j[r]]},
+                  want.format(d2[r]), f"{dprod[x0, r]}/4")
+        out[cid] = (len(dprod) * int(kept.sum()), failures)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -212,71 +293,17 @@ def _check_copy_isometry(corpus: Corpus, ctx: SuiteContext):
     return instances, failures
 
 
-@_register("neighborhood_3_2")
-def _check_neighborhood(corpus: Corpus, ctx: SuiteContext):
-    """Every point of G1 o G2 lies within 3/2 of each copy G1 x {w}.
-
-    Exact on J points alone.  A vertex's nearest point on a closed edge is
-    an end, so the distance f to the copy is a multiple of k = 4 hops at
-    every vertex; along any other edge f is the tent min(i + A, k - i + B),
-    |A - B| <= k, which peaks at i in {0, k/2, k}.  No J point is nearer to
-    a point inside a copy edge than to its ends or midpoint, so the copy's
-    J points stand for the whole copy.
-    """
+def _copy_entries(corpus: Corpus, ctx: SuiteContext, check_id: str):
     instances, failures = 0, []
     for g1, g2 in _lex_pairs(corpus.pairs):
-        p = ctx.lex(g1, g2)
-        if not _fits_s4(p.graph):
-            continue
-        hops = j_hops(p.graph)
-        for w in range(g2.vertex_count):
-            worst = int(hops[:, _lift(p, g1, lambda u: p.vertex_id(u, w))].min(axis=1).max())
-            if worst > 6:
-                _fail(failures, {"pair": _pair_tag(g1, g2), "w": w},
-                      "every point within 3/2 of the copy", f"{worst}/4")
-            instances += 1
+        got, bad = ctx.copy_lemmas(g1, g2).get(check_id, (0, []))
+        instances += got
+        failures.extend(bad)
     return instances, failures
 
 
-def _copy_distances(corpus: Corpus, ctx: SuiteContext):
-    """(pair tag, keys, i, j, d2, dprod) per pair: `keys` name J(G2) in J
-    order, ("v", v) and ("m", (a, b)); `d2` holds the `j_hops` distances in
-    G2 of the key pairs (keys[i], keys[j]), i < j, and row x0 of `dprod`
-    those in the product, lifted into the copy {x0} x G2."""
-    for g1, g2 in _lex_pairs(corpus.pairs):
-        p = ctx.lex(g1, g2)
-        if not _fits_s4(p.graph) or not g2.m:
-            continue
-        keys = [("v", v) for v in range(g2.vertex_count)] + [("m", e) for e in g2.edges]
-        i, j = np.triu_indices(len(keys), 1)
-        lift = np.array([_lift(p, g2, partial(p.vertex_id, x0)) for x0 in range(g1.vertex_count)])
-        dprod = j_hops(p.graph)[lift[:, i], lift[:, j]]
-        yield _pair_tag(g1, g2), keys, i, j, j_hops(g2)[i, j], dprod
-
-
-@_register("geodesic_copy_5_2")
-def _check_geodesic_copy(corpus: Corpus, ctx: SuiteContext):
-    instances, failures = 0, []
-    for pair, keys, i, j, d2, dprod in _copy_distances(corpus, ctx):
-        mid = np.array([key[0] == "m" for key in keys])
-        kept = (d2 <= 10) | (mid[i] & mid[j] & (d2 == 12))
-        instances += len(dprod) * int(kept.sum())
-        for x0, r in np.argwhere(kept & (dprod != d2)).tolist():
-            _fail(failures, {"pair": pair, "x0": x0, "y1": keys[i[r]], "y2": keys[j[r]]},
-                  f"{d2[r]}/4", f"{dprod[x0, r]}/4")
-    return instances, failures
-
-
-@_register("geodesic_copy_gt3")
-def _check_geodesic_copy_far(corpus: Corpus, ctx: SuiteContext):
-    instances, failures = 0, []
-    for pair, keys, i, j, d2, dprod in _copy_distances(corpus, ctx):
-        kept = d2 > 12
-        instances += len(dprod) * int(kept.sum())
-        for x0, r in np.argwhere(kept & (dprod >= d2)).tolist():
-            _fail(failures, {"pair": pair, "x0": x0, "y1": keys[i[r]], "y2": keys[j[r]]},
-                  f"< {d2[r]}/4", f"{dprod[x0, r]}/4")
-    return instances, failures
+for _cid in ("neighborhood_3_2", "geodesic_copy_5_2", "geodesic_copy_gt3"):
+    _register(_cid)(partial(_copy_entries, check_id=_cid))
 
 
 @_register("projection_geodesic")
@@ -633,7 +660,7 @@ def _check_f_char(corpus: Corpus, ctx: SuiteContext):
         d1 = diam_v(g1)
         if not ONE <= d1 <= TWO:
             continue
-        member, _ = in_family_F(g2)
+        member = ctx.in_family(g2)
         val = ctx.delta(ctx.lex(g1, g2).graph)
         instances += 1
         if (val == THREE_HALVES) != member:
@@ -648,7 +675,7 @@ def _check_f_triangle(corpus: Corpus, ctx: SuiteContext):
     for g in corpus.graphs:
         if not _fits_s4(g):
             continue
-        member, _ = in_family_F(g)
+        member = ctx.in_family(g)
         triangle = ctx.engine(g).has_tight_short_triangle()
         instances += 1
         if member != triangle:

@@ -1,13 +1,18 @@
 """Forbidden-family catalog: counts, dedup, isomorphism, membership."""
 
+import random
+import tracemalloc
 from itertools import combinations
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lexhyp import (Graph, build_catalog, complete_graph, cycle_graph, get_catalog,
-                    in_family_F, induced_subgraph, is_isomorphic, path_graph, star_graph)
+from lexhyp import (CorpusSpec, Graph, build_catalog, complete_graph, cycle_graph,
+                    generate_corpus, get_catalog, in_family_F, induced_subgraph, is_isomorphic,
+                    path_graph, random_connected, star_graph)
 from lexhyp.catalog import FAMILY_CHORD_POOLS, _find_induced
+from lexhyp.graph import UNREACHABLE
 
 RAW_COUNT = 68
 # one-time exhaustive isomorphism pass over the 68 raw members (see the
@@ -60,14 +65,17 @@ def _iso_oracle(g1: Graph, g2: Graph) -> bool:
 def test_dedup_golden_constant_against_pairwise_oracle():
     raw = build_catalog(dedup=False)
     reps = []
-    for g in raw.members:
-        if not any(_iso_oracle(g, r) for r in reps):
-            reps.append(g)
+    for i, g in enumerate(raw.members):
+        if not any(_iso_oracle(g, raw.members[r]) for r in reps):
+            reps.append(i)
     assert len(reps) == DEDUP_GOLDEN
     cat = build_catalog(dedup=True)
     assert len(cat) == DEDUP_GOLDEN
     assert cat.deduplicated
-    assert cat.members == tuple(reps)  # the first member of each class
+    # the first member of each class, with its tag and chords
+    assert cat.members == tuple(raw.members[i] for i in reps)
+    assert cat.family_tags == tuple(raw.family_tags[i] for i in reps)
+    assert cat.chords == tuple(raw.chords[i] for i in reps)
 
 
 def test_dedup_members_pairwise_non_isomorphic():
@@ -194,3 +202,98 @@ def test_find_induced_matches_vf2(pattern, target):
         assert len(set(mapping.values())) == pattern.vertex_count
         for u, v in combinations(range(pattern.vertex_count), 2):
             assert pattern.has_edge(u, v) == target.has_edge(mapping[u], mapping[v])
+
+
+def _find_induced_reference(pattern: Graph, target: Graph) -> Optional[dict]:
+    """The plain backtracking search, with sets and a distance matrix: the
+    same order (rarest candidates first, ascending images) and prunes as
+    `_find_induced`, one candidate at a time."""
+    np_, nt = pattern.vertex_count, target.vertex_count
+    if np_ > nt:
+        return None
+    tdeg = [target.degree(t) for t in range(nt)]
+    padj = [set(pattern.neighbors(u)) for u in range(np_)]
+    tadj = [set(target.neighbors(t)) for t in range(nt)]
+    pdist = pattern.vertex_distances()
+    tdist = target.vertex_distances()
+    cands = {u: [t for t in range(nt) if tdeg[t] >= pattern.degree(u)] for u in range(np_)}
+    if any(not c for c in cands.values()):
+        return None
+
+    order = [min(range(np_), key=lambda u: (len(cands[u]), u))]
+    placed = set(order)
+    while len(order) < np_:
+        frontier = [u for u in range(np_) if u not in placed and padj[u] & placed]
+        pick = min(frontier or [u for u in range(np_) if u not in placed],
+                   key=lambda u: (len(cands[u]), u))
+        order.append(pick)
+        placed.add(pick)
+
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(i: int) -> bool:
+        if i == np_:
+            return True
+        u = order[i]
+        for t in cands[u]:
+            if t in used:
+                continue
+            ok = True
+            for u2, t2 in mapping.items():
+                adj_p = u2 in padj[u]
+                if adj_p != (t2 in tadj[t]):
+                    ok = False
+                    break
+                if not adj_p and pdist[u, u2] != UNREACHABLE and tdist[t, t2] > pdist[u, u2]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[u] = t
+            used.add(t)
+            if extend(i + 1):
+                return True
+            del mapping[u]
+            used.remove(t)
+        return False
+
+    return mapping if extend(0) else None
+
+
+def _family_targets(which: str) -> list[Graph]:
+    if which == "members":
+        return list(get_catalog().members)
+    if which == "corpus":
+        return [g for seed in range(3) for g in generate_corpus(CorpusSpec(seed=seed)).graphs]
+    return [random_connected(n, random.Random(s)) for n in range(6, 15) for s in range(3)]
+
+
+@pytest.mark.parametrize("which", ["members", "corpus", "random"])
+def test_bitset_search_matches_the_reference(which):
+    # the bitset search returns the reference's first embedding, image for
+    # image, for every catalog member as the pattern
+    members = get_catalog().members
+    found = 0
+    for target in _family_targets(which):
+        for member in members:
+            want = _find_induced_reference(member, target)
+            assert _find_induced(member, target) == want, (member.edges, target.edges)
+            found += want is not None
+    assert found
+
+
+@pytest.mark.parametrize("g", [path_graph(1000), cycle_graph(1000)], ids=["P1000", "C1000"])
+def test_membership_bitsets_stay_small_on_a_long_graph(g):
+    # the bitsets keep one row per distance the catalog members need, not
+    # one per distance of the target: with the distances already cached,
+    # deciding membership holds a few n^2 bytes at its peak, where a row
+    # per radius up to the diameter would hold hundreds
+    g.vertex_distances()
+    tracemalloc.start()
+    try:
+        assert in_family_F(g) == (False, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.vertex_count ** 2

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lexhyp import (CARTESIAN, CHECKS, LEXICOGRAPHIC, Corpus, CorpusSpec, LexhypError,
+from lexhyp import (CARTESIAN, CHECKS, LEXICOGRAPHIC, Corpus, CorpusSpec, Graph, LexhypError,
                     ValidationError, cycle_graph, generate_corpus, path_graph, product,
                     random_tree, run_suite, subdivide)
 from lexhyp.subdivision import j_hops
@@ -199,7 +199,8 @@ def test_neighborhood_worst_on_j_matches_the_grid():
             verts = [p.vertex_id(u, w) for u in range(g1.vertex_count)]
             edges = [tuple(sorted((p.vertex_id(a, w), p.vertex_id(b, w)))) for a, b in g1.edges]
             members = [jpos[v] for v in verts] + [jpos[s.edge_points[e][2]] for e in edges]
-            assert np.array_equal(_lift(p, g1, lambda u: p.vertex_id(u, w)), members)
+            copy = np.array([[p.vertex_id(u, w) for u in range(g1.vertex_count)]])
+            assert np.array_equal(_lift(p, g1, copy), [members])
             grid = verts + [x for e in edges for x in s.edge_points[e]]
             assert jh[:, members].min(axis=1).max() == hops[:, grid].min(axis=1).max()
             copies += 1
@@ -212,14 +213,55 @@ def test_projection_geodesic_default_corpus():
         == ("pass", 325_001)
 
 
+COPY_CHECKS = ["neighborhood_3_2", "geodesic_copy_5_2", "geodesic_copy_gt3"]
+
+
+def _planted_copies(order, g1, g2, planted) -> dict:
+    """The copy-lemma checks in `order` on one context, with `planted`
+    filed as the product of the corpus pair (g1, g2)."""
+    corpus = Corpus(spec=CorpusSpec(), graphs=(g1, g2), pairs=((g1, g2),))
+    ctx = SuiteContext(product_cap=24)
+    ctx._products[(g1, g2)] = replace(planted, kind=LEXICOGRAPHIC)
+    return {cid: CHECKS[cid](corpus, ctx) for cid in order}
+
+
 def test_geodesic_copy_checks_alone_and_together():
+    # the three checks share one pass per product, which the first to run
+    # pays for: each gives the same instances and failures alone, with the
+    # others, and in reversed order
     corpus = generate_corpus(CorpusSpec())
-    ids = ["geodesic_copy_5_2", "geodesic_copy_gt3"]
-    both = run_suite(corpus, ids).to_json_dict()
-    for cid in ids:
-        alone = run_suite(corpus, [cid]).to_json_dict()[cid]
-        assert {**alone, "millis": 0} == {**both[cid], "millis": 0}
-        assert alone["status"] == "pass" and alone["instances"] > 0
+
+    def run(ids):
+        report = run_suite(corpus, ids).to_json_dict()
+        return {cid: {**got, "millis": 0} for cid, got in report.items()}
+
+    together = run(COPY_CHECKS)
+    assert run(COPY_CHECKS[::-1]) == together
+    for cid in COPY_CHECKS:
+        assert run([cid]) == {cid: together[cid]}
+        assert together[cid]["status"] == "pass" and together[cid]["instances"] > 0
+    # and so on the planted faults, each of which still fails its check
+    p5, p3, p4, p2 = path_graph(5), path_graph(3), path_graph(4), path_graph(2)
+    for g1, g2, planted, fails in (
+            (p5, p3, product(p5, p3, CARTESIAN), "neighborhood_3_2"),
+            (p3, p5, product(p3, p5, CARTESIAN), "geodesic_copy_gt3"),
+            (p2, p4, product(p2, cycle_graph(4)), "geodesic_copy_5_2")):
+        together = _planted_copies(COPY_CHECKS, g1, g2, planted)
+        assert _planted_copies(COPY_CHECKS[::-1], g1, g2, planted) == together
+        for cid in COPY_CHECKS:
+            assert _planted_copies([cid], g1, g2, planted) == {cid: together[cid]}
+        assert together[fails][1], fails
+
+
+def test_a_copy_that_does_not_lift_fails_all_three_copy_checks():
+    # the three checks share one pass per product, so a G2 copy that does not
+    # lift is reported by each of them, neighborhood_3_2 included, though that
+    # check reads no G2 copy
+    p2, p3 = path_graph(2), path_graph(3)
+    planted = product(p2, Graph(3, [(0, 2), (1, 2)]), LEXICOGRAPHIC)  # no edge (x, 0)-(x, 1)
+    for cid in COPY_CHECKS:
+        with pytest.raises(LexhypError, match=r"edge \(0, 1\) does not lift"):
+            _planted_copies([cid], p2, p3, planted)
 
 
 @pytest.mark.parametrize("order", ["sorted", "reversed"])

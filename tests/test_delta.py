@@ -593,6 +593,37 @@ def test_short_triangle_reads_midpoint_tables_only(monkeypatch):
         assert all(a >= g.vertex_count for a in sources), g.edges
 
 
+@pytest.mark.parametrize("swept", [False, True], ids=["fresh", "after-delta"])
+def test_short_triangle_drops_the_tables_it_builds(swept, monkeypatch):
+    # C40 is no member of F, so every one of its 40 midpoint pairs 3 apart
+    # is read.  The predicate holds a table it builds only while the pair it
+    # reads uses it: at most two more are live at a time, the tables the
+    # engine held stay, and so do all side vectors
+    engine = DeltaEngine(cycle_graph(40))
+    if swept:
+        engine.delta()
+    before = dict(engine._tables)
+    live = []
+    real = lexhyp.delta.j_source_table
+    monkeypatch.setattr(lexhyp.delta, "j_source_table",
+                        lambda s, a: live.append(len(engine._tables) + 1) or real(s, a))
+    built = engine.stats.tables_built
+    assert not engine.has_tight_short_triangle()
+    assert max(live, default=0) <= len(before) + 2
+    assert engine._tables.keys() == before.keys()
+    assert all(engine._tables[a] is t for a, t in before.items())
+    n = engine.s.base.vertex_count
+    ii, jj = engine.pairs_at(12)
+    mid = [(engine.J[i], engine.J[j]) for i, j in zip(ii.tolist(), jj.tolist()) if i >= n]
+    assert len(mid) == 40 and all(pair in engine._sides for pair in mid)
+    # the pairs form one chain m0-m3-m6-...-m37-m0: one table per midpoint,
+    # and the first built again at the end
+    assert engine.stats.tables_built - built == len(live) == 41
+    # table_bytes counts the bytes built, rebuilt tables included
+    one = engine.s.grid_n * engine.nj * engine.D.itemsize
+    assert engine.stats.table_bytes == engine.stats.tables_built * one
+
+
 def test_bigon_is_the_side_vector_diagonal():
     # W_a[p, b] <= d(p, b) = W_b[p, b], so entry b of side_values(a, b) is the
     # farthest bigon point on a-b

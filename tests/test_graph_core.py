@@ -245,7 +245,9 @@ def test_grid_metric_matches_bfs_on_product_and_disconnected(k, monkeypatch):
             assert np.array_equal(hops, _bfs_hops(s.grid_n, s.neighbors))
             j = np.asarray(s.j_set)
             assert np.array_equal(j_hops(g, k), hops[np.ix_(j, j)])
-            assert diam_g(g) == QDist.from_hops(int(hops.max()), k)
+            # diam_g's maximum, which also sizes the hop dtype of a disconnected grid
+            assert subdivision._max_hops(g, k) == int(hops.max())
+    assert diam_g(lex) == QDist.from_hops(int(all_pairs_distances(subdivide(lex, k)).max()), k)
     s = subdivide(split, k)
     hops = all_pairs_distances(s)
     mid = {e: pts[k // 2] for e, pts in s.edge_points.items()}
@@ -349,6 +351,15 @@ def test_diam_trivial():
     assert diam_g(trivial_graph()) == QDist(0)
 
 
+def test_diameters_of_a_disconnected_graph_raise():
+    # C8 induced on {0, 1, 4}: an edge and an isolated vertex, infinitely far
+    # apart; skipping the unreachable pairs would read a diameter of 1
+    g = induced_subgraph(cycle_graph(8), [0, 1, 4])
+    for diam in (diam_v, diam_g):
+        with pytest.raises(ValidationError, match="disconnected"):
+            diam(g)
+
+
 def _any_graph(seed: int, n: int, m: int) -> Graph:
     """A random graph on n vertices with up to m edges: often disconnected,
     edgeless when m is 0."""
@@ -363,9 +374,10 @@ def _any_graph(seed: int, n: int, m: int) -> Graph:
 @example(seed=0, n=1, m=0)
 def test_diam_g_closed_form_matches_grids(seed, n, m):
     # j_hops, from vertex distances alone, is the grid hop matrix on J(G)
-    # for every k, UNREACHABLE between components included; diam_g matches
-    # the J(G) maximum of the S_2 grid and the brute S_8 maximum, where
-    # pairs in different components (-1) never count
+    # for every k, UNREACHABLE between components included; the maximum
+    # diam_g takes matches the J(G) maximum of the S_2 grid and the brute
+    # S_8 maximum, where pairs in different components (-1) never count,
+    # and diam_g returns it for a connected graph only
     g = _any_graph(seed, n, m)
     for k in (2, 4, 8):
         s = subdivide(g, k)
@@ -376,7 +388,12 @@ def test_diam_g_closed_form_matches_grids(seed, n, m):
     s = subdivide(g, 2)
     j = np.asarray(s.j_set)
     want = QDist.from_hops(int(s.hops()[np.ix_(j, j)].max()), 2)
-    assert diam_g(g) == want == _diam_oracle_s8(g)
+    assert QDist.from_hops(subdivision._max_hops(g, 2), 2) == want == _diam_oracle_s8(g)
+    if g.is_connected():
+        assert diam_g(g) == want
+    else:
+        with pytest.raises(ValidationError):
+            diam_g(g)
 
 
 # ---------------------------------------------------------------------------

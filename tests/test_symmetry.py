@@ -60,6 +60,14 @@ def test_product_sweep_matches_plain_copy(g1, g2, kind):
         assert got.stats.sides_visited == plain.stats.sides_visited
         assert got.stats.tables_built <= plain.stats.tables_built
         assert got.stats.sides_exact <= plain.stats.sides_exact
+    _short_triangle_matches_plain_copy(p)
+
+
+def _short_triangle_matches_plain_copy(p: Graph) -> None:
+    # the short-triangle predicate reads one midpoint pair per orbit
+    fold, plain = DeltaEngine(p), DeltaEngine(_plain(p))
+    assert fold.has_tight_short_triangle() == plain.has_tight_short_triangle()
+    assert fold.stats.tables_built <= plain.stats.tables_built
 
 
 def _rotated_p2_c5() -> Graph:
@@ -115,6 +123,7 @@ def test_root_fold_matches_plain_copy(p):
         assert got.stats.sides_visited == plain.stats.sides_visited
         assert got.stats.tables_built <= plain.stats.tables_built
         assert got.stats.sides_exact <= plain.stats.sides_exact
+    _short_triangle_matches_plain_copy(p)
 
 
 @pytest.mark.parametrize("p", _FOLD_CASES.values(), ids=_FOLD_CASES.keys())

@@ -24,8 +24,10 @@ The short-triangle record (`--short-one NAME`) times
 `has_tight_short_triangle()` on a fresh `DeltaEngine` per call, the
 engine's construction left out: best of 3, `best_s`, with that call's
 `tables_built`, `table_bytes` and answer, and `ru_maxrss_mb`.  It runs on
-every graph but `cycle:1000`, where the predicate keeps a 16 MB table for
-each of the 1000 edge midpoints.
+every graph but `cycle:1000`, where the predicate reads all 1000 midpoint
+pairs: a predicate that kept the tables it built would hold 1000 tables
+of 16 MB, and one that holds at most two builds 1001 of them in a call
+(about 23 s, 0.023 s a table).
 
 The suite record runs `lexhyp verify --seed 0` (`run_suite` on the default
 corpus of seed 0, every check) three times in a fresh process
@@ -34,15 +36,17 @@ corpus of seed 0, every check) three times in a fresh process
 (`j_source_table` calls from the delta engine) and the geodesic
 enumerations (`enumerate_geodesics` calls from the delta engine), all
 counted in the first run, and the best wall time of the other two,
-`best_wall_s`.
+`best_wall_s`, with each check's `millis` in that run, `check_millis`.
 
 Each record, per graph and for the suite, comes from `ROUNDS` (5) pairs
 of fresh processes, one per checkout, alternating which checkout goes
 first, so that drift on a shared machine falls on both.  Per checkout it
 keeps the first process's record, with its time replaced by the
 nearest-rank quartiles (`q1`, `median`, `q3`) of all the processes'.
-Per-check seconds are left out: at this run count they are too noisy to
-compare single checks.
+The suite record's `check_millis` holds each check's median over the
+processes, for information only: at this run count single checks are too
+noisy to compare, and work moves between checks with what they share (the
+first copy-lemma check to run pays for all three).
 
 "after" runs on this checkout's `src`, "before" on PARENT/src, a checkout
 of the commit REV; both run this script, so only the library differs.
@@ -145,13 +149,15 @@ def suite_one(reps: int = 3) -> dict:
     finally:
         SubdividedGraph.__init__, lexhyp.delta.j_source_table = init, table
         lexhyp.delta.enumerate_geodesics = enumerate_fn
-    walls = []
+    runs = []  # (wall, report) of each timed run
     for _ in range(reps - 1):
         t0 = time.perf_counter()
-        run_suite(corpus)
-        walls.append(time.perf_counter() - t0)
+        got = run_suite(corpus)
+        runs.append((time.perf_counter() - t0, got))
+    wall, best = min(runs, key=lambda run: run[0])
     return {"all_pass": report.all_pass, "grids_built": dict(sorted(grids.items())),
-            "tables_built": tables[0], "enumerate_calls": paths[0], "best_wall_s": round(min(walls), 3),
+            "tables_built": tables[0], "enumerate_calls": paths[0], "best_wall_s": round(wall, 3),
+            "check_millis": {cid: r.millis for cid, r in sorted(best.results.items())},
             "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
@@ -166,17 +172,27 @@ def _fresh(src: str, *args: str) -> dict:
 def paired_runs(srcs: dict, args: tuple, key: str) -> dict:
     """This script's record for `args` from each named `src`, in ROUNDS rounds
     of fresh processes, alternating the order: per name, the record of its
-    first process with `key` replaced by the quartiles of every process's."""
+    first process with `key` replaced by the quartiles of every process's,
+    and its `check_millis`, if any, by each check's median."""
     runs: dict = {name: [] for name in srcs}
     for r in range(ROUNDS):
         for name, src in (list(srcs.items()) if r % 2 == 0 else list(srcs.items())[::-1]):
             runs[name].append(_fresh(src, *args))
     out = {}
     for name, got in runs.items():
-        vals = sorted(run[key] for run in got)
-        q1, median, q3 = (vals[math.ceil(len(vals) * i / 4) - 1] for i in (1, 2, 3))
-        out[name] = dict(got[0], **{key: {"q1": q1, "median": median, "q3": q3}})
+        out[name] = dict(got[0], **{key: _quartiles([run[key] for run in got])})
+        if "check_millis" in got[0]:
+            out[name]["check_millis"] = {
+                cid: _quartiles([run["check_millis"][cid] for run in got])["median"]
+                for cid in got[0]["check_millis"]}
     return out
+
+
+def _quartiles(vals: list) -> dict:
+    """The nearest-rank quartiles of `vals`."""
+    vals = sorted(vals)
+    return {name: vals[math.ceil(len(vals) * i / 4) - 1]
+            for name, i in (("q1", 1), ("median", 2), ("q3", 3))}
 
 
 def main() -> None:
