@@ -47,14 +47,17 @@ some p has min(d(a, p), d(b, p)) > t and d(c, p) > t.  For at most 256
 pairs of one length that is one matrix product of 0/1 float32 matrices,
 (min(rows of a, b) > t) @ (J rows > t).T > 0 (`DeltaEngine.corner_masks`),
 exact at any size because a sum of nonnegative terms is 0 only when every
-term is.  When t rises at a side, the length's later sides are masked
-again at the new t, so a side is charged exactly the third corners whose
-ceiling exceeds the running value at that side.  A side with any left is closed by two contiguous row
-gathers, W_a[I(a, b)] and W_b[I(a, b)]: their elementwise min, maxed over
-the interval, is the role value for every third corner at once
-(`DeltaEngine.side_values`) — no geodesic enumeration at all.  Side values
-are kept per J-pair read, so the witness search and the short-triangle
-predicate reuse those the value sweep computed.
+term is.  The sweep enters a length at its first pair, masked and read
+alone, and masks the rest only if it goes on: C200 stops after the first
+pair of its longest length and masks that one pair, not all 200 of the
+length.  When t rises at a side, the length's later sides are masked again
+at the new t, so a side is charged exactly the third corners whose ceiling
+exceeds the running value at that side.  A side with any left is closed by
+two contiguous row gathers, W_a[I(a, b)] and W_b[I(a, b)]: their
+elementwise min, maxed over the interval, is the role value for every
+third corner at once (`DeltaEngine.side_values`) — no geodesic enumeration
+at all.  Side values are kept per J-pair read, so the witness search and
+the short-triangle predicate reuse those the value sweep computed.
 
 A graph that carries automorphisms (a product, see `products`) folds each
 length over its J-pair orbit roots.  Masks and side values are metric, so an
@@ -65,9 +68,12 @@ to g(v) and the midpoint of edge e to the midpoint of g(e), and checked
 against the edge set before use (`j_automorphisms`).  Each J-pair's root,
 the first pair of its orbit, is found one length at a time by min-label
 propagation (`DeltaEngine.roots`), after the length's first pair, which is
-its own root, has been folded.  The sweep masks and reads only a length's
-distinct roots and charges every side its root's count (`_close_sides`),
-so the counters, the value and the witness are those of a graph without
+its own root, has been folded.  The propagation runs on one edge list per
+length, from each pair to its image under each generator that moves it,
+and each round is one scatter-min over that list, a slice at a time on
+long lengths.  The sweep masks and reads only a length's distinct roots
+and charges every side its root's count (`_close_sides`), so the
+counters, the value and the witness are those of a graph without
 generators, where every pair is its own root.  On lex(P6, C5) the 17,020
 J-pairs fall into 135 orbits, and the sweep builds 14 tables, not 160.
 
@@ -185,9 +191,11 @@ class DeltaStats:
     are the bytes the engine holds except after the short-triangle
     predicate, which drops the tables it builds and may build one again.
     `sides_visited` counts the sides the value sweep closed,
-    those whose corner mask kept some third corner, and `mask_s` the seconds
-    spent computing corner masks; `masks_recomputed` counts the mask
-    products computed again because they held a NaN.  `sides_exact` counts
+    those whose corner mask kept some third corner.  `masked_pairs` counts
+    the J-pairs whose corner masks were computed (a length the sweep
+    leaves after its first pair adds one), and `mask_s` the seconds spent
+    computing them; `masks_recomputed` counts the mask products computed
+    again because they held a NaN.  `sides_exact` counts
     the side vectors computed from tables: on a graph carrying automorphisms
     the value sweep computes them for orbit roots only, and `orbit_s` is the
     seconds spent finding the roots.  `blocks` counts the blocks of at least
@@ -206,6 +214,7 @@ class DeltaStats:
     table_bytes: int = 0
     table_s: float = 0.0
     sides_visited: int = 0
+    masked_pairs: int = 0
     mask_s: float = 0.0
     sides_exact: int = 0
     orbit_s: float = 0.0
@@ -271,6 +280,7 @@ def _side_distances(D: np.ndarray, sides) -> list[np.ndarray]:
 
 
 MASK_CHUNK = 256  # orbit roots per corner-mask product of the value sweep
+ROOT_CHUNK = 4096  # J-pairs per slice of a length's orbit-root edge list, bounding its memory
 
 
 class DeltaEngine:
@@ -347,6 +357,7 @@ class DeltaEngine:
             self.stats.masks_recomputed += 1
             got = near @ self._far[1].T
         got = ~(got <= 0)  # not "> 0", which a NaN would fail
+        self.stats.masked_pairs += len(ii)
         self.stats.mask_s += time.perf_counter() - t0
         return got
 
@@ -416,10 +427,18 @@ class DeltaEngine:
         `longest_first` order; without generators, the pair itself.
 
         A length's roots are found together, when first asked for, by
-        min-label propagation with pointer jumping over the pairs each
-        generator moves.  Labels only fall and stay in their orbit.  At the
-        fixpoint none exceeds its images', so labels are equal around each
-        cycle x, g x, g^2 x, ..., and each orbit is labeled by its first pair.
+        min-label propagation with pointer jumping.  It runs on one edge
+        list: an edge from each pair to its image under each generator that
+        moves an end of the pair, so a generator that moves no pair of the
+        length adds none.  Each round is one scatter-min of the images'
+        labels into the pairs' (`np.minimum.at`), then two jumps.  The list
+        is built in slices of ROOT_CHUNK pairs, one scatter each, which keeps
+        its transient near that of one list per generator: one slice on
+        every length the ladder's products search (at most 2,175 pairs), 16
+        on the largest that lex(P16, C8) searches (64,384 pairs).  Labels
+        only fall and stay in their orbit.  At the fixpoint none exceeds its
+        images', so labels are equal around each cycle x, g x, g^2 x, ...,
+        and each orbit is labeled by its first pair.
         """
         if self.gens is None:
             return ii * self.nj + jj
@@ -430,16 +449,18 @@ class DeltaEngine:
         pi, pj = self.pairs_at(self.jD[ii[0], jj[0]])
         label = np.arange(pi.size, dtype=np.int32)
         self._root[pi, pj] = label  # pair ids, until the roots replace them
-        moved = []  # per generator: the pairs it moves, and the ids of their images
-        for perm, moves in zip(self.gens, self.gens != np.arange(self.nj)):
-            hit = np.flatnonzero(moves[pi] | moves[pj])
-            a, b = perm[pi[hit]], perm[pj[hit]]
-            moved.append((hit, self._root[np.minimum(a, b), np.maximum(a, b)]))
+        moves = np.ascontiguousarray((self.gens != np.arange(self.nj)).T)  # J-point by generator
+        edges = []  # per slice of ROOT_CHUNK pairs: the ids of each moved pair and its image
+        for lo in range(0, pi.size, ROOT_CHUNK):
+            si, sj = pi[lo:lo + ROOT_CHUNK], pj[lo:lo + ROOT_CHUNK]
+            pair, gen = np.nonzero(moves[si] | moves[sj])
+            a, b = self.gens[gen, si[pair]], self.gens[gen, sj[pair]]
+            edges.append((pair + lo, self._root[np.minimum(a, b), np.maximum(a, b)]))
         while True:
             low = label.copy()
-            for hit, image in moved:
-                low[hit] = np.minimum(low[hit], label[image])
-            low = low[low]
+            for pair, image in edges:
+                np.minimum.at(low, pair, label[image])
+            low = low[low[low]]
             if np.array_equal(low, label):
                 break
             label = low
@@ -506,12 +527,13 @@ class DeltaEngine:
         its root's count of kept third corners and has its root's best role
         value.  The distinct roots are masked MASK_CHUNK at a time and read
         in the order they first appear, up to the first whose best exceeds
-        `cur`.  A length's first pair is its own root, so on a graph with
-        generators it is folded alone, before the length's roots are found:
-        a sweep that stops after it never searches them.
+        `cur`.  A length is entered at its first pair, folded alone: a sweep
+        that stops after it masks one pair, not the length's first chunk,
+        and, as that pair is its own root, never searches the length's
+        roots.
         """
         d = int(self.jD[ii[0], jj[0]])
-        if d != self._length and self.gens is not None:  # a length is entered at its first pair
+        if d != self._length:  # a length is entered at its first pair
             ii, jj = ii[:1], jj[:1]
             codes = (ii * self.nj + jj).tolist()
         else:
@@ -705,16 +727,20 @@ class DeltaEngine:
           interior points have two neighbors, at its ends, or ends at its
           midpoint, so two geodesics cannot first meet inside one.
         It enumerates no geodesic, so it cannot raise GeodesicCapError.
-        On a graph that carries automorphisms it reads one pair per orbit
-        (`roots`): they carry the pair, its third corners and its side
-        vector along.  It reads the pairs in a chain where it can, each
-        sharing a source with the one before (`_chained`), and holds a table
-        it builds only while the pair it reads uses it; the side vectors,
-        and the tables it found built, stay.  So it holds at most two tables
+        It walks the midpoint pairs in a chain where it can, each sharing a
+        source with the one before (`_chained`), and holds a table it
+        builds only while the pair it reads uses it; the side vectors, and
+        the tables it found built, stay.  So it holds at most two tables
         more than the engine held before, where keeping them all would hold
         one per edge midpoint (about 16 GB on `cycle:1000`).  On
         `cycle:1000` the pairs form one chain, so it builds one table per
-        midpoint and the first one again.
+        midpoint and the first one again.  On a graph that carries
+        automorphisms it skips a pair whose orbit it has read (`roots`):
+        they carry the pair, its third corners and its side vector along.
+        The pairs it reads are a subsequence of the walk on the same graph
+        without generators, so it builds no more tables than that walk: a
+        table it builds for a pair is not at the pair it read before, so
+        that walk builds it at some pair in between.
         """
         if self.s.k != 4:
             raise ValidationError("the short-triangle predicate runs on the S_4 grid only")
@@ -727,12 +753,22 @@ class DeltaEngine:
             pi, pj = ii[mid], jj[mid]
 
             def pairs():
-                # the first midpoint pair is its orbit's root: it is read before
-                # the length's roots are found, which a True answer there spares
-                first = (int(pi[0]), int(pj[0]))
-                yield first
-                roots = (divmod(c, self.nj) for c in dict.fromkeys(self.roots(pi, pj).tolist()))
-                yield from _chained([p for p in roots if p != first], first)
+                # the first pair is its orbit's root: it is read before the
+                # walk is indexed and the length's roots are found, which a
+                # True answer there spares
+                chain = _chained(pi, pj)
+                yield int(pi[0]), int(pj[0])
+                next(chain)
+                codes = self.roots(pi, pj)
+                orbits = int((codes == pi * self.nj + pj).sum())  # pairs that are their own root
+                codes = codes.tolist()
+                read = {codes[0]}
+                for r in chain:
+                    if len(read) == orbits:  # the rest of the walk reads nothing new
+                        return
+                    if codes[r] not in read:
+                        read.add(codes[r])
+                        yield int(pi[r]), int(pj[r])
 
             built: set = set()  # the tables this call built and still holds
             try:
@@ -751,32 +787,43 @@ class DeltaEngine:
                     self._tables.pop(x, None)
 
 
-def _chained(pairs: list[tuple[int, int]], last: tuple[int, int]):
-    """`pairs` in an order where each shares an end with the pair before it
-    where it can: after the pair `last`, the first unread pair at its newer
-    end (the one it does not share with its own predecessor), else at its
-    other end, else the first unread pair of `pairs`."""
-    at: dict[int, list] = {}
-    for p in reversed(pairs):  # so that pop() gives each end's pairs in order
-        for end in p:
-            at.setdefault(end, []).append(p)
-    left, first, ends = set(pairs), 0, last[::-1]
-    while left:
-        nxt = None
-        for end in ends:
-            stack = at.get(end, [])
-            while stack and stack[-1] not in left:
-                stack.pop()
-            if stack:
-                nxt = stack.pop()
+def _chained(pi: np.ndarray, pj: np.ndarray):
+    """The indices r of the pairs (pi[r], pj[r]) in an order where each pair
+    shares an end with the pair before it where it can: pair 0 first, then
+    after each pair the first unread pair at its newer end (the one it does
+    not share with its own predecessor), else at its other end, else the
+    first unread pair.  One stable sort lists each end's pairs in order, and
+    each end's list is read off lazily, so a walk stopped early pays only
+    for the pairs it passed."""
+    n = pi.size
+    ends = np.stack([pi, pj], axis=1).ravel()  # pair r's ends at 2r and 2r + 1
+    order = np.argsort(ends, kind="stable")
+    slots = (order // 2).tolist()  # the pairs at each end, in pair order
+    bounds = np.searchsorted(ends[order], np.arange(int(ends.max()) + 2)).tolist()
+    at = bounds[:-1]  # per end: its first slot not yet passed
+    P, Q = pi.tolist(), pj.tolist()
+    unread = [True] * n
+    unread[0], first, last = False, 1, 0
+    yield 0
+    near = (Q[0], P[0])
+    for _ in range(n - 1):
+        nxt = -1
+        for end in near:
+            k, stop = at[end], bounds[end + 1]
+            while k < stop and not unread[slots[k]]:
+                k += 1
+            at[end] = k
+            if k < stop:
+                nxt = slots[k]
                 break
-        if nxt is None:
-            while pairs[first] not in left:
+        if nxt < 0:
+            while not unread[first]:
                 first += 1
-            nxt = pairs[first]
-        left.remove(nxt)
+            nxt = first
+        unread[nxt] = False
         yield nxt
-        ends = nxt if nxt[1] in last else nxt[::-1]  # the newer end first
+        # the newer end first
+        near = (P[nxt], Q[nxt]) if Q[nxt] in (P[last], Q[last]) else (Q[nxt], P[nxt])
         last = nxt
 
 

@@ -33,7 +33,7 @@ from .graph import Graph, complete_graph, cycle_graph, induced_subgraph, is_isom
 from .products import LEXICOGRAPHIC, ProductGraph, lex_distance_matrix, product
 from .qdist import ONE, THREE_HALVES, QDist
 from .subdivision import diam_g, diam_v, edge_ends, edge_ids, j_hops
-from .treeformula import bound_check, tree_lex_delta
+from .treeformula import _tree_lex_case, bound_check
 
 
 @dataclass
@@ -81,7 +81,8 @@ class SuiteContext:
     - the copy-lemma results per product (`copy_lemmas`): each check's
       instance count and failures, from one pass over the product's J(G)
       metric;
-    - family membership per graph (`in_family`).
+    - family membership per graph (`in_family`), which the tree-formula
+      oracle reads too.
 
     It deliberately keeps no J metric, of a product or of its factors, and
     no engine but the singles': keeping the products' engines as well
@@ -641,7 +642,7 @@ def _check_tree_oracle(corpus: Corpus, ctx: SuiteContext):
     for g1, g2 in ctx.delta_pairs(corpus):
         if not g1.is_tree():
             continue
-        table = tree_lex_delta(g1, g2)
+        table = _tree_lex_case(g1, g2, ctx.in_family)
         engine = ctx.delta(ctx.lex(g1, g2).graph)
         instances += 1
         if table.value != engine:

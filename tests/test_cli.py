@@ -34,7 +34,8 @@ def test_delta_stats_on_stderr(capsys):
     assert code == 0 and out == plain
     lines = dict(line.split(": ") for line in err.splitlines())
     assert set(lines) == {"triples_examined", "geodesics_enumerated", "wall_time_s", "tables_built",
-                          "table_bytes", "table_s", "sides_visited", "mask_s", "sides_exact",
+                          "table_bytes", "table_s", "sides_visited", "masked_pairs", "mask_s",
+                          "sides_exact",
                           "orbit_s", "masks_recomputed", "apsp_s", "hops_s", "chains_s",
                           "value_s", "witness_s", "geodesic_s", "blocks"}
     assert int(lines["triples_examined"]) == json.loads(out)["stats"]["triples_examined"]

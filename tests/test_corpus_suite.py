@@ -305,6 +305,27 @@ def test_copy_lemma_checks_build_no_grid(monkeypatch):
     assert grids == Counter({4: 94, 8: 73})
 
 
+def test_membership_is_decided_once_per_graph(monkeypatch):
+    # the tree-formula oracle reads the context's membership, as the other
+    # two membership checks do: no graph of `lexhyp verify --seed 0` is
+    # decided twice
+    import lexhyp.suite
+    import lexhyp.treeformula
+    calls: Counter = Counter()
+    real = lexhyp.suite.in_family_F
+
+    def counted(g):
+        calls[g] += 1
+        return real(g)
+
+    monkeypatch.setattr(lexhyp.suite, "in_family_F", counted)
+    monkeypatch.setattr(lexhyp.treeformula, "in_family_F", counted)
+    report = run_suite(generate_corpus(CorpusSpec(seed=0)),
+                       ["tree_lex_oracle", "F_characterization", "f_triangle_lemma"])
+    assert report.all_pass and all(r.instances > 0 for r in report.results.values())
+    assert sum(calls.values()) == len(calls) == 61
+
+
 def test_suite_context_without_singles_keeps_no_engine():
     # a context built without singles memoises values only, as for products
     ctx = SuiteContext(product_cap=24)

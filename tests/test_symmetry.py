@@ -50,6 +50,7 @@ def _group(gens: np.ndarray, n: int) -> set:
 @example(g1=path_graph(3), g2=cycle_graph(4), kind=LEXICOGRAPHIC)
 @example(g1=cycle_graph(4), g2=path_graph(2), kind=CARTESIAN)
 @example(g1=path_graph(3), g2=complete_graph(3), kind=STRONG)
+@example(g1=path_graph(3), g2=path_graph(4), kind=CARTESIAN)
 def test_product_sweep_matches_plain_copy(g1, g2, kind):
     p = product(g1, g2, kind).graph
     for cycle_only in (True, False):
@@ -98,6 +99,17 @@ def _two_products_at_a_cut_vertex() -> Graph:
     return g
 
 
+def _identity_and_duplicate_p3_c4() -> Graph:
+    """lex(P3, C4) carrying, besides its generators, the identity and a
+    second copy of its first generator: rows that move no pair of a
+    length, and edges that repeat."""
+    p = product(path_graph(3), cycle_graph(4)).graph
+    gens = p.automorphism_generators()
+    p._automorphisms = np.concatenate([np.arange(p.vertex_count, dtype=np.int32)[None], gens,
+                                       gens[:1]])
+    return p
+
+
 _FOLD_CASES = {
     "lex-P3-C4": product(path_graph(3), cycle_graph(4)).graph,
     "lex-P2-K3": product(path_graph(2), complete_graph(3)).graph,
@@ -107,6 +119,7 @@ _FOLD_CASES = {
     "strong-C4-P2": product(cycle_graph(4), path_graph(2), STRONG).graph,
     "lex-P2-C5-rotations": _rotated_p2_c5(),
     "two-lex-P3-C4-cut-vertex": _two_products_at_a_cut_vertex(),
+    "lex-P3-C4-identity-and-duplicate": _identity_and_duplicate_p3_c4(),
 }
 
 
@@ -151,6 +164,21 @@ def test_first_pair_of_a_length_skips_the_root_search(p):
         assert (roots == -1).all() if pairs == 1 else (roots >= 0).all(), (d, pairs)
 
 
+def test_plain_graph_enters_a_length_at_its_first_pair():
+    # a graph without generators folds a length's first pair alone too: on
+    # C40 the sweep stops after it, so one pair is masked, not all 40 of the
+    # longest length, and the counters are those of masking the whole length
+    sweep = DeltaEngine(cycle_graph(40))
+    masked = []
+    close = sweep.corner_masks
+    sweep.corner_masks = lambda ii, jj, t: masked.append(len(ii)) or close(ii, jj, t)
+    res = sweep.delta()
+    assert masked == [1] and res.stats.masked_pairs == 1
+    assert res.value.quarters == 40
+    st = res.stats
+    assert (st.triples_examined, st.sides_visited, st.tables_built, st.sides_exact) == (79, 1, 2, 1)
+
+
 @pytest.mark.parametrize("p", [_FOLD_CASES[k] for k in ("lex-P2-K3", "cart-P3-C4",
                                                        "lex-P2-C5-rotations")])
 def test_sweep_ending_after_one_pair_finds_no_roots(p):
@@ -179,6 +207,22 @@ def test_roots_are_first_pairs_of_orbits(p):
         first = min(orbit)
         assert all(sweep.jD[a, b] == sweep.jD[i, j] for a, b in orbit)
         assert int(sweep.roots(np.array([i]), np.array([j]))[0]) == first[0] * sweep.nj + first[1]
+
+
+def test_roots_in_slices_match_one_slice(monkeypatch):
+    # the edge list built and scattered a few pairs at a time gives the
+    # roots of one list over the whole length
+    import lexhyp.delta
+    p = _FOLD_CASES["lex-P3-C4-identity-and-duplicate"]
+    whole, sliced = DeltaEngine(p), DeltaEngine(p)
+    pi, pj = np.triu_indices(whole.nj, 1)
+    lengths = whole.jD[pi, pj]
+    for d in np.unique(lengths).tolist():
+        at = lengths == d
+        want = whole.roots(pi[at], pj[at])
+        monkeypatch.setattr(lexhyp.delta, "ROOT_CHUNK", 7)
+        assert np.array_equal(sliced.roots(pi[at], pj[at]), want), d
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("g1, g2, orbits", [
