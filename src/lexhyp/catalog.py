@@ -3,7 +3,17 @@
 A graph belongs to the family when some vertex subset induces a graph
 isomorphic to a catalog member.  Members are cycles of length 6 to 9 with a
 chord subset drawn from one fixed chord pool per variant; the raw catalog has
-4 + 16 + 16 + 16 + 16 = 68 entries before isomorphism deduplication.
+4 + 16 + 16 + 16 + 16 = 68 entries, 40 up to isomorphism.
+
+The family is a constant, so the deduplicated catalog is stored as data:
+`DEDUP_MEMBERS` lists the (variant tag, chord subset) of each of the 40
+members, and `get_catalog` builds those graphs without an isomorphism
+search.  That search, 1,299 pairwise isomorphism tests of which 59 reach
+an embedding search, would otherwise run at the start of every process
+that reads the catalog, as `lexhyp verify` and `classify` do.
+`build_catalog(dedup=True)` keeps the search as the reference, and
+`test_stored_catalog_matches_the_search` pins the stored list to it member
+by member: tags, chords, edges and order.
 
 Deduplication and membership share one search, `_find_induced`: between two
 graphs of the same order an induced embedding is an isomorphism.
@@ -27,6 +37,53 @@ FAMILY_CHORD_POOLS = (
     ("C8_1", 8, ((2, 6), (2, 8), (4, 6), (4, 8))),
     ("C8_2", 8, ((2, 8), (4, 6), (4, 7), (4, 8))),
     ("C9_1", 9, ((2, 6), (2, 9), (4, 6), (4, 9))),
+)
+
+# The deduplicated catalog in `build_catalog(dedup=True)`'s order, the first
+# raw chording of each isomorphism class: raw indices 0, 1, 3-6, 9-12, 15,
+# 16, 19-22, 25, 27, 28, 31, 32, 35, 39, 42, 44, 46, 47, 49-54, 57-60, 63,
+# 64 and 67 of `build_catalog(dedup=False)`.
+DEDUP_MEMBERS = (
+    ("C6_1", ()),
+    ("C6_1", ((2, 6),)),
+    ("C6_1", ((2, 6), (4, 6))),
+    ("C7_1", ()),
+    ("C7_1", ((2, 6),)),
+    ("C7_1", ((2, 7),)),
+    ("C7_1", ((2, 6), (2, 7))),
+    ("C7_1", ((2, 6), (4, 6))),
+    ("C7_1", ((2, 6), (4, 7))),
+    ("C7_1", ((2, 7), (4, 6))),
+    ("C7_1", ((2, 6), (2, 7), (4, 6))),
+    ("C7_1", ((2, 6), (2, 7), (4, 7))),
+    ("C7_1", ((2, 6), (2, 7), (4, 6), (4, 7))),
+    ("C8_1", ()),
+    ("C8_1", ((2, 6),)),
+    ("C8_1", ((2, 8),)),
+    ("C8_1", ((2, 6), (2, 8))),
+    ("C8_1", ((2, 6), (4, 8))),
+    ("C8_1", ((2, 8), (4, 6))),
+    ("C8_1", ((2, 6), (2, 8), (4, 6))),
+    ("C8_1", ((2, 6), (2, 8), (4, 8))),
+    ("C8_1", ((2, 6), (2, 8), (4, 6), (4, 8))),
+    ("C8_2", ((4, 7),)),
+    ("C8_2", ((2, 8), (4, 7))),
+    ("C8_2", ((4, 6), (4, 7))),
+    ("C8_2", ((4, 7), (4, 8))),
+    ("C8_2", ((2, 8), (4, 6), (4, 7))),
+    ("C8_2", ((2, 8), (4, 7), (4, 8))),
+    ("C8_2", ((4, 6), (4, 7), (4, 8))),
+    ("C8_2", ((2, 8), (4, 6), (4, 7), (4, 8))),
+    ("C9_1", ()),
+    ("C9_1", ((2, 6),)),
+    ("C9_1", ((2, 9),)),
+    ("C9_1", ((2, 6), (2, 9))),
+    ("C9_1", ((2, 6), (4, 6))),
+    ("C9_1", ((2, 6), (4, 9))),
+    ("C9_1", ((2, 9), (4, 6))),
+    ("C9_1", ((2, 6), (2, 9), (4, 6))),
+    ("C9_1", ((2, 6), (2, 9), (4, 9))),
+    ("C9_1", ((2, 6), (2, 9), (4, 6), (4, 9))),
 )
 
 
@@ -92,8 +149,13 @@ def build_catalog(dedup: bool = True) -> FCatalog:
 
 @lru_cache(maxsize=1)
 def get_catalog() -> FCatalog:
-    """The deduplicated catalog, built once per process."""
-    return build_catalog(dedup=True)
+    """The deduplicated catalog, built once per process from the stored
+    `DEDUP_MEMBERS`: the members of `build_catalog(dedup=True)`, with their
+    tags, chords and order, but no isomorphism search."""
+    length = {tag: n for tag, n, _ in FAMILY_CHORD_POOLS}
+    return FCatalog(tuple(_chorded_cycle(length[tag], chords) for tag, chords in DEDUP_MEMBERS),
+                    tuple(tag for tag, _ in DEDUP_MEMBERS),
+                    tuple(chords for _, chords in DEDUP_MEMBERS), True)
 
 
 # ---------------------------------------------------------------------------

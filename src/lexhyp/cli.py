@@ -15,6 +15,8 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
+from contextlib import contextmanager, nullcontext
 from itertools import accumulate
 from pathlib import Path
 
@@ -78,15 +80,44 @@ def _parse_vertex_pair(text: str) -> tuple[int, int]:
         raise ParseError(f"non-integer coordinate in {text!r}") from None
 
 
+@contextmanager
+def _progress_on_stderr():
+    """Route the "lexhyp" logger's DEBUG lines to stderr while the block
+    runs, each stamped ``[seconds s]`` with the time since it was entered.
+    `logging` is imported here only, so the other commands do not load it
+    (see `delta._debug_logger`)."""
+    import logging
+
+    start = time.time()
+
+    def stamp(record) -> bool:
+        record.elapsed = record.created - start
+        return True
+
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("[%(elapsed)8.3f s] %(message)s"))
+    handler.addFilter(stamp)
+    log = logging.getLogger("lexhyp")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        log.setLevel(level)
+        log.removeHandler(handler)
+
+
 def _cmd_delta(args) -> int:
-    g = parse_gspec(args.gspec)
-    cfg = DeltaConfig(geodesic_cap=args.cap, grid_factor=args.grid)
-    res = DeltaEngine(g, cfg).delta(cycle_only=not args.no_cycle_only)
+    with _progress_on_stderr() if args.stats else nullcontext():
+        g = parse_gspec(args.gspec)
+        cfg = DeltaConfig(geodesic_cap=args.cap, grid_factor=args.grid)
+        res = DeltaEngine(g, cfg).delta(cycle_only=not args.no_cycle_only)
     if args.json:
         print(json.dumps(res.to_json_dict(), sort_keys=True))
     else:
         print(res.value)
-    if args.stats:  # stderr only: stdout stays byte-identical
+    if args.stats:  # stderr only, after the progress lines: stdout stays byte-identical
         for f in dataclasses.fields(res.stats):
             print(f"{f.name}: {getattr(res.stats, f.name)}", file=sys.stderr)
     return 0

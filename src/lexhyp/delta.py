@@ -312,6 +312,7 @@ class DeltaEngine:
         self._tables: dict[int, np.ndarray] = {}
         self._geos: dict[tuple[int, int], tuple] = {}
         self._sides: dict[tuple[int, int], np.ndarray] = {}
+        self._side_lengths: set[int] = set()  # hop lengths of the sides in _sides, see _root_best
         self._far: tuple = (None, None)  # (t, jrows > t as float32), for the last t only
         self._hops: Optional[int] = None  # the value sweep's result, see delta()
         self.stats = DeltaStats(wall_time_s=time.perf_counter() - t0, apsp_s=t2 - t1,
@@ -418,6 +419,7 @@ class DeltaEngine:
         if got is None:
             iv = interval(self.D, a, b)
             got = self._sides[(a, b)] = np.minimum(self.table(a)[iv], self.table(b)[iv]).max(axis=0)
+            self._side_lengths.add(int(self.D[a, b]))
             self.stats.sides_exact += 1
         return got
 
@@ -490,9 +492,13 @@ class DeltaEngine:
 
     def _root_best(self, i: int, j: int) -> float:
         """The best role value of the orbit root of J-pair (i, j), or inf
-        when the root's side was not read."""
+        when the root's side was not read.  The root is a pair of the same
+        length, so where no side of that length was read the answer is inf
+        without finding the length's roots."""
         code = int(self._root[i, j]) if self.gens is not None else i * self.nj + j
         if code < 0:  # the pair's length has no roots yet
+            if int(self.jD[i, j]) not in self._side_lengths:
+                return np.inf
             code = int(self.roots(np.array([i]), np.array([j]))[0])
         ri, rj = divmod(code, self.nj)
         got = self._sides.get((self.J[ri], self.J[rj]))

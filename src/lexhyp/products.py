@@ -136,10 +136,11 @@ def lex_distance_matrix(g1: Graph, g2: Graph) -> np.ndarray:
 def lex_distance(g1: Graph, g2: Graph, a: tuple[int, int], b: tuple[int, int]) -> QDist:
     """Closed-form vertex distance in g1 o g2 from factor metrics only.  Needs
     non-trivial g1: for trivial g1 the product is g2, with g2's own metric."""
+    n1, n2 = g1.vertex_count, g2.vertex_count
+    for x, y in (a, b):
+        if not (0 <= x < n1 and 0 <= y < n2):
+            raise ValidationError(f"vertex {(x, y)} outside the factor ranges {n1} x {n2}")
     (u, v), (u2, v2) = a, b
-    for (x, y, g) in ((u, u2, g1), (v, v2, g2)):
-        if not (0 <= x < g.vertex_count and 0 <= y < g.vertex_count):
-            raise ValidationError(f"vertex pair {(x, y)} outside factor range")
     return QDist.from_edges(int(_lex_hops(g1, g2, u, v, u2, v2)))
 
 

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from lexhyp import (CorpusSpec, Graph, build_catalog, complete_graph, cycle_graph,
                     generate_corpus, get_catalog, in_family_F, induced_subgraph, is_isomorphic,
                     path_graph, random_connected, star_graph)
-from lexhyp.catalog import FAMILY_CHORD_POOLS, _find_induced
+import lexhyp.catalog
+from lexhyp.catalog import DEDUP_MEMBERS, FAMILY_CHORD_POOLS, _find_induced
 from lexhyp.graph import UNREACHABLE
 
 RAW_COUNT = 68
@@ -76,6 +77,34 @@ def test_dedup_golden_constant_against_pairwise_oracle():
     assert cat.members == tuple(raw.members[i] for i in reps)
     assert cat.family_tags == tuple(raw.family_tags[i] for i in reps)
     assert cat.chords == tuple(raw.chords[i] for i in reps)
+
+
+def test_stored_catalog_matches_the_search():
+    # the stored member list is the reference search's output, member by
+    # member: tags, chords, edges and order
+    stored, searched = get_catalog(), build_catalog(dedup=True)
+    assert len(DEDUP_MEMBERS) == len(stored) == len(searched) == DEDUP_GOLDEN
+    assert stored.deduplicated and searched.deduplicated
+    assert stored.family_tags == searched.family_tags
+    assert stored.chords == searched.chords
+    assert [g.edges for g in stored.members] == [g.edges for g in searched.members]
+    assert stored.members == searched.members
+
+
+def test_stored_catalog_runs_no_search(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _find_induced(*args)
+
+    monkeypatch.setattr(lexhyp.catalog, "_find_induced", counted)
+    lexhyp.catalog.get_catalog.cache_clear()
+    try:
+        assert len(get_catalog()) == DEDUP_GOLDEN
+    finally:
+        lexhyp.catalog.get_catalog.cache_clear()
+    assert calls == []
 
 
 def test_dedup_members_pairwise_non_isomorphic():

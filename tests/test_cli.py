@@ -32,7 +32,11 @@ def test_delta_stats_on_stderr(capsys):
     _, plain, _ = run_cli(capsys, "delta", "cycle:5", "--json")
     code, out, err = run_cli(capsys, "delta", "cycle:5", "--json", "--stats")
     assert code == 0 and out == plain
-    lines = dict(line.split(": ") for line in err.splitlines())
+    # the engine's progress lines come first, stamped "[seconds s]"
+    progress = [line for line in err.splitlines() if line.startswith("[")]
+    assert any(line.split("] ", 1)[1].startswith("sweep length") for line in progress)
+    assert all(float(line[1:line.index(" s]")]) >= 0 for line in progress)
+    lines = dict(line.split(": ") for line in err.splitlines() if not line.startswith("["))
     assert set(lines) == {"triples_examined", "geodesics_enumerated", "wall_time_s", "tables_built",
                           "table_bytes", "table_s", "sides_visited", "masked_pairs", "mask_s",
                           "sides_exact",
@@ -140,6 +144,16 @@ def test_dist_command(capsys):
     assert out == "2\n"
     code, out, _ = run_cli(capsys, "dist", "path:3", "path:4", "0,0", "2,3")
     assert out == "2\n"
+
+
+def test_dist_names_the_vertex_out_of_range(capsys):
+    # the message names the vertex as given, not a pair of one factor's
+    # coordinates from two vertices, and both factor sizes
+    code, out, err = run_cli(capsys, "dist", "path:3", "path:2", "0,0", "9,9")
+    assert (code, out) == (1, "")
+    assert err == "error: vertex (9, 9) outside the factor ranges 3 x 2\n"
+    code, _, err = run_cli(capsys, "dist", "path:3", "path:2", "2,5", "0,0")
+    assert code == 1 and err == "error: vertex (2, 5) outside the factor ranges 3 x 2\n"
 
 
 def test_dist_trivial_factor_rejected(capsys):
@@ -275,11 +289,23 @@ def _run_module(*argv):
 
 
 def test_import_loads_no_scipy():
-    # numpy is the package's one runtime dependency
-    proc = _run_python("-c", "import sys, lexhyp; "
-                             "print([m for m in sys.modules if m.startswith('scipy')])")
+    # numpy is the package's one runtime dependency; logging is left
+    # unloaded too, which `delta._debug_logger` relies on to log for free
+    proc = _run_python("-c", "import sys, lexhyp, lexhyp.cli; "
+                             "print([m for m in sys.modules if m.startswith('scipy')]); "
+                             "print('logging' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\nFalse\n"
+
+
+def test_delta_stats_leaves_the_logger_as_it_was(capsys):
+    log = logging.getLogger("lexhyp")
+    handlers, level = list(log.handlers), log.level
+    assert run_cli(capsys, "delta", "cycle:5", "--stats")[0] == 0
+    assert run_cli(capsys, "delta", "cycle:2", "--stats")[0] == 1
+    assert (log.handlers, log.level) == (handlers, level)
+    # without --stats, no progress line
+    assert run_cli(capsys, "delta", "cycle:5")[2] == ""
 
 
 def test_python_m_lexhyp_matches_main(capsys):

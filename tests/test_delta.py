@@ -187,6 +187,18 @@ def test_lex_p6_c5_pinned():
     assert (res.stats.tables_built, res.stats.sides_exact) == (14, 20)
 
 
+def test_witness_search_skips_roots_of_an_unread_length():
+    # the witness search's sides at twice the value are at a length whose
+    # sides the value sweep never read, so no root there can have been read
+    # either: it skips them without finding that length's 2175 roots
+    engine = DeltaEngine(product(path_graph(6), cycle_graph(5)).graph)
+    res = engine.delta()
+    ii, jj = engine.pairs_at(2 * engine._hops)  # the value sweep's result, in grid hops
+    assert ii.size == 2175 and (engine._root[ii, jj] == -1).all()
+    assert (res.stats.tables_built, res.stats.sides_exact) == (14, 20)
+    assert res.to_json_dict() == P6_C5_JSON
+
+
 @pytest.mark.parametrize("n, dtype", [(32, np.int8), (63, np.int8), (64, np.int16)])
 def test_table_dtype_boundary(n, dtype):
     # C_n on the S_4 grid is 2n hops across: 126 fits one byte, 128 does not;

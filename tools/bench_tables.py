@@ -1,4 +1,4 @@
-"""Time `delta_exact`, the short-triangle predicate and `verify`; write a BENCH json.
+"""Time `delta_exact`, the short-triangle predicate, `verify` and start-up; write a BENCH json.
 
 Run from the root of a checkout, with `src` on the path:
 
@@ -41,11 +41,22 @@ enumerations (`enumerate_geodesics` calls from the delta engine), all
 counted in the first run, and the best wall time of the other two,
 `best_wall_s`, with each check's `millis` in that run, `check_millis`.
 
-Each record, per graph and for the suite, comes from `ROUNDS` (5) pairs
-of fresh processes, one per checkout, alternating which checkout goes
-first, so that drift on a shared machine falls on both.  Per checkout it
-keeps the first process's record, with its time replaced by the
-nearest-rank quartiles (`q1`, `median`, `q3`) of all the processes'.
+The start-up record (`--start-one`) times, in a fresh process, `import
+lexhyp` (`import_s`, numpy's import included) and the first
+`get_catalog()` call after it (`catalog_s`), with `ru_maxrss_mb` and
+`dont_write_bytecode`, Python's `sys.dont_write_bytecode`: where it is
+true (as under `PYTHONDONTWRITEBYTECODE=1`) no `.pyc` file is written,
+so a checkout without cached bytecode compiles lexhyp's sources in every
+process, as part of `import_s`.
+
+Each record, per graph, for the suite and for start-up, comes from
+`ROUNDS` (5) pairs of fresh processes, one per checkout, alternating which
+checkout goes first, so that drift on a shared machine falls on both.
+Per checkout it keeps the first process's record, with its times and
+`ru_maxrss_mb` replaced by the nearest-rank quartiles (`q1`, `median`,
+`q3`) of all the processes' (the peak moves with the heap's layout, not
+only with the memory in use, so one process's reading is no measure of
+it).
 The suite record's `check_millis` holds each check's median over the
 processes, for information only: at this run count single checks are too
 noisy to compare, and work moves between checks with what they share (the
@@ -71,17 +82,15 @@ import subprocess
 import sys
 import time
 
-import numpy as np
-
-from lexhyp import DeltaEngine, cycle_graph, delta_exact, path_graph, product, random_connected
-
+# lexhyp and numpy are imported where they are used, so that a --start-one
+# process imports them first in its timed region
 GRAPHS = {
-    "lex(P6,C5)": lambda: product(path_graph(6), cycle_graph(5)).graph,
-    "lex(P8,C6)": lambda: product(path_graph(8), cycle_graph(6)).graph,
-    "lex(P12,C8)": lambda: product(path_graph(12), cycle_graph(8)).graph,
-    "lex(P16,C8)": lambda: product(path_graph(16), cycle_graph(8)).graph,
-    "cycle:1000": lambda: cycle_graph(1000),
-    "random(450,7)": lambda: random_connected(450, random.Random(7)),
+    "lex(P6,C5)": lambda lx: lx.product(lx.path_graph(6), lx.cycle_graph(5)).graph,
+    "lex(P8,C6)": lambda lx: lx.product(lx.path_graph(8), lx.cycle_graph(6)).graph,
+    "lex(P12,C8)": lambda lx: lx.product(lx.path_graph(12), lx.cycle_graph(8)).graph,
+    "lex(P16,C8)": lambda lx: lx.product(lx.path_graph(16), lx.cycle_graph(8)).graph,
+    "cycle:1000": lambda lx: lx.cycle_graph(1000),
+    "random(450,7)": lambda lx: lx.random_connected(450, random.Random(7)),
 }
 SHORT_GRAPHS = [name for name in GRAPHS if name != "cycle:1000"]  # see --short-one
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -89,7 +98,10 @@ ROUNDS = 5  # alternating process pairs per record
 
 
 def delta_one(name: str, reps: int = 3) -> dict:
-    g = GRAPHS[name]()
+    import lexhyp
+    from lexhyp import DeltaEngine, delta_exact
+
+    g = GRAPHS[name](lexhyp)
     masked = [0]
     corner_masks = DeltaEngine.corner_masks
 
@@ -120,7 +132,10 @@ def delta_one(name: str, reps: int = 3) -> dict:
 
 
 def short_one(name: str, reps: int = 3) -> dict:
-    g = GRAPHS[name]()
+    import lexhyp
+    from lexhyp import DeltaEngine
+
+    g = GRAPHS[name](lexhyp)
     runs = []  # (seconds, tables built, table bytes, answer) of each call
     for _ in range(reps):
         engine = DeltaEngine(g)
@@ -177,6 +192,17 @@ def suite_one(reps: int = 3) -> dict:
             "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
+def start_one() -> dict:
+    t0 = time.perf_counter()
+    import lexhyp
+    t1 = time.perf_counter()
+    lexhyp.get_catalog()
+    t2 = time.perf_counter()
+    return {"import_s": round(t1 - t0, 4), "catalog_s": round(t2 - t1, 4),
+            "dont_write_bytecode": sys.dont_write_bytecode,
+            "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
 def _fresh(src: str, *args: str) -> dict:
     """This script's json output, run with `args` in a fresh process on `src`."""
     done = subprocess.run([sys.executable, __file__, *args],
@@ -185,18 +211,18 @@ def _fresh(src: str, *args: str) -> dict:
     return json.loads(done.stdout)
 
 
-def paired_runs(srcs: dict, args: tuple, key: str) -> dict:
+def paired_runs(srcs: dict, args: tuple, *keys: str) -> dict:
     """This script's record for `args` from each named `src`, in ROUNDS rounds
     of fresh processes, alternating the order: per name, the record of its
-    first process with `key` replaced by the quartiles of every process's,
-    and its `check_millis`, if any, by each check's median."""
+    first process with each of `keys` replaced by the quartiles of every
+    process's, and its `check_millis`, if any, by each check's median."""
     runs: dict = {name: [] for name in srcs}
     for r in range(ROUNDS):
         for name, src in (list(srcs.items()) if r % 2 == 0 else list(srcs.items())[::-1]):
             runs[name].append(_fresh(src, *args))
     out = {}
     for name, got in runs.items():
-        out[name] = dict(got[0], **{key: _quartiles([run[key] for run in got])})
+        out[name] = dict(got[0], **{key: _quartiles([run[key] for run in got]) for key in keys})
         if "check_millis" in got[0]:
             out[name]["check_millis"] = {
                 cid: _quartiles([run["check_millis"][cid] for run in got])["median"]
@@ -220,6 +246,7 @@ def main() -> None:
     ap.add_argument("--short-one", choices=SHORT_GRAPHS,
                     help="print one short-triangle predicate run as json")
     ap.add_argument("--suite-one", action="store_true", help="print the suite record as json")
+    ap.add_argument("--start-one", action="store_true", help="print the start-up record as json")
     args = ap.parse_args()
     if args.delta_one:
         print(json.dumps(delta_one(args.delta_one)))
@@ -230,6 +257,11 @@ def main() -> None:
     if args.suite_one:
         print(json.dumps(suite_one()))
         return
+    if args.start_one:
+        print(json.dumps(start_one()))
+        return
+    import numpy as np
+
     srcs = {"after": os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")}
     record = {
         "command": (f"PYTHONPATH=src python3 tools/bench_tables.py --out {args.out or '-'}"
@@ -240,13 +272,17 @@ def main() -> None:
     if args.parent:
         record["parent_commit"] = args.parent_commit
         srcs["before"] = os.path.join(args.parent, "src")
-    deltas = {name: paired_runs(srcs, ("--delta-one", name), "best_s") for name in GRAPHS}
-    shorts = {name: paired_runs(srcs, ("--short-one", name), "best_s") for name in SHORT_GRAPHS}
-    suites = paired_runs(srcs, ("--suite-one",), "best_wall_s")
+    rss = "ru_maxrss_mb"
+    deltas = {name: paired_runs(srcs, ("--delta-one", name), "best_s", rss) for name in GRAPHS}
+    shorts = {name: paired_runs(srcs, ("--short-one", name), "best_s", rss)
+              for name in SHORT_GRAPHS}
+    suites = paired_runs(srcs, ("--suite-one",), "best_wall_s", rss)
+    starts = paired_runs(srcs, ("--start-one",), "import_s", "catalog_s", rss)
     for side in srcs:
         record[f"delta_exact_{side}"] = {name: got[side] for name, got in deltas.items()}
         record[f"short_triangle_{side}"] = {name: got[side] for name, got in shorts.items()}
         record[f"suite_{side}"] = suites[side]
+        record[f"start_{side}"] = starts[side]
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
