@@ -20,7 +20,7 @@ from contextlib import contextmanager, nullcontext
 from itertools import accumulate
 from pathlib import Path
 
-from .catalog import build_catalog, in_family_F
+from .catalog import build_catalog, get_catalog, in_family_F
 from .corpus import CorpusSpec, generate_corpus
 from .delta import DeltaConfig, DeltaEngine
 from .errors import GeodesicCapError, LexhypError, ParseError, SizeCapError
@@ -176,7 +176,7 @@ def _cmd_tree_delta(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    cat = build_catalog(dedup=args.dedup)
+    cat = get_catalog() if args.dedup else build_catalog(dedup=False)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     index = []

@@ -21,8 +21,9 @@ tests use and whose column b is `farthest_geodesic_profile`.  The engine's
 kernel, `j_source_table`, gives the same values on the J(G) columns of an
 S_k grid from a DP over the base graph: a geodesic crosses an edge's
 interior whole or turns back at its midpoint, so each edge enters only
-through its chain minima (`EdgeChains`), one base layer per k grid hops, and
-the midpoint columns follow in closed form.
+through the minima of its whole chain and of its two half-chains
+(`EdgeChains`), one base layer per k grid hops, and every midpoint column
+is a half-chain minimum met from one end or the max over both.
 """
 
 from __future__ import annotations
@@ -219,10 +220,13 @@ def j_source_table(s: SubdividedGraph, a: int) -> np.ndarray:
       - a forward chain leaves min(T[u], whole) at v, so one layer per k hops
         T[v] = min(H[v], max over forward edges u->v of min(T[u], whole));
       - a midpoint source on (u, v) seeds T[u] = min(H[u], u_mid) and
-        T[v] = min(H[v], v_mid), and its own column stays `mid`;
+        T[v] = min(H[v], v_mid), and its own column stays its hop row;
       - the midpoint column of an edge crossed u->v is min(T[u], u_mid),
-        of one crossed v->u min(T[v], v_mid), and of a meeting edge
-        min(mid, max(min(T[u], left), min(T[v], right))).
+        of one crossed v->u min(T[v], v_mid), and of a meeting edge, which
+        a geodesic reaches from u or from v, the max of the two: that is
+        min(mid, max(min(T[u], left), min(T[v], right))), mid its row and
+        left and right the chain minima beside it, as min distributes over
+        max and u_mid = min(left, mid), v_mid = min(right, mid).
 
     Points the source cannot reach (da = -1) keep their hop rows, as in the
     reference; two such ends do not make a meeting edge.  da stays in the
@@ -276,8 +280,7 @@ def j_source_table(s: SubdividedGraph, a: int) -> np.ndarray:
     if own >= 0:
         meet[own] = False
     mm = np.flatnonzero(meet)
-    tm[mm] = np.minimum(c.mid[mm], np.maximum(np.minimum(tv[u[mm]], c.left[mm]),
-                                              np.minimum(tv[v[mm]], c.right[mm])))
+    tm[mm] = np.maximum(np.minimum(tv[u[mm]], c.u_mid[mm]), np.minimum(tv[v[mm]], c.v_mid[mm]))
     return np.ascontiguousarray(t.T)
 
 

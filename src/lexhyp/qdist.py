@@ -7,6 +7,7 @@ point throughout.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,8 +19,8 @@ class QDist:
     quarters: int
 
     def __post_init__(self):
-        if not isinstance(self.quarters, int):
-            object.__setattr__(self, "quarters", int(self.quarters))
+        if not isinstance(self.quarters, int):  # a NumPy integer; a float raises TypeError
+            object.__setattr__(self, "quarters", operator.index(self.quarters))
         if self.quarters < 0:
             raise ValueError(f"negative quarter count: {self.quarters}")
 
@@ -31,7 +32,7 @@ class QDist:
     @classmethod
     def from_hops(cls, hops: int, k: int) -> "QDist":
         """Hop count on an S_k subdivision grid (1 hop = 1/k edge-lengths)."""
-        num = 4 * int(hops)
+        num = 4 * operator.index(hops)
         if num % k != 0:
             raise ValueError(f"{hops} hops on an S_{k} grid is not a quarter multiple")
         return cls(num // k)

@@ -8,8 +8,9 @@ quarter-integer quantity of interest is an exact integer here.
 The grid metric is never searched for: it follows in closed form from the
 base graph's vertex distances (`all_pairs_distances`).  Neither are the
 bottleneck tables walked point by point: an edge's interior is a chain that
-a geodesic crosses whole or enters up to its midpoint, so each edge's chain
-minima of hop rows (`edge_chains`) stand in for its k-1 interior points.
+a geodesic crosses whole or enters up to its midpoint, so three minima of
+hop rows per edge (`edge_chains`), over each half-chain up to the midpoint
+and over the whole chain, stand in for its k-1 interior points.
 
 Maxima at J(G), the vertices and edge midpoints, need no grid: `j_hops` is
 the S_k hop matrix on J(G) from the vertex distances alone.  The suite's
@@ -171,8 +172,9 @@ def restrict_to_blocks(s: SubdividedGraph, blocks, jD: np.ndarray) -> None:
     three vertices among the base graph's `blocks` (`Graph.blocks`).  So
     the diagonal entry of a J-point in no such block, a vertex of degree
     one or a bridge's midpoint, is -1 too, and a tree's metric is -1
-    everywhere.  Nothing changes when there is at most one block, as on
-    every graph without a cut vertex.
+    everywhere, K2's included.  Nothing changes when there is one block, of
+    at least three vertices, as on every graph of three or more vertices
+    without a cut vertex, or none, as on a graph without edges.
 
     A vertex lies in every block that contains it, and an edge's midpoint
     in the one block that holds both its ends (a block is an induced
@@ -183,7 +185,7 @@ def restrict_to_blocks(s: SubdividedGraph, blocks, jD: np.ndarray) -> None:
     the triples whose three pairs hold entries of at least 0 are exactly
     those whose corners lie in one block.
     """
-    if len(blocks) <= 1:
+    if len(blocks) <= 1 and all(len(b) >= 3 for b in blocks):
         return
     n, ends = s.base.vertex_count, s.ends
     shared = np.zeros(jD.shape, dtype=bool)
@@ -317,38 +319,28 @@ class EdgeChains:
 
     `jrows` holds the grid hop row of every J-point, in `j_set` order.  Row
     i of the other arrays belongs to edge i = (u, v) of the grid's `ends`,
-    whose interior points x_1 .. x_{k-1} run from u to v: `mid` is the row
-    of the midpoint x_{k/2} (a view of `jrows`), `left` the min of the rows
-    of x_1 .. x_{k/2-1} and `right` the min of x_{k/2+1} .. x_{k-1};
-    `u_mid` = min(left, mid), `v_mid` = min(right, mid) and `whole` =
-    min(left, mid, right).  All are in the hop matrix's dtype; for k = 2,
-    `left` and `right` are empty chains and hold the dtype's maximum, the
-    identity of min.
+    whose interior points x_1 .. x_{k-1} run from u to v: `u_mid` is the
+    min of the rows of x_1 .. x_{k/2}, the half-chain from u's side up to
+    the midpoint, `v_mid` that of x_{k/2} .. x_{k-1}, and `whole` =
+    min(u_mid, v_mid), the whole chain.  All are in the hop matrix's dtype;
+    for k = 2 both halves are the midpoint's row.
     """
 
     jrows: np.ndarray
-    mid: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     u_mid: np.ndarray
     v_mid: np.ndarray
     whole: np.ndarray
 
 
 def edge_chains(s: SubdividedGraph) -> EdgeChains:
-    """The J rows and chain minima of `s`, read off its hop matrix."""
+    """The J rows and chain minima of `s` (`EdgeChains`), read off its hop matrix."""
     n, k, m = s.base.vertex_count, s.k, s.base.m
     hops = s.hops()
-    jrows = hops[list(s.j_set)]
     rows = hops[n:].reshape(m, k - 1, s.grid_n)  # edge, offset - 1, point
-    h, top = k // 2, np.iinfo(hops.dtype).max
-    left = rows[:, :h - 1].min(axis=1, initial=top)
-    right = rows[:, h:].min(axis=1, initial=top)
-    mid = jrows[n:]
-    u_mid = np.minimum(left, mid)
-    v_mid = np.minimum(right, mid)
-    return EdgeChains(jrows=jrows, mid=mid, left=left, right=right, u_mid=u_mid, v_mid=v_mid,
-                      whole=np.minimum(u_mid, right))
+    u_mid = rows[:, :k // 2].min(axis=1)
+    v_mid = rows[:, k // 2 - 1:].min(axis=1)
+    return EdgeChains(jrows=hops[list(s.j_set)], u_mid=u_mid, v_mid=v_mid,
+                      whole=np.minimum(u_mid, v_mid))
 
 
 def j_hops(g: Graph, k: int = 4) -> np.ndarray:

@@ -105,14 +105,17 @@ def test_bigon_sweeps_blocks_only():
     assert engine.stats.tables_built < whole.stats.tables_built
 
 
-@pytest.mark.parametrize("g", [path_graph(7), star_graph(5), random_tree(20, random.Random(1))],
-                         ids=["P7", "S5", "tree-20"])
-def test_a_tree_sweeps_nothing(g):
+@pytest.mark.parametrize("g, corners", [(path_graph(7), (0, 1, 2)), (star_graph(5), (0, 1, 2)),
+                                        (random_tree(20, random.Random(1)), (0, 1, 2)),
+                                        (path_graph(2), (0, 1, 3))],
+                         ids=["P7", "S5", "tree-20", "P2"])
+def test_a_tree_sweeps_nothing(g, corners):
     # no block has three vertices, so the value sweep lists no pair and the
-    # witness search takes the first triple, at 0
+    # witness search takes the first triple, at 0; K2 is one block of two
+    # vertices, and its third J-point is its edge's midpoint, grid id 3
     res = DeltaEngine(g).delta()
     stats = res.stats
-    assert res.value == QDist(0) and res.witness.corners == (0, 1, 2)
+    assert res.value == QDist(0) and res.witness.corners == corners
     assert (stats.blocks, stats.sides_visited, stats.tables_built, stats.triples_examined) == \
         (0, 0, 0, 1)
 

@@ -225,6 +225,27 @@ def test_catalog_export(tmp_path, capsys):
     assert g.vertex_count == first["vertex_count"]
 
 
+def test_catalog_export_dedup_reads_the_stored_catalog(tmp_path, capsys, monkeypatch):
+    # --dedup writes the same files, byte for byte, as the isomorphism search's
+    # catalog would, and runs no search
+    import lexhyp.catalog
+    import lexhyp.cli
+    from lexhyp import build_catalog
+    calls = []
+    real = lexhyp.catalog._find_induced
+    monkeypatch.setattr(lexhyp.catalog, "_find_induced", lambda *a: calls.append(1) or real(*a))
+    stored, searched = tmp_path / "stored", tmp_path / "searched"
+    assert run_cli(capsys, "catalog", "--dedup", "--out", str(stored))[0] == 0
+    assert calls == []
+    with monkeypatch.context() as m:
+        m.setattr(lexhyp.cli, "get_catalog", lambda: build_catalog(dedup=True))
+        assert run_cli(capsys, "catalog", "--dedup", "--out", str(searched))[0] == 0
+    assert calls
+    names = sorted(p.name for p in stored.iterdir())
+    assert len(names) == 41 and names == sorted(p.name for p in searched.iterdir())
+    assert all((stored / f).read_bytes() == (searched / f).read_bytes() for f in names)
+
+
 def test_catalog_export_raw(tmp_path, capsys):
     outdir = tmp_path / "raw"
     code, _, _ = run_cli(capsys, "catalog", "--out", str(outdir))

@@ -705,12 +705,12 @@ def test_corner_masks_match_brute_ceiling(g):
 def _shared_blocks(s):
     """For each J-point of `s`, the set of blocks of at least three vertices
     (networkx's biconnected components) that hold it; None when the base
-    graph has at most one block."""
+    graph has no block or one of at least three vertices."""
     nx = pytest.importorskip("networkx")
     h = nx.Graph(s.base.edges)
     h.add_nodes_from(range(s.base.vertex_count))
     blocks = list(nx.biconnected_components(h))
-    if len(blocks) <= 1:
+    if len(blocks) <= 1 and all(len(b) >= 3 for b in blocks):
         return None
     blocks = [b for b in blocks if len(b) >= 3]
     ends = [(v, v) for v in range(s.base.vertex_count)] + list(s.base.edges)
@@ -747,6 +747,7 @@ def _per_side_sweep(s):
 @settings(max_examples=25, deadline=None)
 @given(g=_graphs_and_induced_subgraphs(8))
 @example(g=cycle_graph(40))
+@example(g=path_graph(2))  # one block of two vertices: nothing to sweep
 @example(g=product(path_graph(3), cycle_graph(4)).graph)
 @example(g=_rotated_p2_c5())  # rotations: g and its inverse differ
 # the value rises at the 7th side of a 27-side chunk, after sides sharing roots

@@ -1,5 +1,7 @@
 """Geodesic enumeration: counts, order, caps, bottleneck tables and profiles."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -160,6 +162,21 @@ def _base_indegree(g: Graph) -> int:
                for a in range(g.vertex_count) for v in range(g.vertex_count))
 
 
+def _has_meeting_edge(s: SubdividedGraph) -> bool:
+    """Whether some J-point source of `s` meets an edge other than its own:
+    both ends reachable and equally far from it."""
+    n, k, hops = s.base.vertex_count, s.k, s.hops()
+    u, v = s.ends.T
+    for a in s.j_set:
+        da = hops[a, :n]
+        meet = (da[u] == da[v]) & (da[u] >= 0)
+        if a >= n:
+            meet[(a - n) // (k - 1)] = False
+        if meet.any():
+            return True
+    return False
+
+
 @settings(max_examples=40, deadline=None)
 @given(g=st.one_of(connected_graphs(max_n=8), induced_subgraphs()), k=st.sampled_from((2, 4, 8)))
 @example(g=K24, k=4)
@@ -170,6 +187,8 @@ def _base_indegree(g: Graph) -> int:
 @example(g=TWO_EDGES, k=8)
 @example(g=K4_AND_K2, k=4)
 @example(g=K4_AND_K2, k=2)
+@example(g=cycle_graph(7), k=8)
+@example(g=complete_graph(5), k=4)
 def test_j_source_table_matches_grid_dp(g, k):
     # the base-graph DP against the reference grid DP's J columns, from every
     # J-point source (vertices and midpoints), bit for bit and dtype included
@@ -179,11 +198,32 @@ def test_j_source_table_matches_grid_dp(g, k):
     j = list(s.j_set)
     if g in (K24, K24_NEAR_THREE):
         assert _base_indegree(g) >= 3  # the layer step maxes over three or more edges
+    if g in (cycle_graph(7), complete_graph(5)):
+        assert _has_meeting_edge(s)  # some midpoint column takes the two-sided form
     for a in s.j_set:
         want = np.ascontiguousarray(farthest_geodesic_table(nbrs, hops, a)[:, j])
         got = j_source_table(s, a)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert np.array_equal(got, want), a
+
+
+@pytest.mark.parametrize("k", (2, 4, 8))
+@pytest.mark.parametrize("g", [cycle_graph(5), product(path_graph(3), path_graph(2)).graph, K4_AND_K2],
+                         ids=["C5", "P3oP2", "K4+K2"])
+def test_edge_chains_are_half_chain_minima(g, k):
+    # each edge's minima against the grid hop rows of its interior points
+    # x_1 .. x_{k-1}, from its smaller end u: x_1 .. x_{k/2}, x_{k/2} .. x_{k-1}
+    # and all of them; J rows in j_set order, every array in the hop dtype
+    s = subdivide(g, k)
+    hops, c = s.hops(), s.chains()
+    assert [f.name for f in fields(c)] == ["jrows", "u_mid", "v_mid", "whole"]
+    assert np.array_equal(c.jrows, hops[list(s.j_set)])
+    for e, (u, v) in enumerate(g.edges):
+        pts = list(s.chain(u, v))
+        assert np.array_equal(c.u_mid[e], hops[pts[:k // 2]].min(axis=0))
+        assert np.array_equal(c.v_mid[e], hops[pts[k // 2 - 1:]].min(axis=0))
+        assert np.array_equal(c.whole[e], hops[pts].min(axis=0))
+    assert {c.jrows.dtype, c.u_mid.dtype, c.v_mid.dtype, c.whole.dtype} == {hops.dtype}
 
 
 def test_tables_one_byte_on_wide_grids():

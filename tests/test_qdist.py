@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lexhyp import QDist
@@ -43,3 +44,15 @@ def test_format_spec_applies_to_rendering():
     assert f"{QDist(4):<3}|" == "1  |"
     assert f"{QDist(5)}" == "5/4"
     assert format(QDist(8), "") == str(QDist(8))
+
+
+def test_integer_counts_only():
+    # a NumPy integer is taken exactly; a float is refused, not truncated
+    q = QDist(np.int16(6))
+    assert q == QDist(6) and type(q.quarters) is int and str(q) == "3/2"
+    for bad in (1.5, np.float64(6.9)):
+        with pytest.raises(TypeError):
+            QDist(bad)
+    assert QDist.from_hops(np.int8(6), 4) == QDist(6)
+    with pytest.raises(TypeError):
+        QDist.from_hops(6.5, 4)

@@ -9,15 +9,13 @@ Run from the root of a checkout, with `src` on the path:
 that `ru_maxrss_mb`, the process's peak resident memory, belongs to that
 graph alone: best of 3 calls, `best_s`, with `tables_built`, `table_bytes`,
 `sides_exact` (side vectors computed from tables), `masked_pairs` (the
-J-pairs whose corner masks were computed, counted at
-`DeltaEngine.corner_masks`, so that a library without the counter is
-counted the same way), `value_s`, `witness_s`, `geodesic_s`, `mask_s`
-and `orbit_s` (the value sweep, the witness search and its geodesic
-enumeration, the corner masks and the orbit roots, from the best call),
-`hop_dtype` (the grid hop matrix's dtype) and the value.  Each
-call's result is dropped before the next call starts, so the peak is that
-of one call, not of one call plus the grid and hop matrix of the last.  The
-graphs are four products, `cycle:1000`, a sparse grid of 4000 points
+J-pairs whose corner masks were computed), `value_s`, `witness_s`,
+`geodesic_s`, `mask_s` and `orbit_s` (the value sweep, the witness search
+and its geodesic enumeration, the corner masks and the orbit roots, from
+the best call), `hop_dtype` (the grid hop matrix's dtype) and the value.
+Each call's result is dropped before the next call starts, so the peak is
+that of one call, not of one call plus the grid and hop matrix of the last.
+The graphs are four products, `cycle:1000`, a sparse grid of 4000 points
 where the grid hop matrix outweighs the tables, and `random(450,7)`,
 `random_connected(450, Random(7))`, whose cut vertices hang long pendant
 trees off its blocks.  The factors' automorphism search runs in the first
@@ -99,32 +97,20 @@ ROUNDS = 5  # alternating process pairs per record
 
 def delta_one(name: str, reps: int = 3) -> dict:
     import lexhyp
-    from lexhyp import DeltaEngine, delta_exact
+    from lexhyp import delta_exact
 
     g = GRAPHS[name](lexhyp)
-    masked = [0]
-    corner_masks = DeltaEngine.corner_masks
-
-    def counted_masks(self, ii, jj, t):
-        masked[0] += len(ii)
-        return corner_masks(self, ii, jj, t)
-
-    DeltaEngine.corner_masks = counted_masks
-    runs = []  # (seconds, stats, quarters, pairs masked) of each call
-    try:
-        for _ in range(reps):
-            masked[0] = 0
-            t0 = time.perf_counter()
-            res = delta_exact(g)
-            runs.append((time.perf_counter() - t0, res.stats, res.value.quarters, masked[0]))
-            hop_dtype = str(res.grid.hops().dtype)
-            del res  # its grid, with the hop matrix, goes before the next call
-    finally:
-        DeltaEngine.corner_masks = corner_masks
-    secs, st, quarters, masked_pairs = min(runs, key=lambda run: run[0])
+    runs = []  # (seconds, stats, quarters) of each call
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        res = delta_exact(g)
+        runs.append((time.perf_counter() - t0, res.stats, res.value.quarters))
+        hop_dtype = str(res.grid.hops().dtype)
+        del res  # its grid, with the hop matrix, goes before the next call
+    secs, st, quarters = min(runs, key=lambda run: run[0])
     return {"best_s": round(secs, 3), "tables_built": st.tables_built,
             "table_bytes": st.table_bytes, "sides_exact": st.sides_exact,
-            "triples_examined": st.triples_examined, "masked_pairs": masked_pairs,
+            "triples_examined": st.triples_examined, "masked_pairs": st.masked_pairs,
             "value_s": round(st.value_s, 4), "witness_s": round(st.witness_s, 4),
             "geodesic_s": round(st.geodesic_s, 4), "mask_s": round(st.mask_s, 4),
             "orbit_s": round(st.orbit_s, 4), "hop_dtype": hop_dtype, "quarters": quarters,
