@@ -14,7 +14,7 @@ One engine per graph and config (`DeltaEngine`) serves the value sweep, the
 bigon bound, the short-triangle predicate and the witness search.  It builds
 the grid, its hop matrix and chains once, and keeps every per-source table
 (but those the short-triangle predicate builds), side vector and geodesic
-list it computes for the calls that follow; the value sweep runs once, and
+it lists for the calls that follow; the value sweep runs once, and
 each `delta()` call runs only a witness search.
 `DeltaConfig` holds the geodesic cap and the grid factor; the witness kind
 is chosen per call, `delta(cycle_only=True)`.  `delta_exact` builds a fresh
@@ -105,17 +105,28 @@ build.
 
 Explicit triangles serve only the witness search and `thinness`.  The
 witness search walks corner triples in lexicographic J order, skips those
-whose longest side is below twice the value or whose side values show they
-cannot attain it (`DeltaEngine.triple_can_reach`), and enumerates the
-geodesic side choices of the rest, in lexicographic order and optionally
-only cycle triangles, until one attains the value; `thinness` evaluates a
-given triangle, checking each step of a side on the hop matrix.  Both read
-every side point's distance to the other two sides from one kernel
-(`_side_distances`).  A side's geodesics are listed by a walk over base
-vertices, a whole edge chain per step (`enumerate_geodesics`), so neither
-walks the grid point by point.  The short-triangle predicate enumerates no
-geodesic: it is a query on the side vectors of the pairs of edge midpoints
-at 12 hops (`DeltaEngine.has_tight_short_triangle`).
+whose longest side is below twice the value or whose role values show they
+cannot attain it (`DeltaEngine.triple_can_reach`), and walks the geodesic
+side choices of the rest, in lexicographic order and optionally only cycle
+triangles, until one attains the value.  It computes only what decides
+that answer, the answer of a search listing and testing everything:
+- A side's geodesics are counted up front, where the geodesic cap binds,
+  and listed lazily by a walk over base vertices, a whole edge chain per
+  step (`geodesics.geodesic_walk`), only as far as the search reaches.
+- A choice is tested at its side middles only.  The ends of side [xy] lie
+  on the other two sides, so a point p of it is within min(d(p, x),
+  d(p, y)) of them and can reach the value only where that is at least the
+  value.  Thinness never exceeds the value, so the first point reaching it,
+  on the first side that does, is the one the full profile's argmax gives.
+- A role is read from the third corner's table: W_a[p, c] = W_c[p, a], as
+  an a-c geodesic is a c-a geodesic, so the role of side a-b at corner c is
+  also max over p in I(a, b) of min(W_c[p, a], W_c[p, b]), one table where
+  a side vector needs two.
+`thinness` evaluates a given triangle in full, every point of every side
+(`_side_distances`), after checking its point ids and each step of a side
+on the hop matrix.  The short-triangle predicate enumerates no geodesic:
+it is a query on the side vectors of the pairs of edge midpoints at 12
+hops (`DeltaEngine.has_tight_short_triangle`).
 
 The sweeps log to the "lexhyp" logger at DEBUG: one line per value sweep
 with its block count, one per length the value or bigon sweep enters, and
@@ -124,7 +135,6 @@ one per triple the witness search examines.
 
 from __future__ import annotations
 
-import itertools
 import sys
 import time
 from contextlib import contextmanager
@@ -134,7 +144,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GeodesicCapError, ValidationError
-from .geodesics import enumerate_geodesics, interval, j_source_table
+from .geodesics import geodesic_walk, interval, j_source_table
 from .graph import Graph
 from .qdist import QDist
 from .subdivision import SubdividedGraph, j_automorphisms, restrict_to_blocks, subdivide
@@ -178,14 +188,18 @@ class GeodesicTriangle:
 @dataclass
 class DeltaStats:
     """Counters of one engine's work since it was built.  Only the first two
-    enter `to_json_dict`.
+    enter `to_json_dict`; `delta --stats` prints them all on stderr.
 
     `wall_time_s` is the seconds spent in the engine.  Building it took,
     among other things, `apsp_s` for the base graph's vertex distances
     (none when they were cached), `hops_s` for the grid hop matrix and
     `chains_s` for the J rows and chain minima; `value_s` went to the value sweep and
-    `witness_s` to witness searches, of which `geodesic_s` to enumerating
-    the geodesics of their sides.  `table_bytes` counts the bytes of the
+    `witness_s` to witness searches, of which `geodesic_s` to counting and
+    listing the geodesics of their sides.  `geodesics_enumerated` adds each
+    pair's full count from the count walk when a witness search first
+    reads the pair, however few of its geodesics the search then lists.
+    `witness_tables` counts the tables that witness searches built, part of
+    `tables_built`.  `table_bytes` counts the bytes of the
     `tables_built` per-source tables built (in the hop matrix's dtype,
     `table_dtype`), and `table_s` the seconds spent building them; they
     are the bytes the engine holds except after the short-triangle
@@ -195,8 +209,9 @@ class DeltaStats:
     the J-pairs whose corner masks were computed (a length the sweep
     leaves after its first pair adds one), and `mask_s` the seconds spent
     computing them; `masks_recomputed` counts the mask products computed
-    again because they held a NaN.  `sides_exact` counts
-    the side vectors computed from tables: on a graph carrying automorphisms
+    again because they held a NaN.  `sides_exact` counts the side vectors
+    computed from tables, not the single roles a witness search reads from
+    a third corner's table: on a graph carrying automorphisms
     the value sweep computes them for orbit roots only, and `orbit_s` is the
     seconds spent finding the roots.  `blocks` counts the blocks of at least
     three vertices the value sweep ran over: 0 for a tree, 1 for a graph of
@@ -226,6 +241,7 @@ class DeltaStats:
     witness_s: float = 0.0
     geodesic_s: float = 0.0
     blocks: int = 0
+    witness_tables: int = 0
 
 
 @dataclass
@@ -275,8 +291,50 @@ def _debug_logger():
 def _side_distances(D: np.ndarray, sides) -> list[np.ndarray]:
     """For each of three sides (point arrays), every point's hop distance to
     the union of the other two sides; thinness is the max over all three."""
-    return [D[np.ix_(sides[i], np.concatenate([sides[(i + 1) % 3], sides[(i + 2) % 3]]))]
-            .min(axis=1) for i in range(3)]
+    return [D[np.ix_(sides[i], _others(sides, i))].min(axis=1) for i in range(3)]
+
+
+def _others(sides, i: int) -> np.ndarray:
+    """The points of the two sides other than side i."""
+    return np.concatenate([sides[(i + 1) % 3], sides[(i + 2) % 3]])
+
+
+def _attaining(D: np.ndarray, sides, target: int):
+    """(side, point) of the first side of three (point arrays running x -> y,
+    y -> z and x -> z) whose distance to the other two reaches `target`, and
+    its first point that does; None if none does.  Only the points at least
+    `target` from both ends of a side are read (see the module text)."""
+    for i, side in enumerate(sides):
+        mid = side[target:side.size - target]
+        if mid.size:
+            far = D[np.ix_(mid, _others(sides, i))].min(axis=1)
+            if far.max() == target:
+                return i, int(mid[far.argmax()])
+    return None
+
+
+class _Listing:
+    """A pair's geodesics as (point array, point set) entries: each
+    iteration reads the entries listed so far, then lists more from the
+    pair's one walk, adding the seconds to `stats.geodesic_s`."""
+
+    def __init__(self, walk, stats: DeltaStats):
+        self.listed: list = []
+        self.walk, self.stats = walk, stats
+
+    def __iter__(self):
+        listed, i = self.listed, 0
+        while True:
+            if i == len(listed):
+                t0 = time.perf_counter()
+                path = next(self.walk, None)
+                if path is not None:
+                    listed.append((np.asarray(path, dtype=np.int64), frozenset(path)))
+                self.stats.geodesic_s += time.perf_counter() - t0
+                if path is None:
+                    return
+            yield listed[i]
+            i += 1
 
 
 MASK_CHUNK = 256  # orbit roots per corner-mask product of the value sweep
@@ -363,16 +421,17 @@ class DeltaEngine:
         return got
 
     def geos(self, a: int, b: int):
-        """(arrays, frozensets) of the pair's geodesics, enumerated a -> b."""
-        key = (a, b)
-        got = self._geos.get(key)
+        """The pair's geodesics a -> b in lexicographic order, as (point
+        array, point set) entries, listed as iteration first reaches them and
+        kept.  The first call for a pair runs the count walk
+        (`geodesic_walk`), which raises GeodesicCapError above the cap, and
+        adds the pair's full count to `stats.geodesics_enumerated`."""
+        got = self._geos.get((a, b))
         if got is None:
             t0 = time.perf_counter()
-            paths = enumerate_geodesics(self.s, a, b, self.cfg.geodesic_cap)
-            self.stats.geodesics_enumerated += len(paths)
-            got = ([np.asarray(p, dtype=np.int64) for p in paths],
-                   [frozenset(p) for p in paths])
-            self._geos[key] = got
+            total, walk = geodesic_walk(self.s, a, b, self.cfg.geodesic_cap)
+            self.stats.geodesics_enumerated += total
+            got = self._geos[(a, b)] = _Listing(walk, self.stats)
             self.stats.geodesic_s += time.perf_counter() - t0
         return got
 
@@ -477,16 +536,30 @@ class DeltaEngine:
         -1 across blocks).  A side is skipped unread when it is shorter than
         2 * target (its role values are at most half its length) or when its
         orbit root was read and reaches no `target` (automorphisms permute
-        the third corners)."""
+        the third corners).
+
+        A side whose vector is memoised is read there.  Any other side's
+        role at third corner c is read from W_c (see the module text) where
+        W_c is built or neither end's table is, which builds one table where
+        the side vector needs two; else the side gets its vector.
+        """
         if self.jD[i, l] < 0 or self.jD[j, l] < 0:
             return False
         for p, q, r in ((i, j, l), (i, l, j), (j, l, i)):
             if self.jD[p, q] < 2 * target:
                 continue
-            a, b = self.J[p], self.J[q]
-            if (a, b) not in self._sides and self._root_best(p, q) < target:
-                continue
-            if self.side_values(a, b)[r] >= target:
+            a, b, c = self.J[p], self.J[q], self.J[r]
+            got = self._sides.get((a, b))
+            if got is None:
+                if self._root_best(p, q) < target:
+                    continue
+                if c in self._tables or not (a in self._tables or b in self._tables):
+                    w, iv = self.table(c), interval(self.D, a, b)
+                    if np.minimum(w[iv, p], w[iv, q]).max() >= target:
+                        return True
+                    continue
+                got = self.side_values(a, b)
+            if got[r] >= target:
                 return True
         return False
 
@@ -588,14 +661,20 @@ class DeltaEngine:
                         yield i, j, l
 
     def witness_search(self, target: int, cycle_only: bool):
-        """First triangle attaining `target`, in lexicographic corner order.
+        """First triangle attaining `target`, the swept value, in
+        lexicographic (x, y, z, geodesic) order.
 
-        Returns (triangle, side, point) or None.  Only the triples that may
-        attain it (`_candidate_triples`) are examined; each has its geodesic
-        side choices enumerated in lexicographic order.  With cycle_only,
-        non-cycle choices are skipped; a cycle witness always exists for a
-        correctly computed positive target because extremal triangles can be
-        chosen to be cycles.  Each triple examined is logged at DEBUG.
+        Returns (triangle, side, point) or None: the first side attaining
+        `target`, in the order x -> y, y -> z, x -> z, and its first point
+        doing so.  Only the triples that may attain it
+        (`_candidate_triples`) are examined.  Each has its sides counted
+        x -> y, y -> z, x -> z (`geos`), then its side choices walked in
+        `itertools.product` order by nested loops that list each side only
+        as far as they reach, and tested at side middles (`_attaining`).
+        With cycle_only, non-cycle choices are skipped; a cycle witness
+        always exists for a correctly computed positive target because
+        extremal triangles can be chosen to be cycles.  Each triple examined
+        is logged at DEBUG.
         """
         J = self.J
         log = _debug_logger()
@@ -604,22 +683,21 @@ class DeltaEngine:
             self.stats.triples_examined += 1
             if log is not None:
                 log.debug("witness triple (%d, %d, %d) at target %d", x, y, z, target)
-            choices = (zip(*self.geos(x, y)), zip(*self.geos(y, z)), zip(*self.geos(x, z)))
-            for (a0, f0), (a1, f1), (a2, f2) in itertools.product(*choices):
-                is_cycle = f0 & f1 == {y} and f1 & f2 == {z} and f2 & f0 == {x}
-                if cycle_only and not is_cycle:
-                    continue
-                sides = (a0, a1, a2)
-                dists = _side_distances(self.D, sides)
-                if max(int(v.max()) for v in dists) != target:
-                    continue
-                side = next(i for i, v in enumerate(dists) if v.max() == target)
-                tri = GeodesicTriangle(
-                    corners=(x, y, z),
-                    sides=(tuple(a0.tolist()), tuple(a1.tolist()),
-                           tuple(a2[::-1].tolist())),  # stored z -> x
-                    is_cycle=is_cycle)
-                return tri, side, int(sides[side][dists[side].argmax()])
+            xy, yz, xz = self.geos(x, y), self.geos(y, z), self.geos(x, z)
+            for a0, f0 in xy:
+                for a1, f1 in yz:
+                    for a2, f2 in xz:
+                        is_cycle = f0 & f1 == {y} and f1 & f2 == {z} and f2 & f0 == {x}
+                        if cycle_only and not is_cycle:
+                            continue
+                        got = _attaining(self.D, (a0, a1, a2), target)
+                        if got is not None:
+                            tri = GeodesicTriangle(
+                                corners=(x, y, z),
+                                sides=(tuple(a0.tolist()), tuple(a1.tolist()),
+                                       tuple(a2[::-1].tolist())),  # stored z -> x
+                                is_cycle=is_cycle)
+                            return (tri, *got)
         return None
 
     # -- entry points ----------------------------------------------------------
@@ -666,13 +744,14 @@ class DeltaEngine:
         # delta = 0 admits no cycle triangle (the graph is a tree), so the cycle
         # restriction is waived for the witness there; any triangle attains 0.
         cycle_only = cycle_only and self._hops > 0
-        t0 = time.perf_counter()
+        t0, tables = time.perf_counter(), self.stats.tables_built
         try:
             got = self.witness_search(self._hops, cycle_only)
         except GeodesicCapError as e:
             raise GeodesicCapError(e.pair, e.cap, value=value) from None
         finally:
             self.stats.witness_s += time.perf_counter() - t0
+            self.stats.witness_tables += self.stats.tables_built - tables
         if got is None:
             raise AssertionError(
                 f"no {'cycle ' if cycle_only else ''}triangle attains {value}; "
@@ -862,6 +941,10 @@ def thinness(s: SubdividedGraph, t: GeodesicTriangle) -> tuple[QDist, int]:
     ends = ((corners[0], corners[1]), (corners[1], corners[2]), (corners[2], corners[0]))
     sides = [np.asarray(side, dtype=np.int64) for side in t.sides]
     for side, (a, b) in zip(sides, ends):
+        if side.size == 0:
+            raise ValidationError("side is empty")
+        if side.min() < 0 or side.max() >= s.grid_n:
+            raise ValidationError(f"side has a point id outside 0..{s.grid_n - 1}")
         if side[0] != a or side[-1] != b:
             raise ValidationError("side endpoints do not match corners")
         if len(side) - 1 != D[a, b]:

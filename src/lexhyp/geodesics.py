@@ -10,8 +10,11 @@ On an S_k grid neither needs the grid's own adjacency.  A geodesic crosses
 each edge's chain of interior points whole, or enters it only at its ends,
 so it is a half-chain from its first point to a vertex, a walk over base
 vertices one whole edge (k hops) at a time, and a half-chain to its last
-point.  `enumerate_geodesics` counts and lists the geodesics by that walk,
-in the order `enumerate_paths` gives on the grid.
+point.  `geodesic_walk` counts the geodesics by that walk when called,
+where the cap binds, and returns a generator that lists them, one path per
+step, in the order `enumerate_paths` gives on the grid: a caller that needs
+the first few paths pays for those only.  `enumerate_geodesics` is the
+whole list of that generator.
 
 The farthest-geodesic question ("how far from p can an a-b geodesic stay?")
 is answered for every target b at once by one (max, min) table per source a,
@@ -29,7 +32,7 @@ is a half-chain minimum met from one end or the max over both.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -107,7 +110,16 @@ def enumerate_paths(neighbors: Sequence[Sequence[int]], hops: np.ndarray,
 def enumerate_geodesics(s: SubdividedGraph, a: int, b: int,
                         cap: int = 10**6) -> list[tuple[int, ...]]:
     """All geodesics a..b on the grid of `s`, the list `enumerate_paths`
-    gives on the grid's neighbor tables, found by a walk over base vertices.
+    gives on the grid's neighbor tables: the whole of `geodesic_walk`.
+    More than `cap` raises GeodesicCapError."""
+    return list(geodesic_walk(s, a, b, cap)[1])
+
+
+def geodesic_walk(s: SubdividedGraph, a: int, b: int,
+                  cap: int = 10**6) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """The number of geodesics a..b on the grid of `s`, and a generator of
+    them in the order `enumerate_paths` gives on the grid, found by a walk
+    over base vertices.
 
     A geodesic between points of different edges runs from a to an end of
     a's edge (a itself if a is a vertex), steps whole edges from vertex to
@@ -123,21 +135,23 @@ def enumerate_geodesics(s: SubdividedGraph, a: int, b: int,
     point, where the step toward the smaller end comes first except at
     offset k-1 (for k > 2), where the larger end is the adjacent point.
 
-    The geodesics are counted on base vertices before any path is built:
-    more than `cap` raises GeodesicCapError.  Points in different
-    components have none.
+    The geodesics are counted on base vertices when this is called, before
+    any path is built: more than `cap` raises GeodesicCapError.  The
+    generator builds a path, and the steps out of the vertices it passes,
+    only when asked for the next one, so a caller that stops after a few
+    pays for those few.  Points in different components have none.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if a == b:
-        return [(a,)]
+        return 1, iter([(a,)])
     hops = s.hops()
     n, k = s.base.vertex_count, s.k
     target = int(hops[a, b])
     if target < 0:
-        return []
+        return 0, iter(())
     if a >= n and b >= n and (a - n) // (k - 1) == (b - n) // (k - 1):  # inside one edge
-        return [tuple(range(a, b + 1) if a < b else range(a, b - 1, -1))]
+        return 1, iter([tuple(range(a, b + 1) if a < b else range(a, b - 1, -1))])
     on = interval(hops, a, b)
     on = on[on < n].tolist()
     da, db = hops[a, :n].tolist(), hops[b, :n].tolist()
@@ -153,27 +167,44 @@ def enumerate_geodesics(s: SubdividedGraph, a: int, b: int,
     starts = [w for w in on if da[w] < k]  # a, or the ends of a's edge that lie on a geodesic
     if a >= n and (a - n) % (k - 1) == k - 2 and k > 2:
         starts.reverse()  # at offset k-1 the larger end is the adjacent point
-    if sum(count[w] for w in starts) > cap:
+    total = sum(count[w] for w in starts)
+    if total > cap:
         raise GeodesicCapError((a, b), cap)
-    steps = {w: [(x, (*s.chain(w, x), x)) for x in nxt] for w, nxt in succ.items()}
-    for w in count.keys() - succ.keys():  # a walk's last vertex: -1 ends the path at b
-        steps[w] = [(-1, () if w == b else _half(s, b, w)[-2::-1])]
-    out: list[tuple[int, ...]] = []
+    return total, _walk(s, a, b, starts, succ)
+
+
+def _walk(s: SubdividedGraph, a: int, b: int, starts: list[int],
+          succ: dict[int, list[int]]) -> Iterator[tuple[int, ...]]:
+    """The paths of `geodesic_walk`: a depth-first walk from `starts` along
+    `succ`, each step a whole edge chain, ending along b's edge at a vertex
+    that has no `succ` entry.  A vertex's steps are built when the walk
+    first reaches it."""
+    steps: dict[int, list] = {}
+
+    def out_of(w: int) -> list:
+        got = steps.get(w)
+        if got is None:
+            if w in succ:
+                got = [(x, (*s.chain(w, x), x)) for x in succ[w]]
+            else:  # a walk's last vertex: -1 ends the path at b
+                got = [(-1, () if w == b else _half(s, b, w)[-2::-1])]
+            steps[w] = got
+        return got
+
     segs: list[tuple[int, ...]] = []
     todo = [iter([(w, (a,) if w == a else _half(s, a, w)) for w in starts])]
     while todo:  # no recursion limit
         for x, seg in todo[-1]:
             if x < 0:
-                out.append((*chain.from_iterable(segs), *seg))
+                yield (*chain.from_iterable(segs), *seg)
             else:
                 segs.append(seg)
-                todo.append(iter(steps[x]))
+                todo.append(iter(out_of(x)))
                 break
         else:
             todo.pop()
             if segs:
                 segs.pop()
-    return out
 
 
 def _half(s: SubdividedGraph, p: int, end: int) -> tuple[int, ...]:

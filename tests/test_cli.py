@@ -41,7 +41,7 @@ def test_delta_stats_on_stderr(capsys):
                           "table_bytes", "table_s", "sides_visited", "masked_pairs", "mask_s",
                           "sides_exact",
                           "orbit_s", "masks_recomputed", "apsp_s", "hops_s", "chains_s",
-                          "value_s", "witness_s", "geodesic_s", "blocks"}
+                          "value_s", "witness_s", "geodesic_s", "blocks", "witness_tables"}
     assert int(lines["triples_examined"]) == json.loads(out)["stats"]["triples_examined"]
     # the phase times are parts of the engine's wall time
     phases = [float(lines[k]) for k in ("apsp_s", "hops_s", "chains_s", "value_s", "witness_s")]

@@ -22,7 +22,7 @@ from lexhyp import (CARTESIAN, DeltaConfig, DeltaEngine, DeltaResult, GeodesicCa
 from lexhyp.geodesics import enumerate_paths
 from lexhyp.subdivision import all_pairs_distances, j_hops
 from test_blocks import C5_K3_PENDANT, _atlas, _networkx_blocks
-from test_symmetry import _rotated_p2_c5
+from test_symmetry import _factors, _rotated_p2_c5
 
 
 def test_trees_are_zero():
@@ -166,7 +166,8 @@ def test_table_counters():
 # of its 2650 closed sides, and the witness search reads the tables the value
 # sweep built.  As built by `product`, the graph carries its automorphisms,
 # and 20 of those sides come from tables (one per J-pair orbit touched);
-# a plain copy computes all of them
+# a plain copy computes all of them, and its witness search reads its one
+# side outside them as a role, from the third corner's table, not as a vector
 P6_C5_JSON = {
     "grid_factor": 4, "quarters": 6, "value": "3/2",
     "stats": {"geodesics_enumerated": 51, "triples_examined": 484951},
@@ -183,7 +184,7 @@ def test_lex_p6_c5_pinned():
     for r in (res, plain):
         assert r.to_json_dict() == P6_C5_JSON
         assert r.stats.sides_visited == 2650
-    assert (plain.stats.tables_built, plain.stats.sides_exact) == (160, 2651)
+    assert (plain.stats.tables_built, plain.stats.sides_exact) == (160, 2650)
     assert (res.stats.tables_built, res.stats.sides_exact) == (14, 20)
 
 
@@ -304,6 +305,23 @@ def test_thinness_tree_triangle_zero():
     s = subdivide(path_graph(3), 4)
     res = delta_exact(path_graph(3))
     assert thinness(s, res.witness)[0] == QDist(0)
+
+
+def test_thinness_rejects_bad_point_ids():
+    s = subdivide(cycle_graph(5), 4)
+    empty = GeodesicTriangle((0, 1, 2), ((), (1,), (2,)), False)
+    with pytest.raises(ValidationError, match="side is empty"):
+        thinness(s, empty)
+    # C5's witness with every id shifted down by grid_n: numpy would wrap
+    # the negative ids and accept it
+    res = delta_exact(cycle_graph(5))
+    for shift in (-s.grid_n, s.grid_n):
+        sides = tuple(tuple(p + shift for p in side) for side in res.witness.sides)
+        moved = GeodesicTriangle(tuple(c + shift for c in res.witness.corners), sides,
+                                 res.witness.is_cycle)
+        with pytest.raises(ValidationError, match="outside 0..19"):
+            thinness(s, moved)
+    assert thinness(s, res.witness) == (res.value, res.witness_point)
 
 
 def test_thinness_validates_sides():
@@ -501,6 +519,58 @@ def _tight_by_enumeration(g: Graph) -> bool:
     return False
 
 
+def _reference_witness(g: Graph, k: int, cycle_only: bool, cap: int = 10**6):
+    """The witness search listing every geodesic: (triangle, side, point,
+    geodesics enumerated, triples examined by the value sweep and the
+    search), or the pair whose geodesics exceed `cap`.
+
+    It walks corner triples in lexicographic J order, keeps those whose
+    corners share a block and one of whose sides, at least twice the value
+    long, has a role value reaching it (read from a side vector of its own
+    engine), lists all three sides' geodesics x -> y, y -> z, x -> z, and
+    tests every side choice, in `itertools.product` order, at every point
+    of every side.
+    """
+    engine = DeltaEngine(g, DeltaConfig(grid_factor=k))
+    target = engine.value_sweep()
+    cycle_only = cycle_only and target > 0
+    s, D, J, jD = engine.s, engine.D, engine.J, engine.jD
+
+    def reaches(i, j, l):
+        if min(jD[i, j], jD[i, l], jD[j, l]) < 0:
+            return False
+        return any(jD[p, q] >= 2 * target and engine.side_values(J[p], J[q])[r] >= target
+                   for p, q, r in ((i, j, l), (i, l, j), (j, l, i)))
+
+    triples = ([(0, 1, 2)] if target == 0 else
+               (t for t in itertools.combinations(range(engine.nj), 3) if reaches(*t)))
+    listed, enumerated, examined = {}, 0, engine.stats.triples_examined
+    for i, j, l in triples:
+        x, y, z = J[i], J[j], J[l]
+        examined += 1
+        for a, b in ((x, y), (y, z), (x, z)):
+            if (a, b) not in listed:
+                try:
+                    listed[(a, b)] = [np.asarray(p) for p in enumerate_geodesics(s, a, b, cap)]
+                except GeodesicCapError as e:
+                    return e.pair
+                enumerated += len(listed[(a, b)])
+        for sides in itertools.product(listed[(x, y)], listed[(y, z)], listed[(x, z)]):
+            f0, f1, f2 = (set(side.tolist()) for side in sides)
+            is_cycle = f0 & f1 == {y} and f1 & f2 == {z} and f2 & f0 == {x}
+            if cycle_only and not is_cycle:
+                continue
+            far = [D[np.ix_(sides[i], np.concatenate([sides[(i + 1) % 3], sides[(i + 2) % 3]]))]
+                   .min(axis=1) for i in range(3)]
+            if max(int(f.max()) for f in far) != target:
+                continue
+            side = next(i for i in range(3) if far[i].max() == target)
+            tri = GeodesicTriangle((x, y, z), (tuple(sides[0].tolist()), tuple(sides[1].tolist()),
+                                               tuple(sides[2][::-1].tolist())), is_cycle)
+            return tri, side, int(sides[side][far[side].argmax()]), enumerated, examined
+    raise AssertionError("no triangle attains the value")
+
+
 def _connected_graphs(max_n: int):
     return st.builds(_random_connected, st.integers(0, 10_000), st.integers(2, max_n))
 
@@ -511,6 +581,50 @@ def _graphs_and_induced_subgraphs(max_n: int):
     induced = connected.flatmap(lambda g: st.sets(st.integers(0, g.vertex_count - 1), min_size=1)
                                 .map(lambda keep: induced_subgraph(g, keep)))
     return st.one_of(connected, induced)
+
+
+def _glued(seed: int, n1: int, n2: int) -> Graph:
+    """Two random connected graphs sharing their vertex 0, a cut vertex."""
+    a, b = _random_connected(seed, n1), _random_connected(seed + 1, n2)
+    moved = [0] + list(range(n1, n1 + n2 - 1))  # b's vertices in the glued graph
+    return Graph(n1 + n2 - 1, list(a.edges) + [(moved[u], moved[v]) for u, v in b.edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.one_of(_connected_graphs(8),
+                   st.builds(_glued, st.integers(0, 10_000), st.integers(2, 5), st.integers(2, 5)),
+                   st.builds(lambda g1, g2: product(g1, g2).graph, _factors(3), _factors(3))
+                   .filter(lambda g: g.vertex_count > 1)),
+       k=st.sampled_from((4, 8)), cycle_only=st.booleans())
+@example(g=product(cycle_graph(10), path_graph(3)).graph, k=4, cycle_only=True)
+@example(g=product(cycle_graph(10), path_graph(3)).graph, k=8, cycle_only=False)
+@example(g=cycle_graph(40), k=4, cycle_only=True)
+@example(g=cycle_graph(40), k=8, cycle_only=False)
+# a side read from the third corner's table, where the wrong column would
+# let a triple through that attains nothing
+@example(g=Graph(8, [(0, 4), (0, 7), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5), (2, 7), (3, 4),
+                     (4, 6), (5, 6), (6, 7)]), k=4, cycle_only=True)
+def test_witness_matches_reference(g, k, cycle_only):
+    # lazily listed sides, tested at their middles only, and roles read from
+    # the third corner's table give the triangle, side, point and counters
+    # of the search that lists every geodesic and tests every point
+    res = DeltaEngine(g, DeltaConfig(grid_factor=k)).delta(cycle_only)
+    want = _reference_witness(g, k, cycle_only)
+    assert (res.witness, res.witness_side, res.witness_point, res.stats.geodesics_enumerated,
+            res.stats.triples_examined) == want
+
+
+def test_cap_error_names_the_first_pair_over_the_cap():
+    # the 4-cycle 0-1-3-6 with pendants 2, 4 and 5: the first triple the
+    # search examines is (0, 1, 3), whose sides 0 -> 1 and 1 -> 3 have one
+    # geodesic each and 0 -> 3 two, so only its x -> z side exceeds a cap of 1
+    g = Graph(7, [(0, 1), (0, 2), (0, 4), (0, 6), (1, 3), (3, 5), (3, 6)])
+    assert _reference_witness(g, 4, True, cap=1) == (0, 3)
+    engine = DeltaEngine(g, DeltaConfig(geodesic_cap=1))
+    with pytest.raises(GeodesicCapError) as err:
+        engine.delta()
+    assert (err.value.pair, err.value.cap, err.value.value) == ((0, 3), 1, QDist(4))
+    assert engine.stats.triples_examined > 0 and engine.stats.geodesics_enumerated == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -572,8 +686,8 @@ def test_short_triangle_against_enumeration(g):
 def test_short_triangle_enumerates_no_geodesic(g, monkeypatch):
     import lexhyp.delta
     calls = []
-    real = lexhyp.delta.enumerate_geodesics
-    monkeypatch.setattr(lexhyp.delta, "enumerate_geodesics", lambda *a: calls.append(a) or real(*a))
+    real = lexhyp.delta.geodesic_walk
+    monkeypatch.setattr(lexhyp.delta, "geodesic_walk", lambda *a: calls.append(a) or real(*a))
     engine = DeltaEngine(g)
     engine.has_tight_short_triangle()
     assert calls == []

@@ -1,5 +1,6 @@
 """Geodesic enumeration: counts, order, caps, bottleneck tables and profiles."""
 
+import random
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import lexhyp.geodesics as geodesics
 from lexhyp import (GeodesicCapError, Graph, SubdividedGraph, complete_graph, cycle_graph,
-                    enumerate_geodesics, induced_subgraph, path_graph, product, subdivide)
+                    enumerate_geodesics, induced_subgraph, path_graph, product, random_connected,
+                    subdivide)
 from lexhyp.geodesics import (enumerate_paths, farthest_geodesic_profile, farthest_geodesic_table,
                               geodesic_count, interval, j_source_table)
 
@@ -264,7 +266,8 @@ def test_walk_matches_grid_enumeration(g, k):
         for b in range(s.grid_n):
             want = enumerate_paths(nbrs, hops, a, b, cap=10**6)
             assert enumerate_geodesics(s, a, b) == want, (a, b)
-            assert len(want) == geodesic_count(nbrs, hops, a, b)
+            count, _ = geodesics.geodesic_walk(s, a, b)
+            assert len(want) == geodesic_count(nbrs, hops, a, b) == count
 
 
 @pytest.mark.parametrize("k", (2, 4, 8))
@@ -293,6 +296,35 @@ def test_walk_cap_raises_before_any_path(k, monkeypatch):
             enumerate_geodesics(s, a, b, cap=count - 1)
         assert (err.value.pair, err.value.cap) == ((a, b), count - 1)
 
+
+@pytest.mark.parametrize("k", (2, 4, 8))
+@pytest.mark.parametrize("g", [cycle_graph(5), product(path_graph(3), cycle_graph(4)).graph,
+                               complete_graph(5), *(random_connected(7, random.Random(seed))
+                                                    for seed in range(3))],
+                         ids=["C5", "lex(P3,C4)", "K5", "random-0", "random-1", "random-2"])
+def test_tables_are_symmetric(g, k):
+    # W_a[p, c] = W_c[p, a] for every J pair, as an a-c geodesic is a c-a
+    # geodesic: the witness search reads a side's role from the third
+    # corner's table
+    s = subdivide(g, k)
+    tables = np.stack([j_source_table(s, a) for a in s.j_set])  # [a, p, c]
+    assert np.array_equal(tables, tables.transpose(2, 1, 0))
+
+
+def test_walk_lists_lazily(monkeypatch):
+    # the count runs at the call, the paths when asked for: the first path
+    # of C8's antipodal pair 0, 4 builds the steps out of 0 (two chains) and
+    # the chains of its three other edges, the second the last three
+    s = subdivide(cycle_graph(8), 4)
+    want = enumerate_geodesics(s, 0, 4)
+    chains = []
+    real = SubdividedGraph.chain
+    monkeypatch.setattr(SubdividedGraph, "chain", lambda *a: chains.append(a[1:]) or real(*a))
+    total, walk = geodesics.geodesic_walk(s, 0, 4)
+    assert total == 2 and chains == []
+    assert next(walk) == want[0] and len(chains) == 5
+    assert next(walk) == want[1] and len(chains) == 8
+    assert next(walk, None) is None
 
 
 @pytest.mark.parametrize("n, k", [(127, 2), (63, 4)])

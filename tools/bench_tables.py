@@ -8,15 +8,20 @@ Run from the root of a checkout, with `src` on the path:
 `delta_exact` runs each graph in a fresh process (`--delta-one NAME`), so
 that `ru_maxrss_mb`, the process's peak resident memory, belongs to that
 graph alone: best of 3 calls, `best_s`, with `tables_built`, `table_bytes`,
-`sides_exact` (side vectors computed from tables), `masked_pairs` (the
-J-pairs whose corner masks were computed), `value_s`, `witness_s`,
-`geodesic_s`, `mask_s` and `orbit_s` (the value sweep, the witness search
-and its geodesic enumeration, the corner masks and the orbit roots, from
-the best call), `hop_dtype` (the grid hop matrix's dtype) and the value.
+`witness_tables` (the tables the witness search built; absent from a
+checkout without that counter), `sides_exact` (side vectors computed from
+tables), `masked_pairs` (the J-pairs whose corner masks were computed),
+`geodesics_enumerated` (the geodesics counted on the witness search's
+sides), `value_s`, `witness_s`, `geodesic_s`, `mask_s` and `orbit_s` (the
+value sweep, the witness search and its geodesic enumeration, the corner
+masks and the orbit roots, from the best call), `hop_dtype` (the grid hop
+matrix's dtype) and the value.
 Each call's result is dropped before the next call starts, so the peak is
 that of one call, not of one call plus the grid and hop matrix of the last.
-The graphs are four products, `cycle:1000`, a sparse grid of 4000 points
-where the grid hop matrix outweighs the tables, and `random(450,7)`,
+The graphs are five products, lex(C10,P3) among them, `cycle:200` (with
+lex(C10,P3), the ladder rungs whose witness search cost most),
+`cycle:1000`, a sparse grid of 4000 points where the grid hop matrix
+outweighs the tables, and `random(450,7)`,
 `random_connected(450, Random(7))`, whose cut vertices hang long pendant
 trees off its blocks.  The factors' automorphism search runs in the first
 call and is cached on the factors, so the best of 3 leaves it out.
@@ -25,17 +30,18 @@ The short-triangle record (`--short-one NAME`) times
 `has_tight_short_triangle()` on a fresh `DeltaEngine` per call, the
 engine's construction left out: best of 3, `best_s`, with that call's
 `tables_built`, `table_bytes` and answer, and `ru_maxrss_mb`.  It runs on
-every graph but `cycle:1000`, where the predicate reads all 1000 midpoint
-pairs: a predicate that kept the tables it built would hold 1000 tables
-of 16 MB, and one that holds at most two builds 1001 of them in a call
-(about 23 s, 0.023 s a table).
+every graph but the cycles, where the predicate reads every midpoint
+pair; on `cycle:1000` it reads all 1000 pairs: a predicate that kept
+the tables it built would hold 1000 tables of 16 MB, and one that holds
+at most two builds 1001 of them in a call (about 23 s, 0.023 s a table).
 
 The suite record runs `lexhyp verify --seed 0` (`run_suite` on the default
 corpus of seed 0, every check) three times in a fresh process
 (`--suite-one`), after building the catalog: the S_k grids built per k
 (`SubdividedGraph` constructions), the per-source tables built
 (`j_source_table` calls from the delta engine) and the geodesic
-enumerations (`enumerate_geodesics` calls from the delta engine), all
+enumerations (`geodesic_walk` calls from the delta engine, or
+`enumerate_geodesics` calls in a checkout without the lazy walk), all
 counted in the first run, and the best wall time of the other two,
 `best_wall_s`, with each check's `millis` in that run, `check_millis`.
 
@@ -87,10 +93,12 @@ GRAPHS = {
     "lex(P8,C6)": lambda lx: lx.product(lx.path_graph(8), lx.cycle_graph(6)).graph,
     "lex(P12,C8)": lambda lx: lx.product(lx.path_graph(12), lx.cycle_graph(8)).graph,
     "lex(P16,C8)": lambda lx: lx.product(lx.path_graph(16), lx.cycle_graph(8)).graph,
+    "lex(C10,P3)": lambda lx: lx.product(lx.cycle_graph(10), lx.path_graph(3)).graph,
+    "cycle:200": lambda lx: lx.cycle_graph(200),
     "cycle:1000": lambda lx: lx.cycle_graph(1000),
     "random(450,7)": lambda lx: lx.random_connected(450, random.Random(7)),
 }
-SHORT_GRAPHS = [name for name in GRAPHS if name != "cycle:1000"]  # see --short-one
+SHORT_GRAPHS = [name for name in GRAPHS if not name.startswith("cycle:")]  # see --short-one
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 ROUNDS = 5  # alternating process pairs per record
 
@@ -108,13 +116,17 @@ def delta_one(name: str, reps: int = 3) -> dict:
         hop_dtype = str(res.grid.hops().dtype)
         del res  # its grid, with the hop matrix, goes before the next call
     secs, st, quarters = min(runs, key=lambda run: run[0])
-    return {"best_s": round(secs, 3), "tables_built": st.tables_built,
-            "table_bytes": st.table_bytes, "sides_exact": st.sides_exact,
-            "triples_examined": st.triples_examined, "masked_pairs": st.masked_pairs,
-            "value_s": round(st.value_s, 4), "witness_s": round(st.witness_s, 4),
-            "geodesic_s": round(st.geodesic_s, 4), "mask_s": round(st.mask_s, 4),
-            "orbit_s": round(st.orbit_s, 4), "hop_dtype": hop_dtype, "quarters": quarters,
-            "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+    out = {"best_s": round(secs, 3), "tables_built": st.tables_built,
+           "table_bytes": st.table_bytes, "sides_exact": st.sides_exact,
+           "triples_examined": st.triples_examined, "masked_pairs": st.masked_pairs,
+           "geodesics_enumerated": st.geodesics_enumerated,
+           "value_s": round(st.value_s, 4), "witness_s": round(st.witness_s, 4),
+           "geodesic_s": round(st.geodesic_s, 4), "mask_s": round(st.mask_s, 4),
+           "orbit_s": round(st.orbit_s, 4), "hop_dtype": hop_dtype, "quarters": quarters,
+           "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+    if hasattr(st, "witness_tables"):
+        out["witness_tables"] = st.witness_tables
+    return out
 
 
 def short_one(name: str, reps: int = 3) -> dict:
@@ -143,7 +155,8 @@ def suite_one(reps: int = 3) -> dict:
     grids: dict[str, int] = {}
     tables, paths = [0], [0]
     init, table = SubdividedGraph.__init__, lexhyp.delta.j_source_table
-    enumerate_fn = lexhyp.delta.enumerate_geodesics
+    walk_name = "geodesic_walk" if hasattr(lexhyp.delta, "geodesic_walk") else "enumerate_geodesics"
+    walk = getattr(lexhyp.delta, walk_name)
 
     def counted_init(self, base, k):
         grids[f"S_{k}"] = grids.get(f"S_{k}", 0) + 1
@@ -153,19 +166,19 @@ def suite_one(reps: int = 3) -> dict:
         tables[0] += 1
         return table(s, a)
 
-    def counted_enumerate(*args):
+    def counted_walk(*args):
         paths[0] += 1
-        return enumerate_fn(*args)
+        return walk(*args)
 
     get_catalog()
     corpus = generate_corpus(CorpusSpec(seed=0))
     SubdividedGraph.__init__, lexhyp.delta.j_source_table = counted_init, counted_table
-    lexhyp.delta.enumerate_geodesics = counted_enumerate
+    setattr(lexhyp.delta, walk_name, counted_walk)
     try:
         report = run_suite(corpus)
     finally:
         SubdividedGraph.__init__, lexhyp.delta.j_source_table = init, table
-        lexhyp.delta.enumerate_geodesics = enumerate_fn
+        setattr(lexhyp.delta, walk_name, walk)
     runs = []  # (wall, report) of each timed run
     for _ in range(reps - 1):
         t0 = time.perf_counter()
